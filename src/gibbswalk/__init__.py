@@ -39,7 +39,7 @@ from .gibbs import (
     shadow_lemma_audit,
 )
 from .cylfun import CylinderFunction
-from .spikes import DecayCert, SpikeLab, SpikeRecord, decay_audit, g_kernel, spike_audit, unit_spike
+from .spikes import DecayCert, SpikeLab, SpikeRecord, g_kernel
 from .decompose import (
     DecomposerConfig,
     Decomposition,

@@ -202,8 +202,7 @@ def run_spikes(cfg, ab, P, S, rep: Reporter) -> dict:
     per_depth: dict[int, float] = {}
     for n in range(1, radius + 1):
         for g in ab.reduced_words(n):
-            audr = lab._profile_audit(g) if (S.depth_m == 1 and lab.kernel.depth == 1) \
-                else lab.spike_audit(lab.unit_spike(g), holder_q=lab.beta)
+            audr = lab.rn_spike_audit(g)
             rows.append((ab.format_word(g), n, audr.c1, audr.c2, audr.c3,
                          audr.c_holder, audr.minimal_c))
             per_depth[n] = max(per_depth.get(n, 0.0), audr.minimal_c)

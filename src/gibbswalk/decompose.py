@@ -4,9 +4,7 @@ Stage n measures the residual's ratio profile, picks the coarsest scale at
 which that ratio is below ell, sizes the shell so the subfunction hypotheses
 hold, and subtracts gamma times the certified subfunction.  On the tree the
 shadows of a shell partition the boundary, so the strong (uniform) case of
-the approximation theorem applies with Besicovitch multiplicity one; the
-generic bookkeeping (B, tau, partial covers) stays in the config but is not
-exercised here.
+the approximation theorem applies with Besicovitch multiplicity one.
 
 Every proposition hypothesis is checked, not assumed, and both conclusions
 of the subfunction step are re-verified exactly on cylinders before the
@@ -34,10 +32,8 @@ class HypothesisError(RuntimeError):
 class DecomposerConfig:
     ell: float = 2.0
     gamma: float = 0.5
-    tau: float = 2.0
     besicovitch: int = 1
     delta: float = 1.0
-    m_scale: float = math.exp(-1.0)
     stage_cap: int = 40
     target_l1: float = 1e-2
     d_margin: float = 1.1
@@ -47,10 +43,8 @@ class DecomposerConfig:
     max_shell: int = 5   # exact-representation budget: stop before deeper shells
 
     def __post_init__(self):
-        if self.ell <= 1 or not 0 < self.gamma < 1 or self.tau <= 1:
-            raise ValueError("need ell > 1, 0 < gamma < 1, tau > 1")
-        if not 0 < self.m_scale < 1:
-            raise ValueError("m_scale must lie in (0, 1)")
+        if self.ell <= 1 or not 0 < self.gamma < 1:
+            raise ValueError("need ell > 1, 0 < gamma < 1")
         if self.d_schedule and any(d < 1 for d in self.d_schedule):
             raise ValueError("spike-constant bounds must be >= 1")
 
@@ -88,15 +82,11 @@ class Decomposition:
     residual: CylinderFunction
     config: DecomposerConfig
     cert: DecayCert
-    cert_alt: DecayCert | None
     spike_l1: dict           # g -> L1 norm of the unit spike
     spike_s: dict            # g -> depth scale of the spike
     target: CylinderFunction
     stream: GibbsStream
     status: str = "target"   # "target" | "stage_cap" | "shell_budget"
-
-    def weight_total(self) -> float:
-        return sum(self.entries.values())
 
 
 def _coarsest_scale(R: CylinderFunction, ell: float) -> tuple[float, int]:
@@ -178,18 +168,14 @@ def decompose(F: CylinderFunction, S: GibbsStream, cfg: DecomposerConfig,
               lab: SpikeLab | None = None) -> Decomposition:
     """Run greedy stages until the residual L1 norm reaches the target.
 
-    The reference measure of the spike integrals is the target stream itself;
-    a certificate against the zero-potential stream is recorded alongside.
+    The spike integrals use the reference measure registered by `lab` (by
+    default the target stream itself); its decay certificate is `cert`.
     """
     if F.inf <= 0:
         raise ValueError("target function must be uniformly positive")
     if lab is None:
         lab = SpikeLab(S, nu_id="gibbs")
     cert = lab.decay_audit()
-    try:
-        cert_alt = SpikeLab(S, nu_id="hausdorff", kernel=lab.kernel).decay_audit()
-    except CertificationError:
-        cert_alt = None
     F_const = float(F.values.max()) == float(F.values.min())
     spike_cache: dict = {}
 
@@ -267,7 +253,7 @@ def decompose(F: CylinderFunction, S: GibbsStream, cfg: DecomposerConfig,
         status = "target" if prev_l1 <= cfg.target_l1 else "stage_cap"
     return Decomposition(
         entries=entries, stages=stages, final_residual_l1=prev_l1, residual=R,
-        config=cfg_run, cert=cert, cert_alt=cert_alt, spike_l1=spike_l1,
+        config=cfg_run, cert=cert, spike_l1=spike_l1,
         spike_s=spike_s, target=F, stream=S, status=status,
     )
 

@@ -146,11 +146,10 @@ class SpikeLab:
     target stream itself).
     """
 
-    def __init__(self, S: GibbsStream, nu_id: str = "hausdorff",
-                 kernel: Potential | None = None):
+    def __init__(self, S: GibbsStream, nu_id: str = "hausdorff"):
         self.S = S
         self.ab = S.ab
-        self.kernel = kernel if kernel is not None else sym_potential(S.potential)
+        self.kernel = sym_potential(S.potential)
         self.nu_id = nu_id
         if nu_id == "hausdorff":
             self.nu = hausdorff_stream(S.ab, 1)
@@ -168,7 +167,7 @@ class SpikeLab:
 
     # -- decay certification ---------------------------------------------------
 
-    def tail_integral(self, x: BoundaryWord, r: float, s: float, c_cap: int | None = None) -> float:
+    def tail_integral(self, x: BoundaryWord, r: float, s: float) -> float:
         """sup-audit integrand: integral of G(x, ., s) over X - ball(x, r)."""
         j = scale_depth(r) if r > 0 else None
         if j == 0:
@@ -292,7 +291,7 @@ class SpikeLab:
                     raise NotASpikeError(f"kernel integral vanishes at confluence {c}")
                 bound = h_a * math.exp(self.alpha * rec.s) * integ
                 c2 = max(c2, float(hv[sel].max()) / bound)
-        out = SpikeAudit(c1=c1, c2=c2, c3=c3, c_holder=None, holder_q=holder_q)
+        out = SpikeAudit(c1=c1, c2=c2, c3=c3, c_holder=None)
         if holder_q is not None:
             dr = h.holder_at(rec.r, holder_q)
             out = replace(out, c_holder=float((dr * rec.r ** holder_q / hv).max()))
@@ -323,22 +322,19 @@ class SpikeLab:
             c2 = max(c2, float(v[c]) / (math.exp(self.alpha * n) * integ))
         # pairs below the ball scale share their confluence depth: conditions
         # (3) and the Holder bound are exact zeros of oscillation
-        return SpikeAudit(c1=c1, c2=c2, c3=1.0, c_holder=0.0, holder_q=self.beta)
+        return SpikeAudit(c1=c1, c2=c2, c3=1.0, c_holder=0.0)
 
-    def sweep(self, radius: int, F: CylinderFunction | None = None,
-              holder_q: float | None = None) -> list[tuple[Word, float]]:
+    def rn_spike_audit(self, g: Word) -> SpikeAudit:
+        """Audit of the derivative spike at g, Holder exponent beta included:
+        the closed-form profile for depth-1 tables, the dense audit otherwise."""
+        if self.S.depth_m == 1:  # the kernel has the stream's depth
+            return self._profile_audit(g)
+        return self.spike_audit(self.unit_spike(g), holder_q=self.beta)
+
+    def sweep(self, radius: int) -> list[tuple[Word, float]]:
         """Audit every derivative spike with |g| <= radius; rows (g, minimal C)."""
-        q = self.beta if holder_q is None else holder_q
-        fast = F is None and self.S.depth_m == 1 and self.kernel.depth == 1
-        rows = []
-        for n in range(1, radius + 1):
-            for g in self.ab.reduced_words(n):
-                if fast:
-                    rows.append((g, self._profile_audit(g).minimal_c))
-                else:
-                    rec = self.unit_spike(g, F)
-                    rows.append((g, self.spike_audit(rec, holder_q=q).minimal_c))
-        return rows
+        return [(g, self.rn_spike_audit(g).minimal_c)
+                for n in range(1, radius + 1) for g in self.ab.reduced_words(n)]
 
 
 @dataclass(frozen=True)
@@ -351,7 +347,6 @@ class SpikeRecord:
     s: float
     C: float | None
     center: Word = ()
-    holder_q: tuple | None = None  # (exponent, certified bound) when present
 
     def scaled(self, alpha: float) -> "SpikeRecord":
         if alpha <= 0:
@@ -365,7 +360,6 @@ class SpikeAudit:
     c2: float
     c3: float
     c_holder: float | None
-    holder_q: float | None
 
     @property
     def minimal_c(self) -> float:
@@ -373,28 +367,3 @@ class SpikeAudit:
         if self.c_holder is not None:
             parts.append(self.c_holder)
         return max(parts)
-
-
-# -- module-level convenience wrappers over a one-shot workshop ----------------
-
-
-def decay_audit(S: GibbsStream, nu: str = "hausdorff", r_grid=None, s_grid=None,
-                kernel: Potential | None = None) -> DecayCert:
-    lab = SpikeLab(S, nu_id=nu, kernel=kernel)
-    kwargs = {}
-    if r_grid is not None:
-        kwargs["r_grid"] = r_grid
-    if s_grid is not None:
-        kwargs["s_grid"] = s_grid
-    return lab.decay_audit(**kwargs)
-
-
-def unit_spike(S: GibbsStream, g: Word, F=None, nu: str = "hausdorff",
-               kernel: Potential | None = None) -> SpikeRecord:
-    return SpikeLab(S, nu_id=nu, kernel=kernel).unit_spike(tuple(g), F)
-
-
-def spike_audit(rec: SpikeRecord, S: GibbsStream, nu: str = "hausdorff",
-                kernel: Potential | None = None,
-                holder_q: float | None = None) -> SpikeAudit:
-    return SpikeLab(S, nu_id=nu, kernel=kernel).spike_audit(rec, holder_q=holder_q)

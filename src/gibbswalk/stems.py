@@ -82,9 +82,6 @@ class StemTable:
         """(size, depth) array of stem letters (cached)."""
         return _letters_array(self.ab.rank, self.depth)
 
-    def refine_map(self) -> "StemTable":
-        return StemTable(self.ab, self.depth + 1)
-
     def branch_depths(self, w: Word) -> np.ndarray:
         """Per-stem confluence length with the word w (clipped at depth)."""
         c = np.zeros(self.size, dtype=np.int64)

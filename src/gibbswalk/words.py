@@ -193,6 +193,7 @@ class RandomReducedWord(BoundaryWord):
     def __init__(self, ab: Alphabet, seed: int, stem: Word = ()):
         self.ab = ab
         self.seed = seed
+        self.stem = tuple(stem)
         self._rng = random.Random(seed)
         self._cache: list[int] = list(stem)
 
@@ -207,7 +208,7 @@ class RandomReducedWord(BoundaryWord):
         return self._cache[n]
 
     def key(self):
-        return ("rand", self.seed, tuple(self._cache[:1]))
+        return ("rand", self.seed, self.stem)
 
 
 @dataclass(frozen=True)
@@ -255,10 +256,8 @@ def translate_boundary(ab: Alphabet, g: Word, xi: BoundaryWord) -> BoundaryWord:
     return ShiftedWord(ab, head, xi, j)
 
 
-def boundary_equal(x: BoundaryWord, y: BoundaryWord, depth_cap: int = 256) -> bool:
-    if x.key() == y.key():
-        return True
-    return x.prefix(depth_cap) == y.prefix(depth_cap) and x.key() == y.key()
+def boundary_equal(x: BoundaryWord, y: BoundaryWord) -> bool:
+    return x.key() == y.key()
 
 
 def _centered(ab: Alphabet, p: Word, x) -> tuple:

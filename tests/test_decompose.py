@@ -189,3 +189,16 @@ class TestDecompose:
         assert tr.residual_l1 == pytest.approx(1.0 - dec.config.gamma * h_l1, abs=1e-12)
         d = dec.config.d_for(0)
         assert lam == pytest.approx(1.0 / (2 * d * dec.cert.C_G), rel=1e-12)
+
+    def test_one_decay_certificate_per_call(self, monkeypatch, ones_target, uniform_stream):
+        audit = SpikeLab.decay_audit
+        calls = []
+
+        def counted(lab, *args, **kwargs):
+            calls.append(lab.nu_id)
+            return audit(lab, *args, **kwargs)
+
+        monkeypatch.setattr(SpikeLab, "decay_audit", counted)
+        dec = decompose(ones_target, uniform_stream, DecomposerConfig(stage_cap=1))
+        assert calls == ["gibbs"]
+        assert dec.cert.nu_id == "gibbs"

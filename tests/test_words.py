@@ -5,7 +5,7 @@ import random
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -322,3 +322,15 @@ class TestBoundaryWords:
         r = ray_word(AB, (0, 2))
         assert r.prefix(5) == (0, 2, 2, 2, 2)
         assert ray_word(AB, ()).prefix(3) == (0, 0, 0)
+
+    @given(st.integers(0, 10**6), st.lists(st.integers(0, 3), max_size=6),
+           st.lists(st.integers(0, 3), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_same_seed_distinct_stems_are_distinct_points(self, seed, u, v):
+        s, t = AB.reduce(u), AB.reduce(v)
+        assume(s != t)
+        x, y = RandomReducedWord(AB, seed, s), RandomReducedWord(AB, seed, t)
+        n = 0
+        while x.letter(n) == y.letter(n):
+            n += 1
+        assert gromov_product(AB, x, y) == n
