@@ -127,7 +127,7 @@ class Reporter:
             w = csv.writer(fh)
             w.writerow(header + ["config_hash", "version"])
             for row in rows:
-                w.writerow([repr(v) if isinstance(v, float) else v for v in row]
+                w.writerow([repr(float(v)) if isinstance(v, float) else v for v in row]
                            + [self.hash, __version__])
 
     def json(self, name: str, payload: dict):

@@ -156,15 +156,12 @@ class GibbsStream:
         self.potential = potential.shifted(self.pressure)
         self.sym_defect = critical_exponent(sym_potential(potential)) - self.pressure
         self.states, self.succ, self.transfer = transfer_matrix(self.potential)
-        self.rho, self.h_right = _power_iteration(self.transfer)
+        _, self.h_right = _power_iteration(self.transfer)
         m = self.potential.depth
-        tab_m = StemTable(self.ab, m)
+        self._tab_m = StemTable(self.ab, m)
         for i, w in enumerate(self.states):  # state order must match stem order
-            assert tab_m.index_of(w) == i
-        self._succ_state = np.array(
-            [[self.succ[u][j] for j in range(len(self.succ[u]))] for u in range(len(self.states))],
-            dtype=np.int64,
-        )
+            assert self._tab_m.index_of(w) == i
+        self._succ_state = np.array(self.succ, dtype=np.int64)
         wts = np.array([self.potential.table[w] for w in self.states])
         self._phi_state = wts
         self._Z = float(np.exp(-wts) @ self.h_right)
@@ -232,15 +229,18 @@ class GibbsStream:
         tab = StemTable(self.ab, depth)
         P = self.potential
         if m == 1:
-            phi = np.array([P.table[(s,)] for s in self.ab.letters])
-            fwd = np.concatenate([[0.0], np.cumsum([phi[s] for s in q])])
-            bwd = np.concatenate([[0.0], np.cumsum([phi[inverse_letter(s)] for s in reversed(q)])])[::-1]
-            prof = bwd - fwd  # rho value when the branch with q happens at c
-            return prof[tab.branch_depths(q)]
+            return self.rho_profile(q)[tab.branch_depths(q)]
         out = np.empty(tab.size)
         for i, stem in enumerate(tab.stems()):
             out[i] = d_phi(P, q, stem) - d_phi(P, (), stem)
         return out
+
+    def rho_profile(self, q: Word) -> np.ndarray:
+        """Depth-1 tables: rho^Phi_xi(base, q) for xi branching from q at c = 0..|q|."""
+        phi = np.array([self.potential.table[(s,)] for s in self.ab.letters])
+        fwd = np.concatenate([[0.0], np.cumsum([phi[s] for s in q])])
+        bwd = np.concatenate([[0.0], np.cumsum([phi[inverse_letter(s)] for s in reversed(q)])])[::-1]
+        return bwd - fwd
 
     def rn_derivative(self, p: Word, q: Word, xi: BoundaryWord) -> float:
         """d mu_q / d mu_p at xi: exp(-rho^Phi_xi(p, q)) for the normalized table."""
@@ -263,22 +263,28 @@ class GibbsStream:
         """Mass of the cylinder as seen from q (probability only at the base point e)."""
         q = tuple(q)
         if not q:
-            out = 0.0
-            for oc in cylinder_at_origin(self.ab, c):
-                d = len(oc.stem)
-                tab = StemTable(self.ab, d)
-                lo, hi = tab.prefix_range(tuple(oc.stem))
-                out += float(self.mass_array(d)[lo:hi].sum())
-            return out
+            return sum(self.cylinder_mass_of_stem(oc.stem) for oc in cylinder_at_origin(self.ab, c))
         return self.measure_from(q, [c])
 
     def total_mass_from(self, q: Word) -> float:
         return self.measure_from(q, [Cylinder((s,)) for s in self.ab.letters])
 
     def cylinder_mass_of_stem(self, stem: Word) -> float:
+        """Mass of one origin cylinder: e^{-sum phi} h[last window] / Z along its windows."""
         stem = tuple(stem)
-        tab = StemTable(self.ab, len(stem))
-        return float(self.mass_array(len(stem))[tab.index_of(stem)])
+        m = self.depth_m
+        if len(stem) < m:
+            return float(self.mass_array(len(stem))[StemTable(self.ab, len(stem)).index_of(stem)])
+        tab = self._tab_m
+        st = tab.index_of(stem[:m])
+        ws = self._phi_state[st]
+        for a, b in zip(stem[m - 1:], stem[m:]):  # summed letter by letter, as in _layers
+            j = tab.branch_index[a, b]
+            if j < 0:
+                raise ValueError("stem is not reduced")
+            st = self._succ_state[st, j]
+            ws = ws + self._phi_state[st]
+        return float(np.exp(-ws) * self.h_right[st] / self._Z)
 
 
 def hausdorff_stream(ab: Alphabet, depth: int = 1) -> GibbsStream:

@@ -241,24 +241,12 @@ class AverageAudit:
         return self.T is not None
 
 
-def window_states(ab: Alphabet, m: int) -> list[Word]:
-    return list(ab.reduced_words(m))
-
-
 def window_graph(P: Potential) -> tuple[list[Word], list[list[int]], np.ndarray]:
     """Successor structure of m-windows: w -> w[1:] + t, with entry weights."""
-    states = window_states(P.ab, P.depth)
+    states = list(P.ab.reduced_words(P.depth))
     index = {w: i for i, w in enumerate(states)}
-    succ: list[list[int]] = []
-    for w in states:
-        nxt = []
-        for t in P.ab.letters:
-            if t != inverse_letter(w[-1]):
-                if P.depth == 1:
-                    nxt.append(index[(t,)])
-                else:
-                    nxt.append(index[w[1:] + (t,)])
-        succ.append(nxt)
+    succ = [[index[w[1:] + (t,)] for t in P.ab.letters if t != inverse_letter(w[-1])]
+            for w in states]
     weights = np.array([P.table[w] for w in states])
     return states, succ, weights
 

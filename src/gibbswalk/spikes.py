@@ -17,9 +17,16 @@ import numpy as np
 
 from .cylfun import CylinderFunction, scale_depth, translate_function
 from .gibbs import GibbsStream, critical_exponent, hausdorff_stream
-from .potentials import Potential, d_phi_ray, min_cycle_mean, sym_potential
+from .potentials import Potential, d_phi_ray, min_cycle_mean, sym_potential, window_graph
 from .stems import StemTable
 from .words import BoundaryWord, Word, gromov_product, inverse_letter, ray_word
+
+
+# the audited grid of the decay certificate: ball radii (ascending), kernel
+# times, and the depth of the stems whose rays are the audited centres x
+R_GRID = (0.0, math.e ** -4, math.e ** -3, math.e ** -2, math.e ** -1, 1.0)
+S_GRID = tuple(range(13)) + (2.5,)
+X_DEPTH = 3
 
 
 class CertificationError(RuntimeError):
@@ -30,15 +37,13 @@ class NotASpikeError(RuntimeError):
     pass
 
 
-def g_kernel(S: GibbsStream, x: BoundaryWord, y: BoundaryWord, s: float,
-             potential: Potential | None = None) -> float:
+def g_kernel(S: GibbsStream, x: BoundaryWord, y: BoundaryWord, s: float) -> float:
     """Kernel value: exp(-2 * weighted length along the ray to y from the
     confluence with x up to time s); 1 when s is before the confluence."""
-    P = potential if potential is not None else S.potential
     c = gromov_product(S.ab, x, y)
     if s < c:
         return 1.0
-    return math.exp(-2.0 * d_phi_ray(P, y, c, s))
+    return math.exp(-2.0 * d_phi_ray(S.potential, y, c, s))
 
 
 @dataclass(frozen=True)
@@ -55,82 +60,72 @@ class DecayCert:
 
 
 # --------------------------------------------------------------------------
-# Exact kernel integrals over cylinders (memoized window DP).
+# Exact kernel integrals over cylinders (backward recursion on the window chain).
 
 
 class _KernelIntegrator:
     """integral over [prefix] of exp(-2 d^K along y from c to s) dnu(y).
 
     Kernel windows look forward, so factors are emitted when their last
-    letter arrives; the continuation walk is Markov in the last max(mK, mnu)
-    letters and the measure tail sums to one by stochasticity.
+    letter arrives.  Continuations run on the kernel's window chain, whose
+    next-letter law is nu's (nu's windows are no longer than the kernel's),
+    so the expected factor over continuations depends on the prefix only
+    through its last window: one backward vector per (|prefix|, c, s) serves
+    every prefix.
     """
 
     def __init__(self, nu: GibbsStream, kernel: Potential):
-        self.nu = nu
-        self.K = kernel
-        self.ab = kernel.ab
-        self.hist_len = max(kernel.depth, nu.depth_m)
-        self._trans: dict = {}
+        mK, mnu = kernel.depth, nu.depth_m
+        if mK < mnu:
+            raise ValueError("kernel windows must be at least as long as the measure's")
+        self.nu, self.K = nu, kernel
+        _, succ, self._phi = window_graph(kernel)
+        self._succ = np.array(succ, dtype=np.int64)
+        self._tab = tab = StemTable(kernel.ab, mK)
+        # nu(next letter | window): mass ratios of the window's last mnu letters
+        span = tab.branching ** (mnu - 1)
+        u = tab.letters[:, mK - mnu].astype(np.int64) * span + np.arange(tab.size) % span
+        self._next_prob = (nu.mass_array(mnu + 1).reshape(-1, tab.branching)[u]
+                           / nu.mass_array(mnu)[u][:, None])
+        self._backward: dict = {}
 
-    def _cond(self, hist: Word, t: int) -> float:
-        """nu(next letter = t | trailing letters hist); exact mass ratio."""
-        key = (hist, t)
-        if key not in self._trans:
-            u = hist[-self.nu.depth_m:] if len(hist) >= self.nu.depth_m else hist
-            tab_u = StemTable(self.ab, len(u))
-            tab_v = StemTable(self.ab, len(u) + 1)
-            num = self.nu.mass_array(len(u) + 1)[tab_v.index_of(u + (t,))]
-            den = self.nu.mass_array(len(u))[tab_u.index_of(u)]
-            self._trans[key] = num / den
-        return self._trans[key]
+    def _continuation(self, n: int, c: int, s: float) -> np.ndarray:
+        """Expected kernel factor over letters n+1..ceil(s)-1+mK, per window at letter n."""
+        key = (n, c, s)
+        if key not in self._backward:
+            mK = self.K.depth
+            v = np.ones(len(self._phi))
+            for i in range(math.ceil(s) - 2 + mK, n - 1, -1):
+                p = i + 1 - mK  # edge completed by letter i+1
+                w = self._next_prob
+                if p >= c:
+                    frac = min(s, p + 1.0) - p
+                    w = w * np.array([math.exp(-2.0 * frac * k) for k in self._phi])[self._succ]
+                # successor terms added one at a time, in letter order
+                v = sum(w[:, j] * v[self._succ[:, j]] for j in range(self._succ.shape[1]))
+            self._backward[key] = v
+        return self._backward[key]
 
     def integral(self, prefix: Word, c: int, s: float) -> float:
         prefix = tuple(prefix)
-        if c > len(prefix):
+        n = len(prefix)
+        if c > n:
             raise ValueError("kernel start beyond the prefix")
-        base_mass = self.nu.cylinder_mass_of_stem(prefix)
         if s <= c:
-            return base_mass
+            return self.nu.cylinder_mass_of_stem(prefix)
         mK = self.K.depth
-        last_edge = math.ceil(s) - 1
+        if n < mK:
+            return sum(self.integral(prefix + (t,), c, s)
+                       for t in self.K.ab.letters if t != inverse_letter(prefix[-1]))
         # edge p covers letters p+1 .. p+mK (1-indexed); fractional last edge
-        fracs = {p: (min(s, p + 1.0) - p) for p in range(c, last_edge + 1)}
+        last_edge = math.ceil(s) - 1
         fixed = 0.0
-        pending = []
-        for p, frac in fracs.items():
-            if p + mK <= len(prefix):
-                fixed += frac * self.K.table[prefix[p : p + mK]]
-            else:
-                pending.append((p, frac))
-        if not pending:
-            return math.exp(-2.0 * fixed) * base_mass
-        horizon = last_edge + mK  # highest 1-indexed letter any pending edge needs
-        sched = dict(pending)
-        memo: dict = {}
-
-        def walk(i: int, hist: Word) -> float:
-            """Expected kernel factor over continuations, letters i+1..horizon."""
-            if i >= horizon:
-                return 1.0
-            key = (i, hist)
-            if key in memo:
-                return memo[key]
-            total = 0.0
-            for t in self.ab.letters:
-                if t == inverse_letter(hist[-1]):
-                    continue
-                nh = (hist + (t,))[-self.hist_len:]
-                w = self._cond(hist, t)
-                p = (i + 1) - mK  # edge completed by letter i+1
-                if p in sched:
-                    w *= math.exp(-2.0 * sched[p] * self.K.table[nh[-mK:]])
-                total += w * walk(i + 1, nh)
-            memo[key] = total
-            return total
-
-        start_hist = prefix[-self.hist_len:]
-        return math.exp(-2.0 * fixed) * base_mass * walk(len(prefix), start_hist)
+        for p in range(c, min(last_edge, n - mK) + 1):
+            fixed += (min(s, p + 1.0) - p) * self.K.table[prefix[p : p + mK]]
+        out = math.exp(-2.0 * fixed) * self.nu.cylinder_mass_of_stem(prefix)
+        if last_edge + mK <= n:  # no edge reaches past the prefix
+            return out
+        return out * self._continuation(n, c, s)[self._tab.index_of(prefix[-mK:])]
 
 
 # --------------------------------------------------------------------------
@@ -188,20 +183,18 @@ class SpikeLab:
                 total -= self.nu.cylinder_mass_of_stem(x.prefix(j))
         return total
 
-    def decay_audit(self, r_grid=(0.0, 1.0, math.e ** -1, math.e ** -2, math.e ** -3, math.e ** -4),
-                    s_grid=tuple(range(13)) + (2.5,), x_depth: int = 3) -> DecayCert:
+    def decay_audit(self) -> DecayCert:
         """Minimal C_G fitting the decay inequality over the audited grid.
 
         Fails with a witness when the scaled ratios still grow at the edge of
         the s-grid (no finite constant is plausible).
         """
-        tab = StemTable(self.ab, x_depth)
-        xs = [ray_word(self.ab, stem) for stem in tab.stems()]
+        xs = [ray_word(self.ab, stem) for stem in StemTable(self.ab, X_DEPTH).stems()]
         best = 0.0
         per_s: dict[float, float] = {}
         witness = None
-        for r in sorted(r_grid):
-            for s in s_grid:
+        for r in R_GRID:
+            for s in S_GRID:
                 worst = 0.0
                 wx = None
                 for x in xs:
@@ -218,7 +211,7 @@ class SpikeLab:
                 and tailvals[1] > tailvals[0] * 1.001):
             raise CertificationError(f"decay ratios still growing at the grid edge; witness {witness}")
         return DecayCert(C_G=best, alpha_G=self.alpha, beta_G=self.beta, nu_id=self.nu_id,
-                         kernel_id="sym", r_grid=tuple(sorted(r_grid)), s_grid=tuple(s_grid))
+                         kernel_id="sym", r_grid=R_GRID, s_grid=S_GRID)
 
     # -- spikes ------------------------------------------------------------------
 
@@ -306,11 +299,7 @@ class SpikeLab:
         """
         g = tuple(g)
         n = len(g)
-        P = self.S.potential
-        phi = np.array([P.table[(s,)] for s in self.ab.letters])
-        fwd = np.concatenate([[0.0], np.cumsum(phi[list(g)])])
-        bwd = np.concatenate([[0.0], np.cumsum([phi[inverse_letter(s)] for s in reversed(g)])])[::-1]
-        rho = bwd - fwd
+        rho = self.S.rho_profile(g)
         v = np.exp(rho[n] - rho)  # spike value on the confluence-c shell
         phi_k = np.array([self.kernel.table[(s,)] for s in self.ab.letters])
         ksuffix = np.concatenate([[0.0], np.cumsum(phi_k[list(g)])])

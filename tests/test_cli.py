@@ -1,5 +1,6 @@
 """The experiment runner: presets, gating, determinism, serialization."""
 
+import csv
 import filecmp
 import json
 import os
@@ -74,6 +75,16 @@ class TestRunner:
         for name in sorted(os.listdir(tmp_path / "a")):
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name,
                                shallow=False), name
+
+    def test_csv_cells_are_plain_numbers(self, tmp_path):
+        # numpy scalars are written as Python floats, never as np.float64(...)
+        code, _ = run_experiment(small_config(), str(tmp_path),
+                                 stages=("pressure", "decompose", "walk"))
+        assert code == 0
+        for path in sorted(tmp_path.glob("*.csv")):
+            with open(path, newline="") as fh:
+                for row in csv.reader(fh):
+                    assert not any("np." in cell for cell in row), (path.name, row)
 
     def test_rows_carry_hash_and_version(self, tmp_path):
         cfg = small_config()

@@ -111,6 +111,17 @@ class TestCylinderMasses:
                 kids = S.mass_array(n + 1).reshape(len(arr), -1).sum(axis=1)
                 assert np.abs(arr - kids).max() <= 1e-12
 
+    def test_stem_mass_is_the_array_entry(self, uniform_stream, random_stream, stream_m2):
+        # the window product reproduces the layered array bit for bit; stream_m2
+        # also covers stems shorter than its windows
+        for S in (uniform_stream, random_stream, stream_m2):
+            for n in range(1, 8):
+                arr = S.mass_array(n)
+                for i, stem in enumerate(StemTable(AB, n).stems()):
+                    assert S.cylinder_mass_of_stem(stem) == arr[i], (n, stem)
+            with pytest.raises(ValueError):
+                S.cylinder_mass_of_stem((0, 2, 3))
+
     def test_total_mass_one(self, uniform_stream, random_stream, stream_m2):
         for S in (uniform_stream, random_stream, stream_m2):
             assert S.mass_array(1).sum() == pytest.approx(1.0, abs=1e-12)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from gibbswalk.cylfun import CylinderFunction
-from gibbswalk.potentials import d_phi_ray, sym_potential
+from gibbswalk.gibbs import GibbsStream
+from gibbswalk.potentials import Potential, d_phi_ray, sym_potential
 from gibbswalk.spikes import (
     SpikeLab,
     _KernelIntegrator,
@@ -127,6 +128,25 @@ class TestDecayCert:
         cert = SpikeLab(uniform_stream, nu_id="gibbs").decay_audit()
         assert cert.nu_id == "gibbs"
         assert cert.C_G == pytest.approx(1.0, abs=1e-9)
+
+    def test_no_deep_mass_arrays(self, monkeypatch, uniform_stream, random_stream, stream_m2):
+        # the certificate reads cylinder masses along windows, never a dense
+        # array deeper than one letter past the measure's windows
+        mass_array = GibbsStream.mass_array
+
+        def shallow(S, depth):
+            if depth > S.depth_m + 1:
+                raise AssertionError(f"mass_array({depth}) requested")
+            return mass_array(S, depth)
+
+        monkeypatch.setattr(GibbsStream, "mass_array", shallow)
+        for S, nu_id in ((uniform_stream, "gibbs"), (random_stream, "hausdorff"),
+                         (stream_m2, "hausdorff")):
+            assert SpikeLab(S, nu_id=nu_id).decay_audit().C_G > 0
+        ab3 = Alphabet(3)
+        cert = SpikeLab(GibbsStream(Potential.zero(ab3))).decay_audit()
+        assert cert.C_G == pytest.approx(1.0, abs=1e-9)
+        assert cert.alpha_G == pytest.approx(math.log(5))
 
 
 class TestUnitSpikes:
