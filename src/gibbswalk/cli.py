@@ -33,6 +33,7 @@ from .gibbs import (
 from .hyperbolic import comparison_audit, holder_chain_audit
 from .potentials import Potential, flip_potential
 from .spikes import SpikeLab
+from .stems import StemTable
 from .walk import (
     assemble_walk,
     chi2_compatibility,
@@ -262,8 +263,6 @@ def run_walk(cfg, ab, P, S, F, dec, rep: Reporter) -> dict:
     rep2 = simulate_hitting(mu, wc.get("n_paths", 20000), depth, seed + 1,
                             wc.get("stabilize", 50), wc.get("step_cap", 2000))
     p_chi2 = chi2_compatibility(rep1, rep2)
-    from .stems import StemTable
-
     tab = StemTable(ab, depth)
     Fd = F.refine(max(F.depth, depth))
     dens = Fd.values * S.mass_array(Fd.depth)
@@ -338,6 +337,9 @@ def run_experiment(cfg: dict, out_dir: str, stages=ALL_STAGES) -> tuple[int, dic
     except StageFailure as exc:
         summary["failed_stage"] = exc.stage
         summary["error"] = str(exc)
+        witness = getattr(exc.__cause__, "witness", None)
+        if witness is not None:
+            summary["witness"] = witness
         _write_summary(rep, summary, ok=False)
         return 1, summary
     _write_summary(rep, summary, ok=True)

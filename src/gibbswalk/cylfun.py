@@ -181,14 +181,19 @@ def _excluded_min(arr: np.ndarray, axis: int) -> np.ndarray:
 
 
 def translate_function(f: CylinderFunction, g: Word) -> CylinderFunction:
-    """(g_* f)(xi) = f(g^{-1} xi), exactly, at depth |g| + depth(f)."""
+    """(g_* f)(xi) = f(g^{-1} xi), exactly, at depth |g| + depth(f).
+
+    g^{-1} cancels the first c letters of a stem x, c being its confluence
+    length with g, so f is read at the first depth(f) letters of
+    g^{-1}[: |g| - c] + x[c:]: one integer gather over all stems at once.
+    """
     ab = f.ab
-    ginv = ab.inv(tuple(g))
-    depth = len(g) + f.depth
-    tab = StemTable(ab, depth)
-    src = f.table
-    vals = np.empty(tab.size)
-    for i, stem in enumerate(tab.stems()):
-        u = ab.mul(ginv, stem)
-        vals[i] = f.values[src.index_of(u[: f.depth])]
-    return CylinderFunction(ab, depth, vals)
+    g = tuple(g)
+    n, d = len(g), f.depth
+    tab = StemTable(ab, n + d)
+    c = tab.branch_depths(g)[:, None]
+    col = np.arange(d)[None, :]
+    head = np.array((ab.inv(g) + (0,) * d)[:d])  # g^{-1}, padded to d letters
+    tail = np.take_along_axis(tab.letters, np.maximum(col + 2 * c - n, 0), axis=1)
+    src = np.where(col < n - c, head, tail)
+    return CylinderFunction(ab, n + d, f.values[f.table.indices(src)])

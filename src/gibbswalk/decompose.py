@@ -21,6 +21,7 @@ import numpy as np
 from .cylfun import CylinderFunction, scale_depth
 from .gibbs import GibbsStream
 from .spikes import CertificationError, DecayCert, SpikeLab, SpikeRecord
+from .stems import StemTable
 from .words import Word
 
 
@@ -99,8 +100,6 @@ def _coarsest_scale(R: CylinderFunction, ell: float) -> tuple[float, int]:
 
 
 def _ball_coverage_counts(spikes: list[SpikeRecord], depth: int, ab) -> np.ndarray:
-    from .stems import StemTable
-
     tab = StemTable(ab, depth)
     counts = np.zeros(tab.size, dtype=np.int64)
     for rec in spikes:

@@ -30,7 +30,11 @@ X_DEPTH = 3
 
 
 class CertificationError(RuntimeError):
-    pass
+    """A certificate failed; `witness`, when set, is a JSON-ready dict naming where."""
+
+    def __init__(self, msg: str, witness: dict | None = None):
+        super().__init__(msg)
+        self.witness = witness
 
 
 class NotASpikeError(RuntimeError):
@@ -209,7 +213,11 @@ class SpikeLab:
         tailvals = [per_s[s] for s in sorted(per_s)[-3:]]
         if (len(tailvals) == 3 and tailvals[2] > tailvals[1] * 1.001
                 and tailvals[1] > tailvals[0] * 1.001):
-            raise CertificationError(f"decay ratios still growing at the grid edge; witness {witness}")
+            ray, r_w, s_w = witness
+            raise CertificationError(
+                f"decay ratios still growing at the grid edge; witness {witness}",
+                witness={"preamble": self.ab.format_word(ray.preamble),
+                         "period": self.ab.format_word(ray.period), "r": r_w, "s": s_w})
         return DecayCert(C_G=best, alpha_G=self.alpha, beta_G=self.beta, nu_id=self.nu_id,
                          kernel_id="sym", r_grid=R_GRID, s_grid=S_GRID)
 

@@ -25,15 +25,7 @@ class StemTable:
         k2 = ab.n_letters
         self.branching = k2 - 1
         self.size = k2 * self.branching ** (depth - 1)
-        # child_letters[s, j] = j-th legal successor of s (ascending)
-        self.child_letters = np.array(
-            [[t for t in range(k2) if t != inverse_letter(s)] for s in range(k2)],
-            dtype=np.int64,
-        )
-        self.branch_index = np.full((k2, k2), -1, dtype=np.int64)
-        for s in range(k2):
-            for j, t in enumerate(self.child_letters[s]):
-                self.branch_index[s, t] = j
+        self.child_letters, self.branch_index = _branching(k2)
 
     # -- scalar stem <-> index ----------------------------------------------
 
@@ -82,6 +74,19 @@ class StemTable:
         """(size, depth) array of stem letters (cached)."""
         return _letters_array(self.ab.rank, self.depth)
 
+    def indices(self, letters: np.ndarray) -> np.ndarray:
+        """index_of for every row of a (count, depth) array of stem letters."""
+        letters = np.asarray(letters, dtype=np.int64)
+        if letters.ndim != 2 or letters.shape[1] != self.depth:
+            raise ValueError(f"expected rows of {self.depth} letters")
+        idx = letters[:, 0].copy()
+        for col in range(1, self.depth):
+            j = self.branch_index[letters[:, col - 1], letters[:, col]]
+            if (j < 0).any():
+                raise ValueError("stem is not reduced")
+            idx = idx * self.branching + j
+        return idx
+
     def branch_depths(self, w: Word) -> np.ndarray:
         """Per-stem confluence length with the word w (clipped at depth)."""
         c = np.zeros(self.size, dtype=np.int64)
@@ -89,6 +94,23 @@ class StemTable:
             lo, hi = self.prefix_range(w[:i])
             c[lo:hi] = i
         return c
+
+
+@lru_cache(maxsize=None)
+def _branching(k2: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only branching tables shared by every table over 2k = k2 letters.
+
+    child_letters[s, j] is the j-th legal successor of s (ascending);
+    branch_index[s, t] is the position j of t among them, -1 when t = s^-1.
+    """
+    child = np.array([[t for t in range(k2) if t != inverse_letter(s)] for s in range(k2)],
+                     dtype=np.int64)
+    index = np.full((k2, k2), -1, dtype=np.int64)
+    for s in range(k2):
+        index[s, child[s]] = np.arange(k2 - 1)
+    child.setflags(write=False)
+    index.setflags(write=False)
+    return child, index
 
 
 @lru_cache(maxsize=None)

@@ -68,20 +68,24 @@ def convolved_density_masses(mu: WalkMeasure, F: CylinderFunction, S: GibbsStrea
     """Cylinder masses of sum_g mu(g) * g_*(F d nu) at the given depth.
 
     Built directly from translated cylinders and the stream's mass arrays,
-    independently of the spike machinery.
+    independently of the spike machinery.  F, nu and the stem table are read
+    at each piece depth once; the sums run in (g, stem, piece) order.
     """
     ab = mu.ab
-    tab = StemTable(ab, depth)
-    out = np.zeros(tab.size)
+    stems = list(StemTable(ab, depth).stems())
+    deep: dict[int, tuple] = {}  # piece depth -> (F values, nu masses, stem table)
+    out = np.zeros(len(stems))
     for g, m in sorted(mu.masses.items()):
         ginv = ab.inv(g)
-        for i, stem in enumerate(tab.stems()):
+        for i, stem in enumerate(stems):
             total = 0.0
             for piece in _translate_stem_set(ab, ginv, stem):
                 d = max(F.depth, len(piece))
-                fr = F.refine(d)
-                lo, hi = fr.table.prefix_range(piece)
-                total += float(fr.values[lo:hi] @ S.mass_array(d)[lo:hi])
+                if d not in deep:
+                    deep[d] = (F.refine(d).values, S.mass_array(d), StemTable(ab, d))
+                fv, mv, tab = deep[d]
+                lo, hi = tab.prefix_range(piece)
+                total += float(fv[lo:hi] @ mv[lo:hi])
             out[i] += m * total
     return out
 

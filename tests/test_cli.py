@@ -8,6 +8,7 @@ import os
 import pytest
 
 from gibbswalk.cli import PRESETS, build_objects, config_hash, load_config, main, run_experiment
+from gibbswalk.spikes import CertificationError, SpikeLab
 
 
 def small_config(**overrides):
@@ -106,3 +107,24 @@ class TestRunner:
         assert code == 1
         assert summary["failed_stage"] == "decompose"
         assert "FAIL stage decompose" in (tmp_path / "summary.txt").read_text()
+
+    @pytest.mark.parametrize("stage", ["audit-spikes", "decompose"])
+    def test_decay_witness_in_summary(self, tmp_path, monkeypatch, stage):
+        witness = {"preamble": "a b", "period": "b", "r": 0.5, "s": 12}
+
+        def failing(lab):
+            raise CertificationError("decay ratios still growing", witness=witness)
+
+        monkeypatch.setattr(SpikeLab, "decay_audit", failing)
+        code, summary = run_experiment(small_config(), str(tmp_path), stages=(stage,))
+        assert code == 1 and summary["failed_stage"] == stage
+        assert summary["witness"] == witness
+        assert json.loads((tmp_path / "summary.json").read_text())["witness"] == witness
+
+    def test_no_witness_without_one(self, tmp_path):
+        cfg = small_config()
+        cfg["decomposer"]["ell"] = 1.0
+        _, failed = run_experiment(cfg, str(tmp_path / "a"), stages=("decompose",))
+        code, passed = run_experiment(small_config(), str(tmp_path / "b"), stages=("pressure",))
+        assert code == 0
+        assert "witness" not in failed and "witness" not in passed

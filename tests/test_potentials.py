@@ -343,3 +343,53 @@ def _ball_inf(F, r):
     blocks = F.values.reshape(-1, (F.ab.n_letters - 1) ** (F.depth - j)) if j else F.values.reshape(1, -1)
     reps = blocks.min(axis=1)
     return np.repeat(reps, F.values.size // reps.size)
+
+
+def _translate_reference(f, g):
+    """(g_* f) stem by stem: f read at the reduced product g^{-1} x."""
+    ab = f.ab
+    ginv = ab.inv(tuple(g))
+    tab = StemTable(ab, len(g) + f.depth)
+    vals = np.empty(tab.size)
+    for i, stem in enumerate(tab.stems()):
+        vals[i] = f.values[f.table.index_of(ab.mul(ginv, stem)[: f.depth])]
+    return vals
+
+
+class TestTranslateFunction:
+    @pytest.mark.parametrize("rank, depths, max_len", [(2, (1, 2, 3), 4), (3, (1, 2), 3)])
+    def test_equals_per_stem_loop(self, rank, depths, max_len):
+        ab = Alphabet(rank)
+        rng = np.random.default_rng(rank)
+        for d in depths:
+            f = CylinderFunction(ab, d, rng.uniform(0.5, 2.0, StemTable(ab, d).size))
+            for n in range(max_len + 1):
+                for g in ab.reduced_words(n):
+                    out = translate_function(f, g)
+                    assert out.depth == n + d
+                    assert np.array_equal(out.values, _translate_reference(f, g)), (d, g)
+
+    def test_no_per_stem_decoding(self, monkeypatch):
+        # the translate is one gather over the stem-letter array
+        def refuse(self, idx):
+            raise AssertionError("stem_of called")
+
+        monkeypatch.setattr(StemTable, "stem_of", refuse)
+        f = CylinderFunction(AB, 2, np.arange(1.0, 13.0))
+        out = translate_function(f, (0, 2, 1, 3, 3))
+        assert out.values.size == StemTable(AB, 7).size
+
+    def test_branching_tables_shared_and_read_only(self):
+        t1, t4 = StemTable(AB, 1), StemTable(AB, 4)
+        assert t1.branch_index is t4.branch_index
+        assert t1.child_letters is t4.child_letters
+        with pytest.raises(ValueError):
+            t4.branch_index[0, 0] = 1
+        with pytest.raises(ValueError):
+            t4.child_letters[0, 0] = 1
+
+    def test_indices_match_index_of(self):
+        tab = StemTable(Alphabet(3), 3)
+        assert np.array_equal(tab.indices(tab.letters), np.arange(tab.size))
+        with pytest.raises(ValueError):
+            tab.indices(np.array([[0, 1, 2]]))

@@ -10,12 +10,21 @@ from gibbswalk.cylfun import CylinderFunction
 from gibbswalk.gibbs import GibbsStream
 from gibbswalk.potentials import Potential, d_phi_ray, sym_potential
 from gibbswalk.spikes import (
+    S_GRID,
+    R_GRID,
+    CertificationError,
     SpikeLab,
     _KernelIntegrator,
     g_kernel,
 )
 from gibbswalk.stems import StemTable
-from gibbswalk.words import Alphabet, gromov_product, inverse_letter, ray_word
+from gibbswalk.words import (
+    Alphabet,
+    EventuallyPeriodicWord,
+    gromov_product,
+    inverse_letter,
+    ray_word,
+)
 
 AB = Alphabet(2)
 
@@ -147,6 +156,19 @@ class TestDecayCert:
         cert = SpikeLab(GibbsStream(Potential.zero(ab3))).decay_audit()
         assert cert.C_G == pytest.approx(1.0, abs=1e-9)
         assert cert.alpha_G == pytest.approx(math.log(5))
+
+
+    def test_growth_failure_names_its_witness(self, uniform_stream):
+        lab = SpikeLab(uniform_stream)
+        lab.alpha = 3.0  # above the true tail rate log 3: scaled ratios grow in s
+        with pytest.raises(CertificationError) as info:
+            lab.decay_audit()
+        w = info.value.witness
+        assert set(w) == {"preamble", "period", "r", "s"}
+        assert w["r"] in R_GRID and w["s"] == max(S_GRID)
+        ray = EventuallyPeriodicWord(AB, AB.parse_word(w["preamble"]), AB.parse_word(w["period"]))
+        assert ray.key() == ray_word(AB, ray.prefix(3)).key()
+        assert "witness" in str(info.value)
 
 
 class TestUnitSpikes:

@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from gibbswalk.cylfun import CylinderFunction
 from gibbswalk.decompose import DecomposerConfig, decompose
+from gibbswalk.gibbs import GibbsStream
 from gibbswalk.potentials import d_phi
+from gibbswalk.stems import StemTable
 from gibbswalk.walk import (
     SimulationError,
     WalkMeasure,
@@ -19,7 +22,7 @@ from gibbswalk.walk import (
     stationarity_error,
     walk_statistics,
 )
-from gibbswalk.words import Alphabet
+from gibbswalk.words import Alphabet, _translate_stem_set
 
 AB = Alphabet(2)
 
@@ -88,6 +91,67 @@ class TestStationarity:
             mu = assemble_walk(dec, uniform_stream)
             errs.append(stationarity_error(mu, ones_target, uniform_stream, 2))
         assert errs[0] > errs[1] > errs[2]
+
+
+def _convolution_reference(mu, F, S, depth):
+    """sum_g mu(g) g_*(F nu) per stem, refining F and reading nu per piece."""
+    ab = mu.ab
+    tab = StemTable(ab, depth)
+    out = np.zeros(tab.size)
+    for g, m in sorted(mu.masses.items()):
+        ginv = ab.inv(g)
+        for i, stem in enumerate(tab.stems()):
+            total = 0.0
+            for piece in _translate_stem_set(ab, ginv, stem):
+                d = max(F.depth, len(piece))
+                fr = F.refine(d)
+                lo, hi = fr.table.prefix_range(piece)
+                total += float(fr.values[lo:hi] @ S.mass_array(d)[lo:hi])
+            out[i] += m * total
+    return out
+
+
+def _random_walk(seed, size=20, max_len=4):
+    rng = np.random.default_rng(seed)
+    words = [w for n in range(max_len + 1) for w in AB.reduced_words(n)]
+    picks = sorted(rng.choice(len(words), size=size, replace=False))
+    return WalkMeasure(AB, {words[i]: float(rng.uniform(0.01, 0.1)) for i in picks})
+
+
+class TestConvolution:
+    @pytest.mark.parametrize("stream", ["uniform_stream", "random_stream", "stream_m2"])
+    def test_equals_per_piece_reference(self, request, stream, step_target):
+        S = request.getfixturevalue(stream)
+        rng = np.random.default_rng(31)
+        smooth = CylinderFunction(AB, 2, rng.uniform(0.5, 2.0, StemTable(AB, 2).size))
+        mu = _random_walk(32)
+        for F in (step_target, smooth):
+            for depth in (1, 2, 3):
+                conv = convolved_density_masses(mu, F, S, depth)
+                assert (conv == _convolution_reference(mu, F, S, depth)).all(), depth
+
+    def test_one_refine_and_mass_array_per_depth(self, monkeypatch, uniform_stream,
+                                                 random_stream, stream_m2, step_target):
+        calls = []
+        refine, mass_array = CylinderFunction.refine, GibbsStream.mass_array
+
+        def counted_refine(f, depth):
+            calls.append(("refine", depth))
+            return refine(f, depth)
+
+        def counted_mass_array(S, depth):
+            calls.append(("mass_array", depth))
+            return mass_array(S, depth)
+
+        monkeypatch.setattr(CylinderFunction, "refine", counted_refine)
+        monkeypatch.setattr(GibbsStream, "mass_array", counted_mass_array)
+        mu = _random_walk(33)
+        for S in (uniform_stream, random_stream, stream_m2):
+            calls.clear()
+            convolved_density_masses(mu, step_target, S, 3)
+            assert calls and len(calls) == len(set(calls)), calls
+            assert {d for kind, d in calls if kind == "refine"} \
+                == {d for kind, d in calls if kind == "mass_array"}
 
 
 class TestStatistics:
