@@ -223,7 +223,7 @@ def run_spikes(cfg, ab, P, S, rep: Reporter) -> dict:
 
 def run_decompose(cfg, ab, P, S, F, rep: Reporter):
     dc = DecomposerConfig(**cfg.get("decomposer", {}))
-    dec = decompose(F, S, dc)
+    dec = decompose(F, S, dc, lab=SpikeLab(S, nu_id="hausdorff"))
     rows = [(tr.n, tr.eps, tr.s_value, tr.s_theory, tr.shell, tr.residual_l1,
              tr.residual_sup, tr.t_inf, tr.t_eps, tr.bound_l1, tr.entries_count)
             for tr in dec.stages]

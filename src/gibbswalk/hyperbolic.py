@@ -26,6 +26,10 @@ class QuadratureError(RuntimeError):
     pass
 
 
+class NodeBudgetError(QuadratureError):
+    """A quadrature node array would exceed H2_NODE_BYTES."""
+
+
 ORIGIN = np.array([1.0, 0.0, 0.0])
 
 
@@ -196,6 +200,12 @@ def sh_distance_numeric(g1: H2Geodesic, g2: H2Geodesic, window: float = 40.0,
 # Vectorized audit machinery.
 
 
+# Largest quadrature node array the audits build, and the number of samples
+# `_integral_dist_beta` integrates at a time (48 x 96 nodes per sample).
+H2_NODE_BYTES = 1 << 26
+H2_CHUNK = 64
+
+
 @lru_cache(maxsize=None)
 def _gl(n: int):
     x, w = np.polynomial.legendre.leggauss(n)
@@ -207,6 +217,9 @@ def _gl_panel(a, b, n):
     x, w = _gl(n)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    size = np.broadcast(a, b).size * n * 8
+    if size > H2_NODE_BYTES:
+        raise NodeBudgetError(f"{size} bytes of quadrature nodes exceed {H2_NODE_BYTES}")
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     nodes = mid[..., None] + half[..., None] * x
@@ -457,12 +470,18 @@ def _partner_at(p, e1, e2, zeta, dd, rho, sign=1.0):
 
 
 def _integral_dist_beta(theta, T0, T1, beta, outer_nodes: int = 48):
-    """int_{T0}^{T1} dist(g^s g1, g^s g2)^beta ds for common-point pairs."""
-    nodes, weights = _gl_panel(T0, T1, outer_nodes)
-    flat_theta = np.repeat(np.asarray(theta)[:, None], outer_nodes, axis=1)
-    dist, tail = _dist_flow_common(flat_theta.ravel(), nodes.ravel())
-    vals = (dist + tail) ** np.repeat(np.asarray(beta)[:, None], outer_nodes, axis=1).ravel()
-    return (vals.reshape(nodes.shape) * weights).sum(axis=1)
+    """int_{T0}^{T1} dist(g^s g1, g^s g2)^beta ds for common-point pairs,
+    H2_CHUNK samples at a time."""
+    theta, T0, T1, beta = (np.asarray(v, dtype=float) for v in (theta, T0, T1, beta))
+    out = np.empty(len(theta))
+    for lo in range(0, len(theta), H2_CHUNK):
+        part = slice(lo, lo + H2_CHUNK)
+        nodes, weights = _gl_panel(T0[part], T1[part], outer_nodes)
+        flat_theta = np.repeat(theta[part, None], outer_nodes, axis=1)
+        dist, tail = _dist_flow_common(flat_theta.ravel(), nodes.ravel())
+        vals = (dist + tail) ** np.repeat(beta[part, None], outer_nodes, axis=1).ravel()
+        out[part] = (vals.reshape(nodes.shape) * weights).sum(axis=1)
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -8,10 +8,8 @@ verified on cylinders with a certified error rather than exactly.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,53 +156,138 @@ class HittingReport:
     failures: int
 
 
+# Paths advance together in chunks of HIT_CHUNK; each path's uniforms are
+# drawn HIT_BLOCK steps at a time (a path that outlives its block draws a
+# longer one).  Together they keep a chunk's arrays near 2 MB.
+HIT_CHUNK = 1024
+HIT_BLOCK = 128
+
+
+def _stream_key(n: int) -> list[int]:
+    """The 32-bit words of |n|, least significant first.
+
+    `RandomState.seed` of this list runs Mersenne Twister's init_by_array
+    exactly as `random.Random(n)` does, and `random_sample` then returns
+    `random.Random(n).random()`'s 53-bit draws.  It must stay a list: numpy
+    seeds a Python int or a one-element array through init_genrand instead.
+    """
+    n = abs(n)
+    key = []
+    while True:
+        key.append(n & 0xFFFFFFFF)
+        n >>= 32
+        if not n:
+            return key
+
+
+def _draw_uniforms(rs, keys: list, t0: int, t1: int) -> np.ndarray:
+    """Uniforms t0..t1-1 of each path key's stream, one row per key."""
+    u = np.empty((len(keys), t1 - t0))
+    for r, key in enumerate(keys):
+        rs.seed(key)
+        u[r] = rs.random_sample(t1)[t0:]
+    return u
+
+
+def _hit_chunk(rs, keys: list, cum: np.ndarray, letters: np.ndarray,
+               step_len: np.ndarray, n_letters: int, depth: int, stabilize: int,
+               step_cap: int) -> np.ndarray:
+    """Final depth-prefix code of each path in a chunk, -1 if it never stabilized.
+
+    Live paths advance one step per pass.  Words are rows of a padded int16
+    array with a length per row; a reduced step cancels a prefix of itself
+    against the word's tail, then appends the rest.  The code of a prefix
+    is its letters in base n_letters, and -1 stands for a word shorter than
+    `depth` (no prefix yet).
+    """
+    width = letters.shape[1]
+    cols = np.arange(width)
+    place = n_letters ** np.arange(depth - 1, -1, -1, dtype=np.int64)
+    out = np.full(len(keys), -1, dtype=np.int64)
+    live = np.arange(len(keys))           # chunk index of each live row
+    word = np.zeros((len(keys), max(64, depth)), dtype=np.int16)
+    wlen = np.zeros(len(keys), dtype=np.intp)
+    prev = np.full(len(keys), -1, dtype=np.int64)
+    streak = np.zeros(len(keys), dtype=np.intp)
+    t0 = t1 = 0
+    for t in range(step_cap):
+        if t == t1:
+            t0, t1 = t1, min(max(2 * t1, HIT_BLOCK), step_cap)
+            u = _draw_uniforms(rs, [keys[j] for j in live], t0, t1)
+        s = np.searchsorted(cum, u[:, t - t0], side="left")
+        sl, st = step_len[s], letters[s]
+        back = np.maximum(wlen[:, None] - 1 - cols, 0)
+        match = (np.take_along_axis(word, back, axis=1) == (st ^ 1)) \
+            & (cols < np.minimum(wlen, sl)[:, None])
+        c = np.logical_and.accumulate(match, axis=1).sum(axis=1)
+        base = wlen - c
+        wlen = base + sl - c
+        need = int(wlen.max())
+        if need > word.shape[1]:
+            wider = np.zeros((len(word), max(need, 2 * word.shape[1])), dtype=np.int16)
+            wider[:, :word.shape[1]] = word
+            word = wider
+        rows, js = np.nonzero((cols >= c[:, None]) & (cols < sl[:, None]))
+        word[rows, base[rows] + js - c[rows]] = st[rows, js]
+        code = np.where(wlen >= depth, word[:, :depth] @ place, -1)
+        same = (code >= 0) & (code == prev)
+        streak = np.where(same, streak + 1, code >= 0)
+        prev = code
+        done = same & (streak >= stabilize)
+        if done.any():
+            out[live[done]] = code[done]
+            keep = ~done
+            live, word, wlen, prev, streak, u = (
+                live[keep], word[keep], wlen[keep], prev[keep], streak[keep], u[keep])
+            if not len(live):
+                break
+    return out
+
+
 def simulate_hitting(mu: WalkMeasure, n_paths: int, depth: int, seed: int,
                      stabilize: int = 50, step_cap: int = 2000,
                      check_support: bool = True) -> HittingReport:
     """Empirical boundary hitting distribution on depth cylinders.
 
     Each path multiplies i.i.d. steps until its depth prefix has persisted
-    for `stabilize` consecutive steps; per-path RNG streams come from
-    (seed, path index) so the reduction is order-independent.  Degenerate
-    step laws (deterministic walks) are allowed only with
-    `check_support=False`.
+    for `stabilize` consecutive steps.  Path i draws its steps from the
+    stream of `random.Random(seed * 1_000_003 + i)`, bisecting the
+    cumulative step law, so the result does not depend on how paths are
+    grouped.  Paths advance together, one step per numpy pass, in chunks of
+    HIT_CHUNK paths.  Degenerate step laws (deterministic walks) are allowed
+    only with `check_support=False`.
     """
     if check_support and not nondegenerate_support(mu):
         raise SimulationError("support does not generate a nonelementary subgroup")
-    ab = mu.ab
+    n_letters = mu.ab.n_letters
+    if n_letters ** depth >= 2 ** 62:
+        raise ValueError(f"depth {depth} cylinders of rank {mu.ab.rank} overflow the prefix code")
     support = sorted(mu.masses)
     weights = np.array([mu.masses[g] for g in support])
     cum = np.cumsum(weights / weights.sum())
-    counts: dict[Word, int] = {}
-    failures = 0
-    for i in range(n_paths):
-        rng = random.Random(seed * 1_000_003 + i)
-        word: list[int] = []
-        prev = None
-        streak = 0
-        done = False
-        for _ in range(step_cap):
-            step = support[bisect.bisect_left(cum, rng.random())]
-            for s in step:
-                if word and word[-1] == (s ^ 1):
-                    word.pop()
-                else:
-                    word.append(s)
-            cur = tuple(word[:depth]) if len(word) >= depth else None
-            if cur is not None and cur == prev:
-                streak += 1
-                if streak >= stabilize:
-                    counts[cur] = counts.get(cur, 0) + 1
-                    done = True
-                    break
-            else:
-                streak = 1 if cur is not None else 0
-            prev = cur
-        if not done:
-            failures += 1
+    step_len = np.array([len(g) for g in support], dtype=np.intp)
+    letters = np.zeros((len(support), int(step_len.max(initial=0))), dtype=np.int16)
+    for r, g in enumerate(support):
+        letters[r, :len(g)] = g
+    rs = np.random.RandomState(0)
+    outcome = np.full(n_paths, -1, dtype=np.int64)
+    for lo in range(0, n_paths, HIT_CHUNK):
+        hi = min(lo + HIT_CHUNK, n_paths)
+        keys = [_stream_key(seed * 1_000_003 + i) for i in range(lo, hi)]
+        outcome[lo:hi] = _hit_chunk(rs, keys, cum, letters, step_len, n_letters,
+                                    depth, stabilize, step_cap)
+    failures = int((outcome < 0).sum())
     if failures > 0.001 * n_paths:
         raise SimulationError(f"{failures} paths failed to stabilize")
-    emp = {g: c / n_paths for g, c in counts.items()}
+    codes, first, counts = np.unique(outcome[outcome >= 0], return_index=True,
+                                     return_counts=True)
+    emp = {}
+    for k in np.argsort(first):  # the order in which a path first reached each stem
+        code, stem = int(codes[k]), []
+        for _ in range(depth):
+            code, s = divmod(code, n_letters)
+            stem.append(s)
+        emp[tuple(reversed(stem))] = int(counts[k]) / n_paths
     err = {g: math.sqrt(p * (1 - p) / n_paths) for g, p in emp.items()}
     return HittingReport(depth=depth, n_paths=n_paths, empirical=emp, stderr=err,
                          failures=failures)

@@ -61,6 +61,14 @@ class TestRunner:
         text = (tmp_path / "summary.txt").read_text()
         assert "PASS pressure" in text and text.strip().endswith(f"version=0.1.0")
 
+    def test_nonzero_potential_decomposes_and_walks(self, tmp_path):
+        # README's example potential; certified against the Hausdorff measure
+        cfg = small_config()
+        cfg["potential"]["entries"] = {"a": 0.2, "b'": -0.1}
+        code, summary = run_experiment(cfg, str(tmp_path), stages=("decompose", "walk"))
+        assert code == 0, summary.get("error")
+        assert summary["decompose"]["pass"] and summary["walk"]["pass"]
+
     def test_audits_only_writes_no_decomposition(self, tmp_path):
         code, _ = run_experiment(small_config(), str(tmp_path),
                                  stages=("pressure", "gibbs"))

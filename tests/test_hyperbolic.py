@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from gibbswalk import hyperbolic
 from gibbswalk.hyperbolic import (
     InvalidPointError,
+    NodeBudgetError,
     comparison_audit,
     busemann_h2,
     check_point,
@@ -20,6 +22,7 @@ from gibbswalk.hyperbolic import (
     separation_profile,
     sh_distance_numeric,
     tangent_basis,
+    _integral_dist_beta,
 )
 
 
@@ -161,3 +164,22 @@ class TestAudits:
         for seed in (1, 2):
             rep = comparison_audit(400, seed=seed)
             assert all(v["pass"] for v in rep.values())
+
+
+class TestNodeBudget:
+    def test_chunked_integral_equals_one_pass(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        n = 2 * hyperbolic.H2_CHUNK + 3
+        args = (rng.uniform(0.01, 3.1, n), np.zeros(n), rng.uniform(0.3, 6.0, n),
+                rng.uniform(0.3, 1.0, n))
+        chunked = _integral_dist_beta(*args)
+        monkeypatch.setattr(hyperbolic, "H2_CHUNK", n)
+        assert chunked.tolist() == _integral_dist_beta(*args).tolist()
+
+    def test_oversized_node_array_refused(self, monkeypatch):
+        # 2 samples x 48 outer x 96 inner nodes per chunk, n x 96 nodes in one pass
+        monkeypatch.setattr(hyperbolic, "H2_CHUNK", 2)
+        monkeypatch.setattr(hyperbolic, "H2_NODE_BYTES", 2 * 48 * 96 * 8)
+        assert all(v["pass"] for v in comparison_audit(96, 1).values())
+        with pytest.raises(NodeBudgetError):
+            comparison_audit(97, 1)

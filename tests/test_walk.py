@@ -1,6 +1,9 @@
 """Walk assembly, stationarity, statistics, and the Monte Carlo probe."""
 
+import bisect
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +12,10 @@ from gibbswalk.cylfun import CylinderFunction
 from gibbswalk.decompose import DecomposerConfig, decompose
 from gibbswalk.gibbs import GibbsStream
 from gibbswalk.potentials import d_phi
+from gibbswalk import walk
 from gibbswalk.stems import StemTable
 from gibbswalk.walk import (
+    HIT_CHUNK,
     SimulationError,
     WalkMeasure,
     assemble_walk,
@@ -21,6 +26,7 @@ from gibbswalk.walk import (
     simulate_hitting,
     stationarity_error,
     walk_statistics,
+    _stream_key,
 )
 from gibbswalk.words import Alphabet, _translate_stem_set
 
@@ -217,3 +223,118 @@ class TestSimulation:
         mu = assemble_walk(uniform_decomposition, uniform_stream)
         with pytest.raises(SimulationError, match="stabilize"):
             simulate_hitting(mu, 200, 3, seed=3, stabilize=50, step_cap=10)
+
+
+def _hitting_reference(mu, n_paths, depth, seed, stabilize=50, step_cap=2000):
+    """The per-path loop: one random.Random stream and one Python word per path."""
+    support = sorted(mu.masses)
+    weights = np.array([mu.masses[g] for g in support])
+    cum = np.cumsum(weights / weights.sum())
+    counts = {}
+    failures = 0
+    for i in range(n_paths):
+        rng = random.Random(seed * 1_000_003 + i)
+        word, prev, streak, done = [], None, 0, False
+        for _ in range(step_cap):
+            step = support[bisect.bisect_left(cum, rng.random())]
+            for s in step:
+                if word and word[-1] == (s ^ 1):
+                    word.pop()
+                else:
+                    word.append(s)
+            cur = tuple(word[:depth]) if len(word) >= depth else None
+            if cur is not None and cur == prev:
+                streak += 1
+                if streak >= stabilize:
+                    counts[cur] = counts.get(cur, 0) + 1
+                    done = True
+                    break
+            else:
+                streak = 1 if cur is not None else 0
+            prev = cur
+        if not done:
+            failures += 1
+    if failures > 0.001 * n_paths:
+        raise SimulationError(f"{failures} paths failed to stabilize")
+    emp = {g: c / n_paths for g, c in counts.items()}
+    err = {g: math.sqrt(p * (1 - p) / n_paths) for g, p in emp.items()}
+    return emp, err, failures
+
+
+@pytest.fixture(scope="module")
+def hitting_walks(uniform_decomposition, uniform_stream):
+    ab3 = Alphabet(3)
+    rng = np.random.default_rng(35)
+    words3 = [w for n in range(1, 4) for w in ab3.reduced_words(n)]
+    picks = sorted(rng.choice(len(words3), size=20, replace=False))
+    return {
+        "uniform": assemble_walk(uniform_decomposition, uniform_stream),
+        "long_steps": _random_walk(34, size=24, max_len=5),
+        "rank3": WalkMeasure(ab3, {words3[i]: float(rng.uniform(0.01, 0.1)) for i in picks}),
+    }
+
+
+def _same_report(rep, mu, n_paths, depth, seed, stabilize=50, step_cap=2000):
+    emp, err, failures = _hitting_reference(mu, n_paths, depth, seed, stabilize, step_cap)
+    assert rep.empirical == emp and list(rep.empirical) == list(emp)
+    assert rep.stderr == err
+    assert rep.failures == failures
+    return failures
+
+
+class TestBatchedHitting:
+    @pytest.mark.parametrize("name", ["uniform", "long_steps", "rank3"])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_equals_per_path_loop(self, hitting_walks, name, depth):
+        mu = hitting_walks[name]
+        for seed, n_paths in ((0, 1), (7, 301), (20260810, HIT_CHUNK + 37), (-3, 301)):
+            rep = simulate_hitting(mu, n_paths, depth, seed)
+            _same_report(rep, mu, n_paths, depth, seed)
+
+    def test_paths_outliving_their_block(self, hitting_walks, monkeypatch):
+        # tiny chunks and blocks: every path redraws a longer block many times
+        monkeypatch.setattr(walk, "HIT_CHUNK", 50)
+        monkeypatch.setattr(walk, "HIT_BLOCK", 3)
+        mu = hitting_walks["long_steps"]
+        _same_report(simulate_hitting(mu, 301, 2, 7), mu, 301, 2, 7)
+
+    @pytest.mark.parametrize("depth,stabilize,step_cap,failed", [(1, 20, 40, 2), (2, 50, 80, 1)])
+    def test_failures_within_allowance(self, hitting_walks, depth, stabilize, step_cap, failed):
+        mu = hitting_walks["uniform"]
+        rep = simulate_hitting(mu, HIT_CHUNK * 2 + 1, depth, 7, stabilize, step_cap)
+        assert rep.failures == failed
+        _same_report(rep, mu, HIT_CHUNK * 2 + 1, depth, 7, stabilize, step_cap)
+
+    def test_failures_raise_with_the_same_count(self, hitting_walks):
+        mu = hitting_walks["uniform"]
+        with pytest.raises(SimulationError) as ref:
+            _hitting_reference(mu, HIT_CHUNK * 2 + 1, 3, 7, 50, 80)
+        with pytest.raises(SimulationError) as got:
+            simulate_hitting(mu, HIT_CHUNK * 2 + 1, 3, 7, 50, 80)
+        assert str(got.value) == str(ref.value) == "4 paths failed to stabilize"
+
+    @pytest.mark.parametrize("n,words", [(0, 1), (7, 1), (2**32 - 1, 1), (2**32 + 5, 2),
+                                         (-(2**40 + 3), 2), (20260810 * 1_000_003 + 19_999, 2)])
+    def test_reseeded_stream_is_python_random(self, n, words):
+        key = _stream_key(n)
+        assert len(key) == words
+        rs = np.random.RandomState(0)
+        rs.seed(key)
+        expected = random.Random(n)
+        assert rs.random_sample(300).tolist() == [expected.random() for _ in range(300)]
+
+    def test_one_word_key_must_be_a_list(self):
+        # a one-element array seeds through init_genrand, a different stream
+        rs = np.random.RandomState(0)
+        rs.seed(np.array(_stream_key(7)))
+        assert rs.random_sample() != random.Random(7).random()
+
+    def test_memory_stays_per_chunk(self, step_decomposition, uniform_stream):
+        mu = assemble_walk(step_decomposition, uniform_stream)
+        tracemalloc.start()
+        try:
+            simulate_hitting(mu, 20_000, 2, seed=20260810)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
