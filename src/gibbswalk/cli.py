@@ -194,10 +194,9 @@ def run_gibbs(cfg, ab, P, S, rep: Reporter) -> dict:
     return out
 
 
-def run_spikes(cfg, ab, P, S, rep: Reporter) -> dict:
+def run_spikes(cfg, ab, S, lab: SpikeLab, rep: Reporter) -> dict:
     aud = cfg["audits"]
-    lab = SpikeLab(S, nu_id="hausdorff")
-    cert = lab.decay_audit()
+    cert = lab.cert
     radius = aud.get("spike_radius", 8)
     rows = []
     per_depth: dict[int, float] = {}
@@ -221,9 +220,9 @@ def run_spikes(cfg, ab, P, S, rep: Reporter) -> dict:
     return out
 
 
-def run_decompose(cfg, ab, P, S, F, rep: Reporter):
+def run_decompose(cfg, ab, S, F, lab: SpikeLab, rep: Reporter):
     dc = DecomposerConfig(**cfg.get("decomposer", {}))
-    dec = decompose(F, S, dc, lab=SpikeLab(S, nu_id="hausdorff"))
+    dec = decompose(F, S, dc, lab=lab)
     rows = [(tr.n, tr.eps, tr.s_value, tr.s_theory, tr.shell, tr.residual_l1,
              tr.residual_sup, tr.t_inf, tr.t_eps, tr.bound_l1, tr.entries_count)
             for tr in dec.stages]
@@ -324,10 +323,14 @@ def run_experiment(cfg: dict, out_dir: str, stages=ALL_STAGES) -> tuple[int, dic
             summary["pressure"] = guard("pressure", run_pressure, cfg, ab, P, S, rep)
         if "gibbs" in stages:
             summary["gibbs"] = guard("gibbs", run_gibbs, cfg, ab, P, S, rep)
+        if {"audit-spikes", "decompose", "walk"} & set(stages):
+            # one lab, so one decay certificate, for the spike sweep and decompose
+            first = "audit-spikes" if "audit-spikes" in stages else "decompose"
+            lab = guard(first, SpikeLab, S, "hausdorff")
         if "audit-spikes" in stages:
-            summary["audit_spikes"] = guard("audit-spikes", run_spikes, cfg, ab, P, S, rep)
+            summary["audit_spikes"] = guard("audit-spikes", run_spikes, cfg, ab, S, lab, rep)
         if "decompose" in stages or "walk" in stages:
-            dec, dsum = guard("decompose", run_decompose, cfg, ab, P, S, F, rep)
+            dec, dsum = guard("decompose", run_decompose, cfg, ab, S, F, lab, rep)
             if "decompose" in stages:
                 summary["decompose"] = dsum
         if "walk" in stages:

@@ -174,7 +174,7 @@ def decompose(F: CylinderFunction, S: GibbsStream, cfg: DecomposerConfig,
         raise ValueError("target function must be uniformly positive")
     if lab is None:
         lab = SpikeLab(S, nu_id="gibbs")
-    cert = lab.decay_audit()
+    cert = lab.cert
     F_const = float(F.values.max()) == float(F.values.min())
     spike_cache: dict = {}
 

@@ -12,11 +12,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .cylfun import _sibling_extremes
-from .potentials import Potential, d_phi, rho_phi, sym_potential, window_graph
+from .potentials import (
+    Potential,
+    d_phi,
+    rho_phi,
+    sym_potential,
+    window_graph,
+    window_sums,
+    window_value_arrays,
+)
 from .stems import StemTable
 from .words import (
     Alphabet,
@@ -213,8 +222,8 @@ class GibbsStream:
         """d_phi(base, stem) for every depth-n stem (suffix rule included)."""
         m = self.depth_m
         if depth < m:
-            tab = StemTable(self.ab, depth)
-            return np.array([d_phi(self.potential, (), s) for s in tab.stems()])
+            return window_sums(self.potential, self._window_values, (),
+                               StemTable(self.ab, depth).letters)
         st, ws = self._layers(depth)
         return ws + self._sigma_state[st]
 
@@ -227,13 +236,23 @@ class GibbsStream:
         if depth < len(q) + m:
             raise ValueError("depth too shallow for stabilization")
         tab = StemTable(self.ab, depth)
-        P = self.potential
         if m == 1:
             return self.rho_profile(q)[tab.branch_depths(q)]
-        out = np.empty(tab.size)
-        for i, stem in enumerate(tab.stems()):
-            out[i] = d_phi(P, q, stem) - d_phi(P, (), stem)
-        return out
+        # d_phi(q, stem) - d_phi(base, stem).  A stem of confluence c with q
+        # is reached from q along the reduced word q[c:]^-1 stem[c:]; those
+        # stems extend q[:c] but not q[:c+1], at most two index ranges.
+        P, vals, letters = self.potential, self._window_values, tab.letters
+        from_q = np.empty(tab.size)
+        ranges = [(0, tab.size)] + [tab.prefix_range(q[:c]) for c in range(1, len(q) + 1)]
+        for c, (lo, hi) in enumerate(ranges):
+            inner = ranges[c + 1] if c < len(q) else (hi, hi)
+            for a, b in ((lo, inner[0]), (inner[1], hi)):
+                from_q[a:b] = window_sums(P, vals, self.ab.inv(q[c:]), letters[a:b, c:])
+        return from_q - window_sums(P, vals, (), letters)
+
+    @cached_property
+    def _window_values(self) -> tuple[np.ndarray, ...]:
+        return window_value_arrays(self.potential)
 
     def rho_profile(self, q: Word) -> np.ndarray:
         """Depth-1 tables: rho^Phi_xi(base, q) for xi branching from q at c = 0..|q|."""

@@ -134,7 +134,63 @@ def d_phi(P: Potential, p: Word, q: Word) -> float:
     (m-1) * oscillation.
     """
     word = P.ab.mul(P.ab.inv(tuple(p)), tuple(q))
-    return float(sum(_segment_windows(P, word)))
+    total = 0.0
+    for v in _segment_windows(P, word):  # left to right, as window_sums adds its columns
+        total += v
+    return total
+
+
+def window_value_arrays(P: Potential) -> tuple[np.ndarray, ...]:
+    """Window values by letter code, one dense array per window length 0..m.
+
+    A window w of length l has code sum(w[j] * B^(l-1-j)) with B = 2k letters.
+    Each reduced window holds the value `_segment_windows` gives it anywhere in
+    a word: full windows the table entry, short (tail) windows the suffix
+    rule.  Codes of non-reduced windows hold NaN and are never read.
+    """
+    B = P.ab.n_letters
+    out = [np.empty(0)]
+    for length in range(1, P.depth + 1):
+        vals = np.full(B ** length, np.nan)
+        for w in P.ab.reduced_words(length):
+            code = 0
+            for s in w:
+                code = code * B + s
+            vals[code] = next(_segment_windows(P, w))
+        out.append(vals)
+    return tuple(out)
+
+
+def window_sums(P: Potential, values: tuple[np.ndarray, ...], head: Word,
+                tails: np.ndarray) -> np.ndarray:
+    """Weighted length of the reduced word head + tails[r], for each row r.
+
+    `values` is `window_value_arrays(P)` and `tails` a (count, length) letter
+    array.  The words are read one window column at a time, and each
+    column's values are added to the running sum in place, so every row's
+    float is d_phi's left-to-right sum bit for bit, with memory a few arrays
+    of one entry per row.
+    """
+    B = P.ab.n_letters
+    m = P.depth
+    a = len(head)
+    length = a + tails.shape[1]
+
+    def letter(t):
+        return head[t] if t < a else tails[:, t - a].astype(np.int64)
+
+    code = 0
+    for t in range(min(m, length)):
+        code = code * B + letter(t)
+    acc = np.zeros(tails.shape[0])
+    for i in range(length):
+        width = min(m, length - i)
+        if i and width == m:
+            code = code % B ** (m - 1) * B + letter(i + m - 1)
+        elif i:  # tail window: the last `width` letters of the previous one
+            code = code % B ** width
+        acc += values[width][code]
+    return acc
 
 
 def d_phi_ray(P: Potential, ray: BoundaryWord, a: float, b: float) -> float:

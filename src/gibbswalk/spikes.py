@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -186,6 +187,11 @@ class SpikeLab:
             if j is not None:
                 total -= self.nu.cylinder_mass_of_stem(x.prefix(j))
         return total
+
+    @cached_property
+    def cert(self) -> DecayCert:
+        """The lab's decay certificate: `decay_audit` runs once, every reader shares it."""
+        return self.decay_audit()
 
     def decay_audit(self) -> DecayCert:
         """Minimal C_G fitting the decay inequality over the audited grid.

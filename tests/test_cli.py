@@ -69,6 +69,20 @@ class TestRunner:
         assert code == 0, summary.get("error")
         assert summary["decompose"]["pass"] and summary["walk"]["pass"]
 
+    def test_one_decay_certificate_per_run(self, tmp_path, monkeypatch):
+        audit = SpikeLab.decay_audit
+        calls = []
+
+        def counted(lab):
+            calls.append(lab.nu_id)
+            return audit(lab)
+
+        monkeypatch.setattr(SpikeLab, "decay_audit", counted)
+        code, summary = run_experiment(small_config(), str(tmp_path),
+                                       stages=("audit-spikes", "decompose"))
+        assert code == 0, summary.get("error")
+        assert calls == ["hausdorff"]
+
     def test_audits_only_writes_no_decomposition(self, tmp_path):
         code, _ = run_experiment(small_config(), str(tmp_path),
                                  stages=("pressure", "gibbs"))

@@ -2,10 +2,12 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gibbswalk import gibbs, potentials
 from gibbswalk.gibbs import (
     GibbsStream,
     UnsupportedRankError,
@@ -19,7 +21,7 @@ from gibbswalk.gibbs import (
     shell_slope,
     shell_sums_log,
 )
-from gibbswalk.potentials import Potential, flip_potential, sym_potential
+from gibbswalk.potentials import Potential, d_phi, flip_potential, sym_potential
 from gibbswalk.stems import StemTable
 from gibbswalk.words import (
     Alphabet,
@@ -172,6 +174,79 @@ class TestRadonNikodym:
             lhs = random_stream.measure_from(g, [translate_cylinder(AB, g, c)])
             rhs = random_stream.cylinder_mass((), c)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15)
+
+
+def _rho_loop(S, q, depth):
+    """rho_phi_array by the per-stem d_phi loop."""
+    tab = StemTable(S.ab, depth)
+    out = np.empty(tab.size)
+    for i, stem in enumerate(tab.stems()):
+        out[i] = d_phi(S.potential, q, stem) - d_phi(S.potential, (), stem)
+    return out
+
+
+def _deep_stream(rank, m, rule):
+    ab = Alphabet(rank)
+    words = list(ab.reduced_words(m))
+    vals = np.random.default_rng(31 * rank + m).uniform(-0.4, 0.9, len(words))
+    return GibbsStream(Potential(ab, m, {w: float(v) for w, v in zip(words, vals)}, rule))
+
+
+@pytest.fixture(scope="module")
+def deep_streams(stream_m2):
+    return {"m2": stream_m2,
+            "m3-average": _deep_stream(2, 3, "average"),
+            "m3-extend": _deep_stream(2, 3, "extend"),
+            "rank3-m2": _deep_stream(3, 2, "average")}
+
+
+class TestRadonNikodymArrays:
+    """The depth > 1 arrays keep the per-stem d_phi loop's floats bit for bit."""
+
+    @pytest.mark.parametrize("name,max_q", [("m2", 3), ("m3-average", 3), ("m3-extend", 3),
+                                            ("rank3-m2", 2)])
+    def test_rho_equals_per_stem_loop(self, deep_streams, name, max_q):
+        S = deep_streams[name]
+        for n in range(max_q + 1):
+            for q in S.ab.reduced_words(n):
+                for depth in (n + S.depth_m, n + S.depth_m + 1):
+                    got = S.rho_phi_array(q, depth)
+                    assert got.tobytes() == _rho_loop(S, q, depth).tobytes(), (q, depth)
+
+    def test_rho_rank3_long_words(self, deep_streams):
+        S = deep_streams["rank3-m2"]
+        for q in ((0, 2, 4), (5, 5, 1), (3, 0, 3)):
+            for depth in (5, 6):
+                assert np.array_equal(S.rho_phi_array(q, depth), _rho_loop(S, q, depth))
+
+    @pytest.mark.parametrize("name", ["m2", "m3-average", "m3-extend", "rank3-m2"])
+    def test_shallow_dphi_equals_per_stem_loop(self, deep_streams, name):
+        S = deep_streams[name]
+        for depth in range(1, S.depth_m):
+            ref = np.array([d_phi(S.potential, (), s) for s in StemTable(S.ab, depth).stems()])
+            assert S.dphi_array(depth).tobytes() == ref.tobytes()
+
+    def test_no_per_stem_d_phi(self, stream_m2, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("per-stem d_phi call")
+
+        ref = _rho_loop(stream_m2, (0, 2, 1), 6)
+        for mod in (gibbs, potentials):
+            monkeypatch.setattr(mod, "d_phi", refuse)
+        assert np.array_equal(stream_m2.rho_phi_array((0, 2, 1), 6), ref)
+        assert stream_m2.dphi_array(1).shape == (4,)
+
+    def test_memory_stays_per_stem(self, stream_m2):
+        # 78,732 stems at depth 10: ten arrays of one float per stem take
+        # 6.3 MB, an int64 array of stems x word length (13 letters) 8.2 MB
+        size = StemTable(AB, 10).size
+        tracemalloc.start()
+        try:
+            stream_m2.rho_phi_array((0, 2, 1), 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * size * 8, peak
 
 
 class TestShadowAudits:

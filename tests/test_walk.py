@@ -2,8 +2,12 @@
 
 import bisect
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from gibbswalk import walk
 from gibbswalk.stems import StemTable
 from gibbswalk.walk import (
     HIT_CHUNK,
+    HittingReport,
     SimulationError,
     WalkMeasure,
     assemble_walk,
@@ -223,6 +228,53 @@ class TestSimulation:
         mu = assemble_walk(uniform_decomposition, uniform_stream)
         with pytest.raises(SimulationError, match="stabilize"):
             simulate_hitting(mu, 200, 3, seed=3, stabilize=50, step_cap=10)
+
+
+def _report(counts, n_paths):
+    emp = {(s,): c / n_paths for s, c in enumerate(counts) if c}
+    return HittingReport(depth=1, n_paths=n_paths, empirical=emp, stderr={}, failures=0)
+
+
+class TestChi2:
+    def test_p_value_is_the_chi2_survival_function(self):
+        from scipy.stats import chi2
+
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            k = int(rng.integers(2, 12))
+            n1, n2 = (int(n) for n in rng.integers(50, 5000, 2))
+            c1 = rng.multinomial(n1, rng.dirichlet(np.ones(k)))
+            c2 = rng.multinomial(n2, rng.dirichlet(np.ones(k)))
+            r1, r2 = _report(c1, n1), _report(c2, n2)
+            stat, dof = 0.0, 0
+            for g in sorted(set(r1.empirical) | set(r2.empirical)):
+                a, b = r1.empirical.get(g, 0.0) * n1, r2.empirical.get(g, 0.0) * n2
+                pooled = (a + b) / (n1 + n2)
+                stat += (a - n1 * pooled) ** 2 / (n1 * pooled)
+                stat += (b - n2 * pooled) ** 2 / (n2 * pooled)
+                dof += 1
+            assert chi2_compatibility(r1, r2) == float(chi2.sf(stat, max(dof - 1, 1)))
+
+    def test_survival_function_on_a_grid(self):
+        from scipy.stats import chi2
+
+        for dof in (1, 2, 3, 7, 35, 143, 400):
+            for stat in np.linspace(0.0, 4.0 * dof + 20.0, 60):
+                assert float(walk.chdtrc(dof, stat)) == float(chi2.sf(stat, dof))
+
+    def test_no_scipy_stats_import(self):
+        code = ("import sys\n"
+                "import gibbswalk.cli\n"
+                "from gibbswalk.walk import HittingReport, chi2_compatibility\n"
+                "r1 = HittingReport(1, 10, {(0,): 0.6, (1,): 0.4}, {}, 0)\n"
+                "r2 = HittingReport(1, 10, {(0,): 0.3, (2,): 0.7}, {}, 0)\n"
+                "assert 0.0 < chi2_compatibility(r1, r2) < 1.0\n"
+                "assert 'scipy.stats' not in sys.modules\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 def _hitting_reference(mu, n_paths, depth, seed, stabilize=50, step_cap=2000):
