@@ -54,10 +54,13 @@ class Potential:
                          self.suffix_rule)
 
     def window(self, w: Word) -> float:
-        """Value of a (possibly short) window."""
+        """Value of a (possibly short, nonempty) window; short ones by the suffix rule."""
+        w = tuple(w)
         if len(w) >= self.depth:
-            return self.table[tuple(w[: self.depth])]
-        return self._short[tuple(w)]
+            return self.table[w[: self.depth]]
+        if self.suffix_rule == "extend":  # the last letter repeated to full length
+            return self.table[w + (w[-1],) * (self.depth - len(w))]
+        return self._short[w]
 
     @property
     def sup_abs(self) -> float:
@@ -114,16 +117,10 @@ def _segment_windows(P: Potential, word: Word, extension: Word | None = None) ->
     m = P.depth
     for i in range(n):
         win = word[i : i + m]
-        if len(win) < m:
-            if P.suffix_rule == "extend" or extension is not None:
-                ext = extension
-                if ext is None:
-                    last = win[-1] if win else word[-1]
-                    ext = (last,) * (m - len(win))
-                win = (win + ext)[:m]
-                yield P.table[tuple(win)]
-                continue
-        yield P.window(win)
+        if extension is not None and len(win) < m:
+            yield P.table[tuple((win + extension)[:m])]
+        else:
+            yield P.window(win)
 
 
 def d_phi(P: Potential, p: Word, q: Word) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,40 +158,34 @@ class HittingReport:
     failures: int
 
 
-# Paths advance together in chunks of HIT_CHUNK; each path's uniforms are
-# drawn HIT_BLOCK steps at a time (a path that outlives its block draws a
-# longer one).  Together they keep a chunk's arrays near 2 MB.
+# Paths advance together in chunks of HIT_CHUNK; each path's steps are
+# drawn HIT_BLOCK at a time (a path that outlives its block draws a longer
+# one).  Together they keep a chunk's arrays near 1 MB.
 HIT_CHUNK = 1024
-HIT_BLOCK = 128
+HIT_BLOCK = 64
 
 
-def _stream_key(n: int) -> list[int]:
-    """The 32-bit words of |n|, least significant first.
+def _uniform_rows(ns, t0: int, t1: int) -> np.ndarray:
+    """Uniforms t0..t1-1 of `random.Random(n).random()`, one row per n.
 
-    `RandomState.seed` of this list runs Mersenne Twister's init_by_array
-    exactly as `random.Random(n)` does, and `random_sample` then returns
-    `random.Random(n).random()`'s 53-bit draws.  It must stay a list: numpy
-    seeds a Python int or a one-element array through init_genrand instead.
+    Each stream is read as raw Mersenne Twister words with `getrandbits`,
+    which emits them least significant first, and every double is built
+    from a pair of words as `random()` builds it, so the rows equal the
+    Python draws bit for bit whatever the batch.
     """
-    n = abs(n)
-    key = []
-    while True:
-        key.append(n & 0xFFFFFFFF)
-        n >>= 32
-        if not n:
-            return key
-
-
-def _draw_uniforms(rs, keys: list, t0: int, t1: int) -> np.ndarray:
-    """Uniforms t0..t1-1 of each path key's stream, one row per key."""
-    u = np.empty((len(keys), t1 - t0))
-    for r, key in enumerate(keys):
-        rs.seed(key)
-        u[r] = rs.random_sample(t1)[t0:]
+    rng = random.Random(0)
+    raw = bytearray()
+    for n in ns:
+        rng.seed(n)
+        raw += rng.getrandbits(64 * t1).to_bytes(8 * t1, "little")
+    w = np.frombuffer(raw, dtype="<u4").reshape(-1, t1, 2)[:, t0:]
+    u = (w[..., 0] >> 5) * 67108864.0  # exact: a * 2^26 + b < 2^53
+    u += w[..., 1] >> 6
+    u *= 2.0 ** -53
     return u
 
 
-def _hit_chunk(rs, keys: list, cum: np.ndarray, letters: np.ndarray,
+def _hit_chunk(ns: list, cum: np.ndarray, letters: np.ndarray, inverse: np.ndarray,
                step_len: np.ndarray, n_letters: int, depth: int, stabilize: int,
                step_cap: int) -> np.ndarray:
     """Final depth-prefix code of each path in a chunk, -1 if it never stabilized.
@@ -199,26 +194,31 @@ def _hit_chunk(rs, keys: list, cum: np.ndarray, letters: np.ndarray,
     array with a length per row; a reduced step cancels a prefix of itself
     against the word's tail, then appends the rest.  The code of a prefix
     is its letters in base n_letters, and -1 stands for a word shorter than
-    `depth` (no prefix yet).
+    `depth` (no prefix yet).  No step cancels more letters than its own
+    length, so a word at least `depth` + `rest` longest steps long keeps its
+    prefix for `rest` more steps: a path whose streak would reach
+    `stabilize` within that reach (and before `step_cap`) stops with its
+    code at once, the outcome the full loop would record.
     """
-    width = letters.shape[1]
-    cols = np.arange(width)
+    reach = letters.shape[1]
+    cols = np.arange(reach)
     place = n_letters ** np.arange(depth - 1, -1, -1, dtype=np.int64)
-    out = np.full(len(keys), -1, dtype=np.int64)
-    live = np.arange(len(keys))           # chunk index of each live row
-    word = np.zeros((len(keys), max(64, depth)), dtype=np.int16)
-    wlen = np.zeros(len(keys), dtype=np.intp)
-    prev = np.full(len(keys), -1, dtype=np.int64)
-    streak = np.zeros(len(keys), dtype=np.intp)
+    out = np.full(len(ns), -1, dtype=np.int64)
+    live = np.arange(len(ns))             # chunk index of each live row
+    word = np.zeros((len(ns), max(64, depth)), dtype=np.int16)
+    wlen = np.zeros(len(ns), dtype=np.intp)
+    prev = np.full(len(ns), -1, dtype=np.int64)
+    streak = np.zeros(len(ns), dtype=np.intp)
     t0 = t1 = 0
     for t in range(step_cap):
         if t == t1:
             t0, t1 = t1, min(max(2 * t1, HIT_BLOCK), step_cap)
-            u = _draw_uniforms(rs, [keys[j] for j in live], t0, t1)
-        s = np.searchsorted(cum, u[:, t - t0], side="left")
-        sl, st = step_len[s], letters[s]
-        back = np.maximum(wlen[:, None] - 1 - cols, 0)
-        match = (np.take_along_axis(word, back, axis=1) == (st ^ 1)) \
+            steps = np.searchsorted(cum, _uniform_rows([ns[j] for j in live], t0, t1),
+                                    side="left")
+        s = steps[:, t - t0]
+        sl = step_len[s]
+        rows = np.arange(len(live))[:, None]
+        match = (word[rows, np.maximum(wlen[:, None] - 1 - cols, 0)] == inverse[s]) \
             & (cols < np.minimum(wlen, sl)[:, None])
         c = np.logical_and.accumulate(match, axis=1).sum(axis=1)
         base = wlen - c
@@ -228,21 +228,43 @@ def _hit_chunk(rs, keys: list, cum: np.ndarray, letters: np.ndarray,
             wider = np.zeros((len(word), max(need, 2 * word.shape[1])), dtype=np.int16)
             wider[:, :word.shape[1]] = word
             word = wider
-        rows, js = np.nonzero((cols >= c[:, None]) & (cols < sl[:, None]))
-        word[rows, base[rows] + js - c[rows]] = st[rows, js]
+        r, js = np.nonzero((cols >= c[:, None]) & (cols < sl[:, None]))
+        word[r, base[r] + js - c[r]] = letters[s[r], js]
         code = np.where(wlen >= depth, word[:, :depth] @ place, -1)
         same = (code >= 0) & (code == prev)
         streak = np.where(same, streak + 1, code >= 0)
         prev = code
-        done = same & (streak >= stabilize)
+        rest = np.maximum(stabilize - streak, ~same)  # steps until the loop records
+        done = (code >= 0) & (wlen - reach * rest >= depth) & (t + rest < step_cap)
         if done.any():
             out[live[done]] = code[done]
             keep = ~done
-            live, word, wlen, prev, streak, u = (
-                live[keep], word[keep], wlen[keep], prev[keep], streak[keep], u[keep])
+            live, word, wlen, prev, streak, steps = (
+                live[keep], word[keep], wlen[keep], prev[keep], streak[keep], steps[keep])
             if not len(live):
                 break
     return out
+
+
+def _hitting_codes(mu: WalkMeasure, n_paths: int, depth: int, seed: int, stabilize: int,
+                   step_cap: int) -> np.ndarray:
+    """Final depth-prefix code of each path, -1 for a path that never stabilized."""
+    n_letters = mu.ab.n_letters
+    support = sorted(mu.masses)
+    weights = np.array([mu.masses[g] for g in support])
+    cum = np.cumsum(weights / weights.sum())
+    step_len = np.array([len(g) for g in support], dtype=np.intp)
+    letters = np.zeros((len(support), int(step_len.max(initial=0))), dtype=np.int16)
+    for r, g in enumerate(support):
+        letters[r, :len(g)] = g
+    inverse = letters ^ 1
+    outcome = np.full(n_paths, -1, dtype=np.int64)
+    for lo in range(0, n_paths, HIT_CHUNK):
+        hi = min(lo + HIT_CHUNK, n_paths)
+        ns = [seed * 1_000_003 + i for i in range(lo, hi)]
+        outcome[lo:hi] = _hit_chunk(ns, cum, letters, inverse, step_len, n_letters,
+                                    depth, stabilize, step_cap)
+    return outcome
 
 
 def simulate_hitting(mu: WalkMeasure, n_paths: int, depth: int, seed: int,
@@ -263,20 +285,7 @@ def simulate_hitting(mu: WalkMeasure, n_paths: int, depth: int, seed: int,
     n_letters = mu.ab.n_letters
     if n_letters ** depth >= 2 ** 62:
         raise ValueError(f"depth {depth} cylinders of rank {mu.ab.rank} overflow the prefix code")
-    support = sorted(mu.masses)
-    weights = np.array([mu.masses[g] for g in support])
-    cum = np.cumsum(weights / weights.sum())
-    step_len = np.array([len(g) for g in support], dtype=np.intp)
-    letters = np.zeros((len(support), int(step_len.max(initial=0))), dtype=np.int16)
-    for r, g in enumerate(support):
-        letters[r, :len(g)] = g
-    rs = np.random.RandomState(0)
-    outcome = np.full(n_paths, -1, dtype=np.int64)
-    for lo in range(0, n_paths, HIT_CHUNK):
-        hi = min(lo + HIT_CHUNK, n_paths)
-        keys = [_stream_key(seed * 1_000_003 + i) for i in range(lo, hi)]
-        outcome[lo:hi] = _hit_chunk(rs, keys, cum, letters, step_len, n_letters,
-                                    depth, stabilize, step_cap)
+    outcome = _hitting_codes(mu, n_paths, depth, seed, stabilize, step_cap)
     failures = int((outcome < 0).sum())
     if failures > 0.001 * n_paths:
         raise SimulationError(f"{failures} paths failed to stabilize")

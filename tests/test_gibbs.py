@@ -185,11 +185,15 @@ def _rho_loop(S, q, depth):
     return out
 
 
-def _deep_stream(rank, m, rule):
+def _deep_potential(rank, m, rule):
     ab = Alphabet(rank)
     words = list(ab.reduced_words(m))
     vals = np.random.default_rng(31 * rank + m).uniform(-0.4, 0.9, len(words))
-    return GibbsStream(Potential(ab, m, {w: float(v) for w, v in zip(words, vals)}, rule))
+    return Potential(ab, m, {w: float(v) for w, v in zip(words, vals)}, rule)
+
+
+def _deep_stream(rank, m, rule):
+    return GibbsStream(_deep_potential(rank, m, rule))
 
 
 @pytest.fixture(scope="module")
@@ -247,6 +251,24 @@ class TestRadonNikodymArrays:
         finally:
             tracemalloc.stop()
         assert peak < 10 * size * 8, peak
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("rule", ["average", "extend"])
+class TestSuffixRule:
+    """The layered arrays score the last m-1 windows by the potential's own rule."""
+
+    def test_deep_dphi_equals_per_stem_d_phi(self, m, rule):
+        S = _deep_stream(2, m, rule)
+        for depth in range(m, m + 3):
+            ref = np.array([d_phi(S.potential, (), s) for s in StemTable(S.ab, depth).stems()])
+            assert np.abs(S.dphi_array(depth) - ref).max() <= 1e-12, depth
+
+    def test_shell_sums_equal_enumeration(self, m, rule):
+        P = _deep_potential(2, m, rule)
+        ref = [math.log(sum(math.exp(-d_phi(P, (), g)) for g in P.ab.reduced_words(n)))
+               for n in range(1, 7)]
+        assert np.abs(shell_sums_log(P, 6) - ref).max() <= 1e-12
 
 
 class TestShadowAudits:

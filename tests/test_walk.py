@@ -31,7 +31,7 @@ from gibbswalk.walk import (
     simulate_hitting,
     stationarity_error,
     walk_statistics,
-    _stream_key,
+    _uniform_rows,
 )
 from gibbswalk.words import Alphabet, _translate_stem_set
 
@@ -277,16 +277,18 @@ class TestChi2:
         assert proc.returncode == 0, proc.stderr
 
 
-def _hitting_reference(mu, n_paths, depth, seed, stabilize=50, step_cap=2000):
-    """The per-path loop: one random.Random stream and one Python word per path."""
+def _reference_prefixes(mu, n_paths, depth, seed, stabilize=50, step_cap=2000):
+    """The per-path loop: one random.Random stream and one Python word per path.
+
+    Returns each path's final depth prefix, None for a path that failed.
+    """
     support = sorted(mu.masses)
     weights = np.array([mu.masses[g] for g in support])
     cum = np.cumsum(weights / weights.sum())
-    counts = {}
-    failures = 0
+    out = []
     for i in range(n_paths):
         rng = random.Random(seed * 1_000_003 + i)
-        word, prev, streak, done = [], None, 0, False
+        word, prev, streak, final = [], None, 0, None
         for _ in range(step_cap):
             step = support[bisect.bisect_left(cum, rng.random())]
             for s in step:
@@ -298,14 +300,23 @@ def _hitting_reference(mu, n_paths, depth, seed, stabilize=50, step_cap=2000):
             if cur is not None and cur == prev:
                 streak += 1
                 if streak >= stabilize:
-                    counts[cur] = counts.get(cur, 0) + 1
-                    done = True
+                    final = cur
                     break
             else:
                 streak = 1 if cur is not None else 0
             prev = cur
-        if not done:
+        out.append(final)
+    return out
+
+
+def _hitting_reference(mu, n_paths, depth, seed, stabilize=50, step_cap=2000):
+    counts = {}
+    failures = 0
+    for cur in _reference_prefixes(mu, n_paths, depth, seed, stabilize, step_cap):
+        if cur is None:
             failures += 1
+        else:
+            counts[cur] = counts.get(cur, 0) + 1
     if failures > 0.001 * n_paths:
         raise SimulationError(f"{failures} paths failed to stabilize")
     emp = {g: c / n_paths for g, c in counts.items()}
@@ -323,6 +334,9 @@ def hitting_walks(uniform_decomposition, uniform_stream):
         "uniform": assemble_walk(uniform_decomposition, uniform_stream),
         "long_steps": _random_walk(34, size=24, max_len=5),
         "rank3": WalkMeasure(ab3, {words3[i]: float(rng.uniform(0.01, 0.1)) for i in picks}),
+        # long steps that the next step often undoes whole: words stay within a
+        # step or two of their depth prefix
+        "undoing": WalkMeasure(AB, {(0, 0, 0): 0.4, (1, 1, 1): 0.4, (2, 2): 0.1, (3, 3): 0.1}),
     }
 
 
@@ -368,18 +382,51 @@ class TestBatchedHitting:
     @pytest.mark.parametrize("n,words", [(0, 1), (7, 1), (2**32 - 1, 1), (2**32 + 5, 2),
                                          (-(2**40 + 3), 2), (20260810 * 1_000_003 + 19_999, 2)])
     def test_reseeded_stream_is_python_random(self, n, words):
-        key = _stream_key(n)
-        assert len(key) == words
-        rs = np.random.RandomState(0)
-        rs.seed(key)
+        # seeds of one and two 32-bit words, a negative one, both sides of 2^32
+        assert max(1, -(-abs(n).bit_length() // 32)) == words
         expected = random.Random(n)
-        assert rs.random_sample(300).tolist() == [expected.random() for _ in range(300)]
+        assert _uniform_rows([n], 0, 300)[0].tolist() == [expected.random() for _ in range(300)]
 
-    def test_one_word_key_must_be_a_list(self):
-        # a one-element array seeds through init_genrand, a different stream
-        rs = np.random.RandomState(0)
-        rs.seed(np.array(_stream_key(7)))
-        assert rs.random_sample() != random.Random(7).random()
+    def test_rows_do_not_depend_on_the_batch(self):
+        ns = [20260810 * 1_000_003 + i for i in range(40)] + [-5, 0, 2**33]
+        whole = _uniform_rows(ns, 0, 96)
+        assert whole.shape == (len(ns), 96)
+        for k, n in enumerate(ns):
+            assert (_uniform_rows([n], 0, 96)[0] == whole[k]).all()
+        for part in (ns[:7], ns[7:30], ns[::-3]):
+            rows = _uniform_rows(part, 32, 96)
+            for n, row in zip(part, rows):
+                assert (row == whole[ns.index(n), 32:]).all()
+
+    @pytest.mark.parametrize("name", ["uniform", "long_steps", "undoing"])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_early_stop_is_exact_at_every_step_cap(self, hitting_walks, name, depth):
+        # a path stops once its prefix cannot change before its streak is
+        # complete; caps 20..45 put that point on both sides of the cap
+        mu = hitting_walks[name]
+        place = [mu.ab.n_letters ** (depth - 1 - j) for j in range(depth)]
+        for step_cap in range(20, 46):
+            ref = _reference_prefixes(mu, 150, depth, 11, 20, step_cap)
+            want = [-1 if p is None else sum(s * b for s, b in zip(p, place)) for p in ref]
+            got = walk._hitting_codes(mu, 150, depth, 11, 20, step_cap)
+            assert got.tolist() == want, step_cap
+
+    def test_paths_stop_before_their_streak_completes(self, monkeypatch):
+        # the word of "a a a ..." grows a letter a step, so its depth-2 prefix is
+        # final long before a streak of 100: every path stops at step 51, within
+        # its first block of HIT_BLOCK (64) draws, with the full loop's outcome
+        draws = []
+        uniform_rows = walk._uniform_rows
+
+        def counted(ns, t0, t1):
+            draws.append(t1)
+            return uniform_rows(ns, t0, t1)
+
+        monkeypatch.setattr(walk, "_uniform_rows", counted)
+        mu = WalkMeasure(AB, {(0,): 1.0})
+        rep = simulate_hitting(mu, 10, 2, seed=1, stabilize=100, check_support=False)
+        assert rep.empirical == {(0, 0): 1.0}
+        assert draws == [walk.HIT_BLOCK]
 
     def test_memory_stays_per_chunk(self, step_decomposition, uniform_stream):
         mu = assemble_walk(step_decomposition, uniform_stream)
