@@ -25,6 +25,14 @@ from .stems import StemTable
 from .words import Word
 
 
+# Besicovitch multiplicity of the shell's shadow balls (they partition the
+# boundary); the stage bound D is the largest spike constant over
+# |g| <= SWEEP_RADIUS, times D_MARGIN, unless a d_schedule is given
+BESICOVITCH = 1
+D_MARGIN = 1.1
+SWEEP_RADIUS = 4
+
+
 class HypothesisError(RuntimeError):
     """A checked precondition of the subfunction step failed."""
 
@@ -33,13 +41,10 @@ class HypothesisError(RuntimeError):
 class DecomposerConfig:
     ell: float = 2.0
     gamma: float = 0.5
-    besicovitch: int = 1
     delta: float = 1.0
     stage_cap: int = 40
     target_l1: float = 1e-2
-    d_margin: float = 1.1
     d_schedule: tuple = ()
-    sweep_radius: int = 4
     boost: bool = True   # rescale each stage subfunction by its exact headroom
     max_shell: int = 5   # exact-representation budget: stop before deeper shells
 
@@ -124,7 +129,7 @@ def subfunction_step(R: CylinderFunction, spikes: list[SpikeRecord], cert: Decay
     if not spikes:
         raise HypothesisError("no spikes supplied")
     d_bound = cfg.d_for(stage)
-    B = cfg.besicovitch
+    B = BESICOVITCH
     t_inf = R.sup / R.inf
     t_eps = R.ratio_within(eps)
     s_values = [rec.s for rec in spikes]
@@ -187,9 +192,9 @@ def decompose(F: CylinderFunction, S: GibbsStream, cfg: DecomposerConfig,
 
     cfg_run = cfg
     if not cfg.d_schedule:
-        probe = [get_spike(g).C for n in range(1, cfg.sweep_radius + 1)
+        probe = [get_spike(g).C for n in range(1, SWEEP_RADIUS + 1)
                  for g in S.ab.reduced_words(n)]
-        cfg_run = replace(cfg, d_schedule=(max(probe) * cfg.d_margin,))
+        cfg_run = replace(cfg, d_schedule=(max(probe) * D_MARGIN,))
 
     mass = S.mass_array
     R = F
@@ -229,7 +234,7 @@ def decompose(F: CylinderFunction, S: GibbsStream, cfg: DecomposerConfig,
             raise CertificationError(f"residual positivity lost at stage {n}")
         d_n = cfg_run.d_for(n)
         factor = 1.0 - cfg_run.gamma / (2.0 * d_n ** 2 * cfg_run.ell ** 3
-                                        * cert.C_G * cfg_run.besicovitch)
+                                        * cert.C_G * BESICOVITCH)
         bound_l1 *= factor
         bound_sup *= factor
         for rec in spikes:
@@ -286,7 +291,7 @@ def moment_majorant(dec: Decomposition) -> list[float]:
     for tr in dec.stages:
         out.append((tr.s_value + cfg.delta) * prod * f_l1)
         d_n = cfg.d_for(tr.n)
-        prod *= 1.0 - cfg.gamma / (2.0 * d_n ** 2 * cfg.ell ** 3 * cert.C_G * cfg.besicovitch)
+        prod *= 1.0 - cfg.gamma / (2.0 * d_n ** 2 * cfg.ell ** 3 * cert.C_G * BESICOVITCH)
     return out
 
 

@@ -12,20 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .cylfun import _sibling_extremes
-from .potentials import (
-    Potential,
-    d_phi,
-    rho_phi,
-    sym_potential,
-    window_graph,
-    window_sums,
-    window_value_arrays,
-)
+from .cylfun import CylinderFunction
+from .potentials import Potential, d_phi, rho_phi, sym_potential, window_graph, window_sums
 from .stems import StemTable
 from .words import (
     Alphabet,
@@ -47,38 +38,15 @@ class ConvergenceError(RuntimeError):
     pass
 
 
-def _strongly_connected(succ: list[list[int]]) -> bool:
-    n = len(succ)
-    rev: list[list[int]] = [[] for _ in range(n)]
-    for u, vs in enumerate(succ):
-        for v in vs:
-            rev[v].append(u)
-
-    def reach(adj):
-        seen = {0}
-        stack = [0]
-        while stack:
-            for v in adj[stack.pop()]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == n
-
-    return reach(succ) and reach(rev)
-
-
-def transfer_matrix(P: Potential) -> tuple[list, list[list[int]], np.ndarray]:
-    """Window states, successor lists, and M[u, v] = e^{-phi(v)} on edges."""
-    states, succ, wts = window_graph(P)
-    if not _strongly_connected(succ):
+def transfer_matrix(P: Potential) -> np.ndarray:
+    """M[u, v] = e^{-phi(v)} on the window chain's edges u -> v (states in stem order)."""
+    if P.ab.rank < 2:
         raise UnsupportedRankError("transfer matrix is reducible; need free rank >= 2")
-    n = len(states)
+    _, succ, wts, _ = window_graph(P)
+    n = len(wts)
     M = np.zeros((n, n))
-    ew = np.exp(-wts)
-    for u, vs in enumerate(succ):
-        for v in vs:
-            M[u, v] = ew[v]
-    return states, succ, M
+    M[np.arange(n)[:, None], succ] = np.exp(-wts)[succ]
+    return M
 
 
 def _power_iteration(M: np.ndarray, tol: float = PERRON_TOL) -> tuple[float, np.ndarray]:
@@ -96,25 +64,23 @@ def _power_iteration(M: np.ndarray, tol: float = PERRON_TOL) -> tuple[float, np.
 
 def critical_exponent(P: Potential) -> float:
     """Divergence abscissa of the weighted Poincare series: log Perron radius."""
-    _, _, M = transfer_matrix(P)
-    rho, _ = _power_iteration(M)
+    rho, _ = _power_iteration(transfer_matrix(P))
     return math.log(rho)
 
 
 def shell_sums_log(P: Potential, n_max: int) -> np.ndarray:
     """log of W_n = sum over |g| = n of e^{-d_phi(e, g)}, n = 1..n_max."""
-    states, succ, M = transfer_matrix(P)
+    M = transfer_matrix(P)
+    _, _, wts, tails = window_graph(P)
     m = P.depth
     # suffix-rule factor carried by the final window of each word
-    sigma = np.array([
-        math.exp(-sum(P.window(w[m - j:]) for j in range(1, m))) for w in states
-    ])
+    sigma = np.array([math.exp(-t) for t in tails])
     out = np.empty(n_max)
     for n in range(1, min(m, n_max + 1)):
         out[n - 1] = math.log(sum(math.exp(-d_phi(P, (), g)) for g in P.ab.reduced_words(n)))
     if n_max < m:
         return out
-    v = np.array([math.exp(-P.table[w]) for w in states])
+    v = np.array([math.exp(-w) for w in wts])
     log_scale = 0.0
     for n in range(m, n_max + 1):
         out[n - 1] = math.log(float(v @ sigma)) + log_scale
@@ -164,19 +130,10 @@ class GibbsStream:
         self.pressure = critical_exponent(potential)
         self.potential = potential.shifted(self.pressure)
         self.sym_defect = critical_exponent(sym_potential(potential)) - self.pressure
-        self.states, self.succ, self.transfer = transfer_matrix(self.potential)
+        self.transfer = transfer_matrix(self.potential)
         _, self.h_right = _power_iteration(self.transfer)
-        m = self.potential.depth
-        self._tab_m = StemTable(self.ab, m)
-        for i, w in enumerate(self.states):  # state order must match stem order
-            assert self._tab_m.index_of(w) == i
-        self._succ_state = np.array(self.succ, dtype=np.int64)
-        wts = np.array([self.potential.table[w] for w in self.states])
-        self._phi_state = wts
-        self._Z = float(np.exp(-wts) @ self.h_right)
-        self._sigma_state = np.array([
-            sum(self.potential.window(w[m - j:]) for j in range(1, m)) for w in self.states
-        ])
+        self._tab_m = StemTable(self.ab, self.potential.depth)
+        self._Z = float(np.exp(-window_graph(self.potential).weights) @ self.h_right)
         self._mass: dict[int, np.ndarray] = {}
         self._state_arr: dict[int, np.ndarray] = {}
         self._wsum: dict[int, np.ndarray] = {}
@@ -194,13 +151,14 @@ class GibbsStream:
             raise ValueError("layers exist from depth m upward")
         if depth in self._state_arr:
             return self._state_arr[depth], self._wsum[depth]
+        _, succ, wts, _ = window_graph(self.potential)
         if depth == m:
-            st = np.arange(len(self.states), dtype=np.int64)
-            ws = self._phi_state.copy()
+            st = np.arange(len(wts), dtype=np.int64)
+            ws = wts.copy()
         else:
             st_prev, ws_prev = self._layers(depth - 1)
-            st = self._succ_state[st_prev].ravel()
-            ws = (ws_prev[:, None] + self._phi_state[st.reshape(len(st_prev), -1)]).ravel()
+            st = succ[st_prev].ravel()
+            ws = (ws_prev[:, None] + wts[st.reshape(len(st_prev), -1)]).ravel()
         self._state_arr[depth], self._wsum[depth] = st, ws
         return st, ws
 
@@ -222,10 +180,9 @@ class GibbsStream:
         """d_phi(base, stem) for every depth-n stem (suffix rule included)."""
         m = self.depth_m
         if depth < m:
-            return window_sums(self.potential, self._window_values, (),
-                               StemTable(self.ab, depth).letters)
+            return window_sums(self.potential, (), StemTable(self.ab, depth).letters)
         st, ws = self._layers(depth)
-        return ws + self._sigma_state[st]
+        return ws + window_graph(self.potential).tails[st]
 
     # -- measures of cylinders from arbitrary points ---------------------------
 
@@ -241,18 +198,14 @@ class GibbsStream:
         # d_phi(q, stem) - d_phi(base, stem).  A stem of confluence c with q
         # is reached from q along the reduced word q[c:]^-1 stem[c:]; those
         # stems extend q[:c] but not q[:c+1], at most two index ranges.
-        P, vals, letters = self.potential, self._window_values, tab.letters
+        P, letters = self.potential, tab.letters
         from_q = np.empty(tab.size)
         ranges = [(0, tab.size)] + [tab.prefix_range(q[:c]) for c in range(1, len(q) + 1)]
         for c, (lo, hi) in enumerate(ranges):
             inner = ranges[c + 1] if c < len(q) else (hi, hi)
             for a, b in ((lo, inner[0]), (inner[1], hi)):
-                from_q[a:b] = window_sums(P, vals, self.ab.inv(q[c:]), letters[a:b, c:])
-        return from_q - window_sums(P, vals, (), letters)
-
-    @cached_property
-    def _window_values(self) -> tuple[np.ndarray, ...]:
-        return window_value_arrays(self.potential)
+                from_q[a:b] = window_sums(P, self.ab.inv(q[c:]), letters[a:b, c:])
+        return from_q - window_sums(P, (), letters)
 
     def rho_profile(self, q: Word) -> np.ndarray:
         """Depth-1 tables: rho^Phi_xi(base, q) for xi branching from q at c = 0..|q|."""
@@ -295,14 +248,15 @@ class GibbsStream:
         if len(stem) < m:
             return float(self.mass_array(len(stem))[StemTable(self.ab, len(stem)).index_of(stem)])
         tab = self._tab_m
+        _, succ, wts, _ = window_graph(self.potential)
         st = tab.index_of(stem[:m])
-        ws = self._phi_state[st]
+        ws = wts[st]
         for a, b in zip(stem[m - 1:], stem[m:]):  # summed letter by letter, as in _layers
             j = tab.branch_index[a, b]
             if j < 0:
                 raise ValueError("stem is not reduced")
-            st = self._succ_state[st, j]
-            ws = ws + self._phi_state[st]
+            st = succ[st, j]
+            ws = ws + wts[st]
         return float(np.exp(-ws) * self.h_right[st] / self._Z)
 
 
@@ -359,7 +313,7 @@ def shadow_integral_audit(S: GibbsStream, s_max: int) -> ShadowIntegralReport:
     m = S.depth_m
     lam0 = math.log(ab.n_letters - 1)
     M = S.transfer
-    v = np.array([math.exp(-S.potential.table[w]) for w in S.states])
+    v = np.array([math.exp(-w) for w in window_graph(S.potential).weights])
     rows = []
     lo, hi = math.inf, -math.inf
     branching = ab.n_letters - 1
@@ -385,17 +339,9 @@ def rn_holder_audit(S: GibbsStream, q: Word, eps: float) -> tuple[float, bool]:
         raise ValueError("eps must be positive")
     q = tuple(q)
     n = len(q)
-    m = S.depth_m
-    depth = n + m
-    rho = S.rho_phi_array(q, depth)
-    d_emp = 0.0
-    for j in range(n, depth):
-        hi, lo = _sibling_extremes(S.ab, depth, rho, j)
-        gap = float(np.maximum(hi - rho, rho - lo).max())
-        if math.isfinite(gap):
-            d_emp = max(d_emp, gap * math.exp(eps * j))
-    d_emp *= math.exp(-eps * n)
-    return d_emp, True
+    depth = n + S.depth_m
+    rho = CylinderFunction(S.ab, depth, S.rho_phi_array(q, depth))
+    return float(rho.holder_at(math.exp(-n), eps).max()) * math.exp(-eps * n), True
 
 
 def rn_holder_sweep(S: GibbsStream, max_radius: int, eps: float, words_per_len: int = 4,

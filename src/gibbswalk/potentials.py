@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
+from .stems import StemTable
 from .words import Alphabet, BoundaryWord, Word, inverse_letter
 
 SUFFIX_RULES = ("average", "extend")
@@ -75,6 +77,56 @@ class Potential:
         return all(math.isclose(v, self.table[_rev_inv(w)], rel_tol=0, abs_tol=1e-15)
                    for w, v in self.table.items())
 
+    # -- the window chain, built once per potential ----------------------------
+
+    @cached_property
+    def _graph(self) -> "_WindowGraph":
+        tab = StemTable(self.ab, self.depth)
+        letters = tab.letters.astype(np.int64)
+        b = tab.branching
+        # successor rows w[1:] + t, t over the legal successors of w[-1] in letter order
+        rows = np.concatenate([np.repeat(letters[:, 1:], b, axis=0),
+                               tab.child_letters[letters[:, -1]].reshape(-1, 1)], axis=1)
+        states = list(tab.stems())
+        m = self.depth
+        tails = [sum(self.window(w[m - j:]) for j in range(1, m)) for w in states]
+        arrays = (tab.indices(rows).reshape(-1, b), np.array([self.table[w] for w in states]),
+                  np.array(tails, dtype=float))
+        for arr in arrays:  # shared by every reader
+            arr.setflags(write=False)
+        return _WindowGraph(states, *arrays)
+
+    @cached_property
+    def _values(self) -> tuple[np.ndarray, ...]:
+        """Window values by letter code, one dense array per window length 0..m.
+
+        A window w of length l has code sum(w[j] * B^(l-1-j)) with B = 2k letters.
+        Each reduced window holds the value it has anywhere in a word: full
+        windows the table entry, short (tail) windows the suffix rule.  Codes
+        of non-reduced windows hold NaN and are never read.
+        """
+        B = self.ab.n_letters
+        out = [np.empty(0)]
+        for length in range(1, self.depth + 1):
+            vals = np.full(B ** length, np.nan)
+            for w in self.ab.reduced_words(length):
+                code = 0
+                for s in w:
+                    code = code * B + s
+                vals[code] = self.window(w)
+            vals.setflags(write=False)
+            out.append(vals)
+        return tuple(out)
+
+
+class _WindowGraph(NamedTuple):
+    """The no-backtrack chain of m-windows w -> w[1:] + t."""
+
+    states: list         # the m-windows, in StemTable(ab, m) order
+    succ: np.ndarray     # (states, 2k-1) successor indices, t in letter order
+    weights: np.ndarray  # table entry of each state
+    tails: np.ndarray    # suffix-rule sum of the last m-1 windows of each state
+
 
 def _rev_inv(w: Word) -> Word:
     return tuple(inverse_letter(s) for s in reversed(w))
@@ -111,18 +163,6 @@ def flip_and_sym(P: Potential) -> tuple[Potential, Potential]:
 # Weighted lengths.
 
 
-def _segment_windows(P: Potential, word: Word, extension: Word | None = None) -> Iterable[float]:
-    """Window values along the edges of a finite geodesic word."""
-    n = len(word)
-    m = P.depth
-    for i in range(n):
-        win = word[i : i + m]
-        if extension is not None and len(win) < m:
-            yield P.table[tuple((win + extension)[:m])]
-        else:
-            yield P.window(win)
-
-
 def d_phi(P: Potential, p: Word, q: Word) -> float:
     """Weighted length of the geodesic segment from p to q.
 
@@ -132,42 +172,21 @@ def d_phi(P: Potential, p: Word, q: Word) -> float:
     """
     word = P.ab.mul(P.ab.inv(tuple(p)), tuple(q))
     total = 0.0
-    for v in _segment_windows(P, word):  # left to right, as window_sums adds its columns
-        total += v
+    for i in range(len(word)):  # left to right, as window_sums adds its columns
+        total += P.window(word[i : i + P.depth])
     return total
 
 
-def window_value_arrays(P: Potential) -> tuple[np.ndarray, ...]:
-    """Window values by letter code, one dense array per window length 0..m.
-
-    A window w of length l has code sum(w[j] * B^(l-1-j)) with B = 2k letters.
-    Each reduced window holds the value `_segment_windows` gives it anywhere in
-    a word: full windows the table entry, short (tail) windows the suffix
-    rule.  Codes of non-reduced windows hold NaN and are never read.
-    """
-    B = P.ab.n_letters
-    out = [np.empty(0)]
-    for length in range(1, P.depth + 1):
-        vals = np.full(B ** length, np.nan)
-        for w in P.ab.reduced_words(length):
-            code = 0
-            for s in w:
-                code = code * B + s
-            vals[code] = next(_segment_windows(P, w))
-        out.append(vals)
-    return tuple(out)
-
-
-def window_sums(P: Potential, values: tuple[np.ndarray, ...], head: Word,
-                tails: np.ndarray) -> np.ndarray:
+def window_sums(P: Potential, head: Word, tails: np.ndarray) -> np.ndarray:
     """Weighted length of the reduced word head + tails[r], for each row r.
 
-    `values` is `window_value_arrays(P)` and `tails` a (count, length) letter
-    array.  The words are read one window column at a time, and each
-    column's values are added to the running sum in place, so every row's
+    `tails` is a (count, length) letter array.  The words are read one window
+    column at a time, each column's values are gathered from the potential's
+    window values and added to the running sum in place, so every row's
     float is d_phi's left-to-right sum bit for bit, with memory a few arrays
     of one entry per row.
     """
+    values = P._values
     B = P.ab.n_letters
     m = P.depth
     a = len(head)
@@ -294,14 +313,10 @@ class AverageAudit:
         return self.T is not None
 
 
-def window_graph(P: Potential) -> tuple[list[Word], list[list[int]], np.ndarray]:
-    """Successor structure of m-windows: w -> w[1:] + t, with entry weights."""
-    states = list(P.ab.reduced_words(P.depth))
-    index = {w: i for i, w in enumerate(states)}
-    succ = [[index[w[1:] + (t,)] for t in P.ab.letters if t != inverse_letter(w[-1])]
-            for w in states]
-    weights = np.array([P.table[w] for w in states])
-    return states, succ, weights
+def window_graph(P: Potential) -> _WindowGraph:
+    """The potential's window chain: states in stem order, successor indices,
+    entry weights and suffix-rule tail sums, built once per potential."""
+    return P._graph
 
 
 def min_cycle_mean(P: Potential) -> tuple[float, Word]:
@@ -309,36 +324,24 @@ def min_cycle_mean(P: Potential) -> tuple[float, Word]:
 
     Returns the mean and a witness cycle as a periodic letter word.
     """
-    states, succ, wts = window_graph(P)
-    n = len(states)
-    inf = math.inf
+    states, succ, wts, _ = window_graph(P)
+    n, b = succ.shape
+    # every state has b predecessors; pred[v] lists them in ascending order
+    pred = (np.argsort(succ.ravel(), kind="stable") // b).reshape(n, b)
+    rows = np.arange(n)
     # Karp over edge weights w(u -> v) = wts[v]; a cycle's edge mean equals
     # its node mean, and D[0] must be identically zero for the guarantee.
-    D = np.full((n + 1, n), inf)
+    # Every D[k] is finite, and the parent is the first predecessor at the minimum.
+    D = np.zeros((n + 1, n))
     parent = np.full((n + 1, n), -1, dtype=int)
-    D[0, :] = 0.0
     for k in range(1, n + 1):
-        for u in range(n):
-            if D[k - 1, u] == inf:
-                continue
-            base = D[k - 1, u]
-            for v in succ[u]:
-                cand = base + wts[v]
-                if cand < D[k, v]:
-                    D[k, v] = cand
-                    parent[k, v] = u
-    best = inf
-    best_v = -1
-    for v in range(n):
-        if D[n, v] == inf:
-            continue
-        worst = -inf
-        for k in range(n):
-            if D[k, v] < inf:
-                worst = max(worst, (D[n, v] - D[k, v]) / (n - k))
-        if worst < best:
-            best = worst
-            best_v = v
+        cand = D[k - 1][pred] + wts[:, None]
+        first = cand.argmin(axis=1)
+        D[k] = cand[rows, first]
+        parent[k] = pred[rows, first]
+    worst = ((D[n] - D[:n]) / (n - np.arange(n))[:, None]).max(axis=0)
+    best_v = int(worst.argmin())
+    best = worst[best_v]
     # recover a cycle on the optimal walk
     path = [best_v]
     for k in range(n, 0, -1):
@@ -367,16 +370,12 @@ def geodesic_average_audit(P: Potential, p: Word, eps: float, max_len: int) -> A
     mean, cyc = min_cycle_mean(P)
     if mean < eps - 1e-12:
         return AverageAudit(eps=eps, T=None, min_cycle_mean=mean, witness=cyc)
-    _, succ, wts = window_graph(P)
+    _, succ, wts, _ = window_graph(P)
     cur = wts.copy()
     t_needed = max(0.0, eps - float(wts.min()))  # s = 1 handled, s = 0 gives 0
     for s in range(2, max_len + 1):
         nxt = np.full_like(cur, math.inf)
-        for u in range(len(cur)):
-            for v in succ[u]:
-                cand = cur[u] + wts[v]
-                if cand < nxt[v]:
-                    nxt[v] = cand
+        np.minimum.at(nxt, succ, cur[:, None] + wts[succ])
         cur = nxt
         t_needed = max(t_needed, s * eps - float(cur.min()))
     return AverageAudit(eps=eps, T=t_needed, min_cycle_mean=mean, witness=None)

@@ -84,8 +84,7 @@ class _KernelIntegrator:
         if mK < mnu:
             raise ValueError("kernel windows must be at least as long as the measure's")
         self.nu, self.K = nu, kernel
-        _, succ, self._phi = window_graph(kernel)
-        self._succ = np.array(succ, dtype=np.int64)
+        _, self._succ, self._phi, _ = window_graph(kernel)
         self._tab = tab = StemTable(kernel.ab, mK)
         # nu(next letter | window): mass ratios of the window's last mnu letters
         span = tab.branching ** (mnu - 1)
@@ -270,20 +269,16 @@ class SpikeLab:
         if h.inf <= 0:
             raise NotASpikeError("spike function must be strictly positive")
         j = scale_depth(rec.r)
-        hv = h.values
+        c3 = h.ratio_within(rec.r)
         if j == 0:
-            c1 = h.sup / h.inf
-            c2 = 0.0
-            c3 = h.sup / h.inf
+            c1, c2 = c3, 0.0
         else:
             if h.depth < j:
                 h = h.refine(j)
-                hv = h.values
+            hv = h.values
             tab = h.table
             ball_lo, ball_hi = tab.prefix_range(rec.a.prefix(j))
             c1 = h.sup / float(hv[ball_lo:ball_hi].min())
-            blocks = hv.reshape(-1, (self.ab.n_letters - 1) ** (h.depth - j))
-            c3 = float((blocks.max(axis=1) / blocks.min(axis=1)).max())
             # condition (2): x outside the ball, grouped by confluence depth
             ball_word = rec.a.prefix(j)
             h_a = h(rec.a)
@@ -301,7 +296,7 @@ class SpikeLab:
         out = SpikeAudit(c1=c1, c2=c2, c3=c3, c_holder=None)
         if holder_q is not None:
             dr = h.holder_at(rec.r, holder_q)
-            out = replace(out, c_holder=float((dr * rec.r ** holder_q / hv).max()))
+            out = replace(out, c_holder=float((dr * rec.r ** holder_q / h.values).max()))
         return out
 
     def _profile_audit(self, g: Word) -> SpikeAudit:

@@ -202,3 +202,14 @@ class TestDecompose:
         dec = decompose(ones_target, uniform_stream, DecomposerConfig(stage_cap=1))
         assert calls == ["gibbs"]
         assert dec.cert.nu_id == "gibbs"
+
+
+class TestConfigFields:
+    @pytest.mark.parametrize("name,value", [("besicovitch", 1), ("d_margin", 1.1),
+                                            ("sweep_radius", 4), ("tau", 1.0),
+                                            ("m_scale", 1.0)])
+    def test_removed_field_is_refused(self, name, value):
+        # the multiplicity, the D margin and the probe radius are module
+        # constants; a config naming one fails instead of being ignored
+        with pytest.raises(TypeError):
+            DecomposerConfig(**{name: value})

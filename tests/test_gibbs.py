@@ -20,8 +20,9 @@ from gibbswalk.gibbs import (
     shadow_lemma_audit,
     shell_slope,
     shell_sums_log,
+    transfer_matrix,
 )
-from gibbswalk.potentials import Potential, d_phi, flip_potential, sym_potential
+from gibbswalk.potentials import Potential, d_phi, flip_potential, sym_potential, window_graph
 from gibbswalk.stems import StemTable
 from gibbswalk.words import (
     Alphabet,
@@ -79,6 +80,81 @@ class TestCriticalExponent:
         base = poincare_series(P, lam + 0.05, 30)
         corrected = poincare_series(P, lam + 0.05, 30, patterson_a=1.0)
         assert corrected > base  # the polynomial factor only enlarges terms
+
+
+def _strongly_connected(succ):
+    """Reference: depth-first reachability from state 0, forwards and backwards."""
+    n = len(succ)
+    rev = [[] for _ in range(n)]
+    for u, vs in enumerate(succ):
+        for v in vs:
+            rev[v].append(u)
+
+    def reach(adj):
+        seen = {0}
+        stack = [0]
+        while stack:
+            for v in adj[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return len(seen) == n
+
+    return reach(succ) and reach(rev)
+
+
+def _transfer_loop(P):
+    """Reference: the transfer matrix from reduced_words, edge by edge."""
+    states = list(P.ab.reduced_words(P.depth))
+    index = {w: i for i, w in enumerate(states)}
+    ew = np.exp(-np.array([P.table[w] for w in states]))
+    M = np.zeros((len(states), len(states)))
+    for u, w in enumerate(states):
+        for t in P.ab.letters:
+            if t != inverse_letter(w[-1]):
+                v = index[w[1:] + (t,)]
+                M[u, v] = ew[v]
+    return M
+
+
+def _random_table(ab, m, seed):
+    words = list(ab.reduced_words(m))
+    vals = np.random.default_rng(seed).uniform(-0.5, 1.0, len(words))
+    return Potential(ab, m, {w: float(v) for w, v in zip(words, vals)})
+
+
+class TestWindowChain:
+    """One window chain per potential, states in stem order by construction."""
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_states_in_stem_order(self, rank, m):
+        ab = Alphabet(rank)
+        states, succ, _, _ = window_graph(Potential.zero(ab, m))
+        assert states == list(StemTable(ab, m).stems())
+        assert succ.shape == (len(states), ab.n_letters - 1)
+        for u, w in enumerate(states):
+            assert [states[v] for v in succ[u]] == [
+                w[1:] + (t,) for t in ab.letters if t != inverse_letter(w[-1])]
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_rank_check_agrees_with_reachability(self, m):
+        for rank in (1, 2, 3):
+            succ = window_graph(Potential.zero(Alphabet(rank), m)).succ.tolist()
+            assert _strongly_connected(succ) == (rank >= 2)
+        with pytest.raises(UnsupportedRankError):
+            transfer_matrix(Potential.zero(Alphabet(1), m))
+
+    @pytest.mark.parametrize("rank,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
+    def test_transfer_matrix_equals_edge_loop(self, rank, m):
+        for seed in range(4):
+            P = _random_table(Alphabet(rank), m, 97 * seed + 10 * rank + m)
+            assert np.array_equal(transfer_matrix(P), _transfer_loop(P))
+
+    def test_built_once_and_read_by_the_stream(self, stream_m2):
+        P = stream_m2.potential
+        assert window_graph(P) is window_graph(P)
+        assert np.array_equal(stream_m2.transfer, transfer_matrix(P))
 
 
 class TestNormalize:

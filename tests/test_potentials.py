@@ -272,6 +272,54 @@ class TestGeodesicAverage:
             assert audit.T == pytest.approx(max(worst, 0.0), abs=1e-12)
 
 
+def _karp_loop(P):
+    """Reference: Karp's minimum cycle mean edge by edge over successor lists,
+    the first predecessor (in state order) kept at each strict minimum."""
+    states = list(P.ab.reduced_words(P.depth))
+    index = {w: i for i, w in enumerate(states)}
+    succ = [[index[w[1:] + (t,)] for t in P.ab.letters if t != inverse_letter(w[-1])]
+            for w in states]
+    wts = [P.table[w] for w in states]
+    n = len(states)
+    D = np.full((n + 1, n), math.inf)
+    parent = np.full((n + 1, n), -1, dtype=int)
+    D[0, :] = 0.0
+    for k in range(1, n + 1):
+        for u in range(n):
+            for v in succ[u]:
+                cand = D[k - 1, u] + wts[v]
+                if cand < D[k, v]:
+                    D[k, v] = cand
+                    parent[k, v] = u
+    best, best_v = math.inf, -1
+    for v in range(n):
+        worst = max((D[n, v] - D[k, v]) / (n - k) for k in range(n))
+        if worst < best:
+            best, best_v = worst, v
+    path = [best_v]
+    for k in range(n, 0, -1):
+        path.append(int(parent[k, path[-1]]))
+    path.reverse()
+    seen = {}
+    for pos, v in enumerate(path):
+        if v in seen:
+            return float(best), tuple(states[u][0] for u in path[seen[v]:pos])
+        seen[v] = pos
+
+
+class TestMinCycleMean:
+    @pytest.mark.parametrize("rank,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+    def test_equals_edge_loop(self, rank, m):
+        ab = Alphabet(rank)
+        words = list(ab.reduced_words(m))
+        for seed in range(6):
+            vals = np.random.default_rng(50 * rank + 7 * m + seed).uniform(-0.5, 1.0, len(words))
+            if seed % 2:
+                vals = np.round(vals, 1)  # tied cycle means and tied predecessors
+            P = Potential(ab, m, {w: float(v) for w, v in zip(words, vals)})
+            assert min_cycle_mean(P) == _karp_loop(P)
+
+
 class TestHolderCalculus:
     def _pair(self, seed):
         rng = np.random.default_rng(seed)
