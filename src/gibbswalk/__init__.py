@@ -13,7 +13,6 @@ from .words import (
     gromov_product,
     quasimetric_pi,
     ray_word,
-    reduce_word,
     sh_distance,
     shadow_cylinder,
     translate_boundary,

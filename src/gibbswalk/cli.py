@@ -31,12 +31,13 @@ from .gibbs import (
     shell_slope,
 )
 from .hyperbolic import comparison_audit, holder_chain_audit
-from .potentials import Potential, flip_potential
+from .potentials import Potential, flip_potential, sym_potential
 from .spikes import SpikeLab
 from .stems import StemTable
 from .walk import (
     assemble_walk,
     chi2_compatibility,
+    density_masses,
     simulate_hitting,
     stationarity_error,
     walk_statistics,
@@ -142,14 +143,15 @@ def run_pressure(cfg, ab, P, S, rep: Reporter) -> dict:
     lam = critical_exponent(P)
     slope = shell_slope(P, 20, 40)
     lam_flip = critical_exponent(flip_potential(P))
+    sym_defect = critical_exponent(sym_potential(P)) - S.pressure
     out = {
         "lambda": lam,
         "shell_slope": slope,
         "slope_gap": abs(slope - lam),
         "lambda_flip_gap": abs(lam - lam_flip),
-        "sym_defect": S.sym_defect,
+        "sym_defect": sym_defect,
         "pass": abs(slope - lam) <= 1e-6 and abs(lam - lam_flip) <= 1e-10
-                and S.sym_defect <= 1e-10,
+                and sym_defect <= 1e-10,
     }
     rep.csv("pressure.csv", ["quantity", "value"],
             sorted((k, v) for k, v in out.items() if k != "pass"))
@@ -263,9 +265,7 @@ def run_walk(cfg, ab, P, S, F, dec, rep: Reporter) -> dict:
                             wc.get("stabilize", 50), wc.get("step_cap", 2000))
     p_chi2 = chi2_compatibility(rep1, rep2)
     tab = StemTable(ab, depth)
-    Fd = F.refine(max(F.depth, depth))
-    dens = Fd.values * S.mass_array(Fd.depth)
-    target = dens.reshape(tab.size, -1).sum(axis=1)
+    target = density_masses(F, S, depth)
     target = target / target.sum()
     rows = []
     sim_ok = True

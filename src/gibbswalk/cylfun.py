@@ -109,25 +109,37 @@ class CylinderFunction:
 
     # -- ratio and Holder diagnostics ------------------------------------------
 
+    def _balls(self, j: int) -> np.ndarray:
+        """The values as rows, one row per depth-j ball (j = 0: one row).
+
+        The stems extending a depth-j prefix are one contiguous block, so the
+        ball of radius e^{-j} around any stem is its row of this view."""
+        rows = 1 if j == 0 else self.values.size // (self.ab.n_letters - 1) ** (self.depth - j)
+        return self.values.reshape(rows, -1)
+
     def ratio_within(self, scale: float) -> float:
         """sup f(y)/f(x) over pairs with pi(x, y) <= scale (closed balls)."""
         j = scale_depth(scale)
-        if j == 0:
-            return self.sup / self.inf
         if j >= self.depth:
             return 1.0
-        blocks = self.values.reshape(-1, (self.ab.n_letters - 1) ** (self.depth - j))
-        return float((blocks.max(axis=1) / blocks.min(axis=1)).max())
+        balls = self._balls(j)
+        return float((balls.max(axis=1) / balls.min(axis=1)).max())
 
     def holder_at(self, r: float, a: float) -> np.ndarray:
-        """D_r^a f(x) per depth stem: sup_{pi(x,y)<=r} |f(x)-f(y)| / pi(x,y)^a."""
-        j0 = scale_depth(r)
-        v = self.values
-        out = np.zeros_like(v)
-        for j in range(j0, self.depth):
-            hi, lo = _sibling_extremes(self.ab, self.depth, v, j)
-            gap = np.maximum(hi - v, v - lo)
-            np.maximum(out, gap * math.exp(a * j), out=out)
+        """D_r^a f(x) per depth stem: sup_{pi(x,y)<=r} |f(x)-f(y)| / pi(x,y)^a.
+
+        Level j scores x against its whole depth-j ball with weight e^{aj}. A
+        pair meeting deeper, at j' > j, is scored again at j' with weight
+        e^{aj'} >= e^{aj} (a >= 0), so the running maximum is the exact sup.
+        """
+        if a < 0:
+            raise ValueError("Holder exponent must be non-negative")
+        out = np.zeros_like(self.values)
+        for j in range(scale_depth(r), self.depth):
+            balls = self._balls(j)
+            gap = np.maximum(balls.max(axis=1, keepdims=True) - balls,
+                             balls - balls.min(axis=1, keepdims=True))
+            np.maximum(out, gap.ravel() * math.exp(a * j), out=out)
         return out
 
 
@@ -139,45 +151,6 @@ def scale_depth(scale: float) -> int:
     if scale >= 1:
         return 0
     return max(0, math.ceil(-math.log(scale) - 1e-12))
-
-
-def _sibling_extremes(ab: Alphabet, depth: int, v: np.ndarray, j: int):
-    """Per-stem max/min over stems agreeing with it to exactly j letters.
-
-    For j >= 1 these are the other children of the depth-j ancestor; for j = 0
-    the other first-letter subtrees.
-    """
-    b = ab.n_letters - 1
-    if j == 0:
-        groups = v.reshape(ab.n_letters, -1)
-        gmax = groups.max(axis=1)
-        gmin = groups.min(axis=1)
-        hi = _excluded_max(gmax[None, :], axis=1)[0]
-        lo = _excluded_min(gmin[None, :], axis=1)[0]
-        reps = groups.shape[1]
-        return np.repeat(hi, reps), np.repeat(lo, reps)
-    span = b ** (depth - j - 1)
-    blocks = v.reshape(-1, b, span)
-    bmax = blocks.max(axis=2)
-    bmin = blocks.min(axis=2)
-    hi = _excluded_max(bmax, axis=1)
-    lo = _excluded_min(bmin, axis=1)
-    return np.repeat(hi.ravel(), span), np.repeat(lo.ravel(), span)
-
-
-def _excluded_max(arr: np.ndarray, axis: int) -> np.ndarray:
-    """max over the axis excluding each entry's own slot (top-2 trick)."""
-    order = np.sort(arr, axis=axis)
-    top = order.take([-1], axis=axis)
-    second = order.take([-2], axis=axis) if arr.shape[axis] > 1 else np.full_like(top, -np.inf)
-    return np.where(arr == top, second, top)
-
-
-def _excluded_min(arr: np.ndarray, axis: int) -> np.ndarray:
-    order = np.sort(arr, axis=axis)
-    bot = order.take([0], axis=axis)
-    second = order.take([1], axis=axis) if arr.shape[axis] > 1 else np.full_like(bot, np.inf)
-    return np.where(arr == bot, second, bot)
 
 
 def translate_function(f: CylinderFunction, g: Word) -> CylinderFunction:

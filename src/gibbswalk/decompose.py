@@ -95,13 +95,15 @@ class Decomposition:
     status: str = "target"   # "target" | "stage_cap" | "shell_budget"
 
 
-def _coarsest_scale(R: CylinderFunction, ell: float) -> tuple[float, int]:
-    """Largest scale e^{-j} (j >= 0) with ratio-within <= ell; exact."""
-    for j in range(R.depth + 1):
+def _coarsest_scale(R: CylinderFunction, ell: float) -> tuple[float, float]:
+    """Largest scale e^{-j} (j >= 0) with ratio-within <= ell, and that ratio;
+    exact.  At j = depth every ball is one cylinder, so the ratio is 1."""
+    for j in range(R.depth):
         eps = 1.0 if j == 0 else math.exp(-j)
-        if R.ratio_within(eps) <= ell:
-            return eps, j
-    return math.exp(-R.depth), R.depth  # pragma: no cover - j = depth always passes
+        t = R.ratio_within(eps)
+        if t <= ell:
+            return eps, t
+    return math.exp(-R.depth), 1.0
 
 
 def _ball_coverage_counts(spikes: list[SpikeRecord], depth: int, ab) -> np.ndarray:
@@ -212,8 +214,7 @@ def decompose(F: CylinderFunction, S: GibbsStream, cfg: DecomposerConfig,
             status = "target"
             break
         t_inf = R.sup / R.inf
-        eps, j_eps = _coarsest_scale(R, cfg_run.ell)
-        t_eps = R.ratio_within(eps)
+        eps, t_eps = _coarsest_scale(R, cfg_run.ell)
         s_theory = -math.log(eps) + math.log(max(t_inf, 1.0) / cfg_run.ell) / cert.beta_G
         s_needed = -math.log(eps) + math.log(t_inf / t_eps) / cert.beta_G
         shell = max(1, math.ceil(s_needed - 1e-12))

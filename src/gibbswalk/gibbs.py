@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cylfun import CylinderFunction
-from .potentials import Potential, d_phi, rho_phi, sym_potential, window_graph, window_sums
+from .potentials import Potential, d_phi, rho_phi, window_graph, window_sums
 from .stems import StemTable
 from .words import (
     Alphabet,
@@ -129,7 +129,6 @@ class GibbsStream:
         self.ab = potential.ab
         self.pressure = critical_exponent(potential)
         self.potential = potential.shifted(self.pressure)
-        self.sym_defect = critical_exponent(sym_potential(potential)) - self.pressure
         self.transfer = transfer_matrix(self.potential)
         _, self.h_right = _power_iteration(self.transfer)
         self._tab_m = StemTable(self.ab, self.potential.depth)
@@ -328,7 +327,7 @@ def shadow_integral_audit(S: GibbsStream, s_max: int) -> ShadowIntegralReport:
     return ShadowIntegralReport(rows=rows, lo=lo, hi=hi)
 
 
-def rn_holder_audit(S: GibbsStream, q: Word, eps: float) -> tuple[float, bool]:
+def rn_holder_audit(S: GibbsStream, q: Word, eps: float) -> float:
     """Measured Holder constant of xi -> rho^Phi_xi(base, q) at scales below
     e^{-d(base,q)}, normalized by e^{eps * d}; exact over stem classes.
 
@@ -341,7 +340,7 @@ def rn_holder_audit(S: GibbsStream, q: Word, eps: float) -> tuple[float, bool]:
     n = len(q)
     depth = n + S.depth_m
     rho = CylinderFunction(S.ab, depth, S.rho_phi_array(q, depth))
-    return float(rho.holder_at(math.exp(-n), eps).max()) * math.exp(-eps * n), True
+    return float(rho.holder_at(math.exp(-n), eps).max()) * math.exp(-eps * n)
 
 
 def rn_holder_sweep(S: GibbsStream, max_radius: int, eps: float, words_per_len: int = 4,
@@ -359,5 +358,5 @@ def rn_holder_sweep(S: GibbsStream, max_radius: int, eps: float, words_per_len: 
                 w.append(rng.choice(choices))
             picks.add(tuple(w))
         for q in sorted(picks):
-            rows.append((q, rn_holder_audit(S, q, eps)[0]))
+            rows.append((q, rn_holder_audit(S, q, eps)))
     return rows

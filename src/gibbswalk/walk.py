@@ -90,16 +90,19 @@ def convolved_density_masses(mu: WalkMeasure, F: CylinderFunction, S: GibbsStrea
     return out
 
 
+def density_masses(F: CylinderFunction, S: GibbsStream, depth: int) -> np.ndarray:
+    """Cylinder masses of F d nu at the given depth: F and nu are multiplied
+    at depth max(depth(F), depth) and summed over each depth cylinder."""
+    d = max(F.depth, depth)
+    deep = F.refine(d).values * S.mass_array(d)
+    return deep.reshape(-1, (S.ab.n_letters - 1) ** (d - depth)).sum(axis=1)
+
+
 def stationarity_error(mu: WalkMeasure, F: CylinderFunction, S: GibbsStream,
                        depth: int) -> float:
     """L1 distance on depth cylinders between mu * (F nu) and F nu."""
     conv = convolved_density_masses(mu, F, S, depth)
-    d = max(F.depth, depth)
-    fr = F.refine(d)
-    target_deep = fr.values * S.mass_array(d)
-    block = (S.ab.n_letters - 1) ** (d - depth)
-    target = target_deep.reshape(-1, block).sum(axis=1)
-    return float(np.abs(conv - target).sum())
+    return float(np.abs(conv - density_masses(F, S, depth)).sum())
 
 
 @dataclass(frozen=True)

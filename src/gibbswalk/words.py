@@ -13,7 +13,7 @@ import math
 import random
 import warnings
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 Word = tuple  # reduced word over an Alphabet
 
@@ -117,10 +117,6 @@ class Alphabet:
         if length == 0:
             return 1
         return 2 * self.rank * (2 * self.rank - 1) ** (length - 1)
-
-
-def reduce_word(ab: Alphabet, letters: Sequence[int]) -> Word:
-    return ab.reduce(letters)
 
 
 # --------------------------------------------------------------------------

@@ -382,12 +382,10 @@ class TestShadowAudits:
 
 class TestRnHolder:
     def test_constant_zero(self, uniform_stream):
-        d_emp, ok = rn_holder_audit(uniform_stream, (0, 2, 1), eps=0.5)
-        assert ok and d_emp == 0.0
+        assert rn_holder_audit(uniform_stream, (0, 2, 1), eps=0.5) == 0.0
 
     def test_depth_one_zero(self, random_stream):
-        d_emp, _ = rn_holder_audit(random_stream, (2, 0, 3), eps=0.5)
-        assert d_emp == 0.0
+        assert rn_holder_audit(random_stream, (2, 0, 3), eps=0.5) == 0.0
 
     def test_depth_two_finite_and_bounded(self, stream_m2):
         rows = rn_holder_sweep(stream_m2, 6, eps=0.5, seed=1)

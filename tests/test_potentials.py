@@ -375,6 +375,67 @@ class TestHolderCalculus:
         assert (lower_order <= large + 1e-12).all()
 
 
+def _sibling_holder_reference(F, r, a):
+    """holder_at as sibling exclusion: level j scores each stem only against
+    the stems that agree with it to exactly j letters (top-2 sorts)."""
+    from gibbswalk.cylfun import scale_depth
+
+    def excluded(arr, pick, fill):
+        order = np.sort(arr, axis=1)
+        own = order[:, [pick[0]]]
+        other = order[:, [pick[1]]] if arr.shape[1] > 1 else np.full_like(own, fill)
+        return np.where(arr == own, other, own)
+
+    b = F.ab.n_letters - 1
+    v = F.values
+    out = np.zeros_like(v)
+    for j in range(scale_depth(r), F.depth):
+        groups = v.reshape(1, F.ab.n_letters, -1) if j == 0 else v.reshape(-1, b, b ** (F.depth - j - 1))
+        hi = excluded(groups.max(axis=2), (-1, -2), -np.inf)
+        lo = excluded(groups.min(axis=2), (0, 1), np.inf)
+        span = groups.shape[2]
+        hi, lo = np.repeat(hi.ravel(), span), np.repeat(lo.ravel(), span)
+        np.maximum(out, np.maximum(hi - v, v - lo) * math.exp(a * j), out=out)
+    return out
+
+
+class TestBallReductions:
+    @pytest.mark.parametrize("rank, depths", [(2, (1, 2, 3, 4, 5)), (3, (1, 2, 3))])
+    def test_holder_equals_sibling_exclusion(self, rank, depths):
+        ab = Alphabet(rank)
+        rng = np.random.default_rng(60 + rank)
+        for d in depths:
+            size = StemTable(ab, d).size
+            for trial in range(4):
+                vals = rng.uniform(0.5, 2.0, size)
+                if trial % 2:
+                    vals = np.round(vals * 2) / 2  # tied values within and across balls
+                F = CylinderFunction(ab, d, vals)
+                for j0 in range(d + 1):
+                    r = 1.0 if j0 == 0 else math.exp(-j0)
+                    for a in (0.0, 0.5, math.log(3), 1.0, 2.0):
+                        got = F.holder_at(r, a)
+                        assert got.tobytes() == _sibling_holder_reference(F, r, a).tobytes(), \
+                            (d, trial, j0, a)
+
+    def test_ratio_within_is_ball_max_over_min(self):
+        rng = np.random.default_rng(64)
+        for ab, d in ((AB, 3), (Alphabet(3), 2)):
+            tab = StemTable(ab, d)
+            F = CylinderFunction(ab, d, np.round(rng.uniform(0.5, 2.0, tab.size), 1))
+            assert F.ratio_within(1.0) == F.sup / F.inf
+            for j in range(1, d):
+                balls = (tab.prefix_range(w) for w in ab.reduced_words(j))
+                expect = max(F.values[lo:hi].max() / F.values[lo:hi].min() for lo, hi in balls)
+                assert F.ratio_within(math.exp(-j)) == expect
+            assert F.ratio_within(math.exp(-d)) == 1.0
+
+    def test_negative_exponent_refused(self):
+        F = CylinderFunction(AB, 2, np.arange(1.0, 13.0))
+        with pytest.raises(ValueError):
+            F.holder_at(1.0, -0.5)
+
+
 def _ball_sup(F, r):
     from gibbswalk.cylfun import scale_depth
 

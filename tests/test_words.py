@@ -24,7 +24,6 @@ from gibbswalk.words import (
     inverse_letter,
     quasimetric_pi,
     ray_word,
-    reduce_word,
     sh_distance,
     shadow_cylinder,
     translate_boundary,
@@ -47,14 +46,14 @@ class TestReduce:
         assert AB.parse_word("a b b' a") == (0, 0)
 
     def test_identity(self):
-        assert reduce_word(AB, []) == ()
+        assert AB.reduce([]) == ()
 
     def test_full_cancellation(self):
         assert AB.parse_word("a a'") == ()
 
     def test_unknown_symbol(self):
         with pytest.raises(WordError):
-            reduce_word(AB, [9])
+            AB.reduce([9])
         with pytest.raises(WordError):
             AB.parse_word("z")
 
