@@ -9,11 +9,16 @@ cylinder is a slice.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .words import Alphabet, Word, inverse_letter
+
+# Letter tables up to this many bytes are built once per (rank, depth) and
+# shared; a larger one is built per StemTable and freed with it.  Rank 2
+# shares depths up to 10 (787 kB); depth 13 would hold 26 MB for good.
+SHARED_LETTERS_BYTES = 1 << 20
 
 
 class StemTable:
@@ -69,10 +74,12 @@ class StemTable:
 
     # -- vectorized views ----------------------------------------------------
 
-    @property
+    @cached_property
     def letters(self) -> np.ndarray:
-        """(size, depth) array of stem letters (cached)."""
-        return _letters_array(self.ab.rank, self.depth)
+        """(size, depth) read-only array of stem letters."""
+        if self.size * self.depth <= SHARED_LETTERS_BYTES:
+            return _shared_letters(self.ab.rank, self.depth)
+        return _letters_array(self)
 
     def indices(self, letters: np.ndarray) -> np.ndarray:
         """index_of for every row of a (count, depth) array of stem letters."""
@@ -114,11 +121,14 @@ def _branching(k2: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _letters_array(rank: int, depth: int) -> np.ndarray:
-    ab = Alphabet(rank)
-    tab = StemTable(ab, depth)
+def _shared_letters(rank: int, depth: int) -> np.ndarray:
+    return _letters_array(StemTable(Alphabet(rank), depth))
+
+
+def _letters_array(tab: StemTable) -> np.ndarray:
+    depth = tab.depth
     out = np.empty((tab.size, depth), dtype=np.int8)
-    first = np.repeat(np.arange(ab.n_letters), tab.branching ** (depth - 1))
+    first = np.repeat(np.arange(tab.ab.n_letters), tab.branching ** (depth - 1))
     out[:, 0] = first
     idx = np.arange(tab.size)
     rem = idx % tab.branching ** (depth - 1)

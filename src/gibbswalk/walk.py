@@ -163,9 +163,15 @@ class HittingReport:
 
 # Paths advance together in chunks of HIT_CHUNK; each path's steps are
 # drawn HIT_BLOCK at a time (a path that outlives its block draws a longer
-# one).  Together they keep a chunk's arrays near 1 MB.
+# one).  A chunk's first block of draws, as doubles, is its largest array:
+# 512 kB at these sizes.
 HIT_CHUNK = 1024
 HIT_BLOCK = 64
+# Letters of a step applied in one pass: a piece of the step's inverse and
+# its end marker fit one 8-byte word, one byte a letter.
+PIECE = 7
+_NONE = np.int64(2) ** 62  # a stop target no path reaches
+_DONE = -_NONE             # the appended-letter count of a finished path
 
 
 def _uniform_rows(ns, t0: int, t1: int) -> np.ndarray:
@@ -177,10 +183,12 @@ def _uniform_rows(ns, t0: int, t1: int) -> np.ndarray:
     Python draws bit for bit whatever the batch.
     """
     rng = random.Random(0)
-    raw = bytearray()
-    for n in ns:
-        rng.seed(n)
-        raw += rng.getrandbits(64 * t1).to_bytes(8 * t1, "little")
+    seed = super(random.Random, rng).seed  # the C seeding, as random.Random.seed(n) runs it
+    width = 8 * t1
+    raw = bytearray(width * len(ns))
+    for i, n in enumerate(ns):
+        seed(n)
+        raw[i * width:(i + 1) * width] = rng.getrandbits(8 * width).to_bytes(width, "little")
     w = np.frombuffer(raw, dtype="<u4").reshape(-1, t1, 2)[:, t0:]
     u = (w[..., 0] >> 5) * 67108864.0  # exact: a * 2^26 + b < 2^53
     u += w[..., 1] >> 6
@@ -188,85 +196,243 @@ def _uniform_rows(ns, t0: int, t1: int) -> np.ndarray:
     return u
 
 
-def _hit_chunk(ns: list, cum: np.ndarray, letters: np.ndarray, inverse: np.ndarray,
-               step_len: np.ndarray, n_letters: int, depth: int, stabilize: int,
+@dataclass(frozen=True)
+class _StepLaw:
+    """A step law as the hitting kernel reads it.
+
+    Step i of the sorted support is drawn for a uniform u when i is the
+    number of `cum` entries below u, as `bisect_left` finds it.  `bucket`
+    answers that count for u in [k/nb, (k+1)/nb) when no `cum` entry lies
+    in that bucket, and -1 otherwise.  A step is applied in pieces of at
+    most PIECE letters; the tables of piece q are indexed by 8 * step + c,
+    where c is the number of the piece's letters cancelled:
+    `inverse[q, 8 * step]` holds the piece's inverse letters plus one, the
+    first in the lowest byte, then the end marker 0xFF; `length[q, 8 * step]`
+    its letter count; `append[q, 8 * step + c]` its letters c.. plus one,
+    the first in the highest byte.
+    """
+    cum: np.ndarray
+    bucket: np.ndarray
+    step_len: np.ndarray
+    inverse: np.ndarray
+    length: np.ndarray
+    append: np.ndarray
+
+    @classmethod
+    def of(cls, mu: WalkMeasure) -> "_StepLaw":
+        support = sorted(mu.masses)
+        weights = np.array([mu.masses[g] for g in support])
+        cum = np.cumsum(weights / weights.sum())
+        nb = 1 << min((16 * len(support)).bit_length(), 16)
+        below = np.searchsorted(cum, np.arange(nb + 1) / nb, side="left")  # exact edges
+        bucket = np.where(below[:-1] == below[1:], below[:-1], -1)
+        lengths = np.array([len(g) for g in support])
+        pieces = max(1, -(-int(lengths.max()) // PIECE))
+        letters = np.zeros((len(support), pieces * PIECE), dtype=np.uint64)  # plus one
+        for i, g in enumerate(support):
+            letters[i, :len(g)] = np.array(g) + 1
+        rows = np.arange(len(support))
+        inverse = np.zeros((pieces, 8 * len(support)), dtype=np.uint64)
+        length = np.zeros((pieces, 8 * len(support)), dtype=np.intp)
+        append = np.zeros((pieces, len(support), 8), dtype=np.uint64)
+        for q in range(pieces):
+            piece = letters[:, q * PIECE:(q + 1) * PIECE]
+            size = np.clip(lengths - q * PIECE, 0, PIECE)
+            inv = np.zeros((len(support), 8), dtype=np.uint64)
+            inv[:, :PIECE] = np.where(piece > 0, ((piece - 1) ^ 1) + 1, 0)
+            inv[rows, size] = 0xFF
+            inverse[q, ::8] = (inv << 8 * np.arange(8, dtype=np.uint64)).sum(axis=1)
+            length[q, ::8] = size
+            top = (piece << 8 * np.arange(7, 0, -1, dtype=np.uint64)).sum(axis=1)  # letter 0 in byte 7
+            append[q] = top[:, None] << 8 * np.arange(8, dtype=np.uint64)  # letters c.. on top
+        return cls(cum, bucket.astype(np.min_scalar_type(-len(support))),
+                   lengths.astype(np.min_scalar_type(-int(lengths.max()))), inverse, length,
+                   append.reshape(pieces, -1))
+
+    def draw(self, u: np.ndarray) -> np.ndarray:
+        """Step indices for an array of uniforms, as `bisect_left` on `cum`
+        gives them, transposed: one row per step of the block."""
+        nb = len(self.bucket)
+        u *= nb  # exact: nb is a power of two
+        steps = self.bucket.take(u.astype(np.int32))
+        split = np.flatnonzero(steps < 0)
+        steps.reshape(-1)[split] = np.searchsorted(self.cum * nb, u.reshape(-1)[split],
+                                                   side="left")
+        return np.ascontiguousarray(steps.T)
+
+
+class _Words:
+    """The reduced words of a chunk's rows, each stored backwards.
+
+    Row i is a byte row of `width` + 8 columns: letter p plus one at column
+    `width` - 1 - p, then 8 zero bytes.  `at[i]` is the flat offset of the
+    column of row i's last letter, so `tail[at]` reads each word's 8 last
+    letters (the last in the lowest byte, zeros past the word's start) and
+    `end[at]` writes 8 bytes whose highest byte lands just past the last
+    letter.  `cut[i]` is the largest `at[i]` of a word at least
+    max(depth, 1) letters long.
+    """
+
+    def __init__(self, n: int, depth: int):
+        self.depth = depth
+        self.width = 0
+        self.keep(np.arange(n), max(64, depth + 8), np.zeros(n, dtype=np.intp))
+
+    def _row_end(self, rows) -> np.ndarray:
+        return rows * (self.width + 8) + self.width
+
+    def lengths(self, rows=None) -> np.ndarray:
+        if rows is None:
+            rows = np.arange(len(self.at))
+        return self._row_end(rows) - self.at[rows]
+
+    def keep(self, rows: np.ndarray, width: int, lengths: np.ndarray | None = None) -> None:
+        """Keep only `rows`, in `width` columns."""
+        if lengths is None:
+            lengths = self.lengths(rows)
+        flat = np.zeros(8 + len(rows) * (width + 8), dtype=np.uint8)
+        if self.width:
+            flat[8:].reshape(-1, width + 8)[:, width - self.width:] = \
+                self.flat[8:].reshape(-1, self.width + 8)[rows]
+        self.flat, self.width = flat, width
+        row_end = self._row_end(np.arange(len(rows)))
+        self.at = row_end - lengths
+        self.cut = row_end - max(self.depth, 1)
+        self.tail = np.ndarray((len(flat) - 15,), np.uint64, flat, 8, (1,))
+        self.end = np.ndarray((len(flat) - 7,), np.uint64, flat, 0, (1,))
+
+    def make_room(self, longest: int) -> None:
+        """Widen the rows, if needed, so that words `longest` letters long fit."""
+        if longest > self.width - 8:
+            self.keep(np.arange(len(self.at)), 2 * longest + 8)
+
+    def codes(self, rows: np.ndarray, place: np.ndarray) -> np.ndarray:
+        """The rows' depth-prefix codes, with digit weights `place`, plus
+        sum(place); sum(place) - 1 for a word shorter than depth."""
+        first = self._row_end(rows) + 8 - self.depth  # flat offset of letter depth - 1
+        code = np.zeros(len(rows), dtype=np.int64)
+        for j, weight in enumerate(place):  # letter depth - 1 - j
+            code += self.flat.take(first + j) * weight
+        code[self.at.take(rows) + 8 > first] = place.sum() - 1  # a word shorter than depth
+        return code
+
+
+# The cancellation of a piece is the number of trailing zero bytes of a
+# word's 8 last letters XOR the piece's inverse, read from the float
+# exponent of its lowest set bit.
+_TRAILING_BYTES = np.zeros(1087, dtype=np.intp)
+_TRAILING_BYTES[1023:] = np.arange(64) >> 3
+
+
+def _hit_chunk(ns: list, law: _StepLaw, n_letters: int, depth: int, stabilize: int,
                step_cap: int) -> np.ndarray:
     """Final depth-prefix code of each path in a chunk, -1 if it never stabilized.
 
-    Live paths advance one step per pass.  Words are rows of a padded int16
-    array with a length per row; a reduced step cancels a prefix of itself
-    against the word's tail, then appends the rest.  The code of a prefix
-    is its letters in base n_letters, and -1 stands for a word shorter than
-    `depth` (no prefix yet).  No step cancels more letters than its own
-    length, so a word at least `depth` + `rest` longest steps long keeps its
-    prefix for `rest` more steps: a path whose streak would reach
-    `stabilize` within that reach (and before `step_cap`) stops with its
-    code at once, the outcome the full loop would record.
+    Live paths advance one step per pass; their words are `_Words` rows.
+    The code of a prefix is its letters in base n_letters, -1 for a word
+    shorter than `depth`; it is recomputed only on rows whose step cut the
+    word below `depth`.
+
+    A path whose code appeared at step t records it at step
+    due = t + max(stabilize - 1, 1), if due < step_cap and the prefix holds.
+    No step cancels more letters than its own length, so a word whose
+    length minus `depth` covers the summed lengths of its steps up to `due`
+    keeps its prefix until then: the path stops with its code at once.
+    Steps beyond the drawn block count as the longest step.  The length of
+    a word plus the drawn lengths up to its step is `start` + 2 * `grown`,
+    with `grown` the letters appended since the block began, so the test is
+    `grown` >= `target`.  Finished rows stay, with `grown` = _DONE, until
+    the next block or until half the rows are finished.
     """
-    reach = letters.shape[1]
-    cols = np.arange(reach)
-    place = n_letters ** np.arange(depth - 1, -1, -1, dtype=np.int64)
+    reach = int(law.step_len.max(initial=0))
+    hold = max(stabilize - 1, 1)
+    place = n_letters ** np.arange(depth, dtype=np.int64)  # of letter depth - 1 - j
+    shift = int(place.sum())  # codes are kept plus `shift`: the letters are stored plus one
     out = np.full(len(ns), -1, dtype=np.int64)
-    live = np.arange(len(ns))             # chunk index of each live row
-    word = np.zeros((len(ns), max(64, depth)), dtype=np.int16)
-    wlen = np.zeros(len(ns), dtype=np.intp)
-    prev = np.full(len(ns), -1, dtype=np.int64)
-    streak = np.zeros(len(ns), dtype=np.intp)
-    t0 = t1 = 0
+    live = np.arange(len(ns))  # chunk index of each row
+    words = _Words(len(ns), depth)
+    code = np.full(len(ns), shift - 1, dtype=np.int64)
+    due = np.zeros(len(ns), dtype=np.int64)
+    grown = np.zeros(len(ns), dtype=np.int64)
+    longest = finished = t0 = t1 = 0
+
+    def drop_finished():
+        nonlocal live, code, due, grown, target, start, row, finished
+        keep = np.flatnonzero(grown >= 0)
+        words.keep(keep, words.width)
+        live, code, due, grown, target, start, row = (
+            live[keep], code[keep], due[keep], grown[keep], target[keep], start[keep],
+            row[keep])
+        finished = 0
+
+    def targets(rows, when):
+        """Stop targets of `rows` whose codes fall due at steps `when`."""
+        j = np.clip(when + 1, t0, t1)
+        drawn = drawn_to[j - t0, row[rows]] + np.int64(reach) * (when + 1 - j)
+        return np.where((when < step_cap) & (code[rows] >= shift),
+                        (depth + drawn - start[rows] + 1) // 2, _NONE)
+
+    row = target = start = None
     for t in range(step_cap):
         if t == t1:
+            if finished:
+                drop_finished()
             t0, t1 = t1, min(max(2 * t1, HIT_BLOCK), step_cap)
-            steps = np.searchsorted(cum, _uniform_rows([ns[j] for j in live], t0, t1),
-                                    side="left")
-        s = steps[:, t - t0]
-        sl = step_len[s]
-        rows = np.arange(len(live))[:, None]
-        match = (word[rows, np.maximum(wlen[:, None] - 1 - cols, 0)] == inverse[s]) \
-            & (cols < np.minimum(wlen, sl)[:, None])
-        c = np.logical_and.accumulate(match, axis=1).sum(axis=1)
-        base = wlen - c
-        wlen = base + sl - c
-        need = int(wlen.max())
-        if need > word.shape[1]:
-            wider = np.zeros((len(word), max(need, 2 * word.shape[1])), dtype=np.int16)
-            wider[:, :word.shape[1]] = word
-            word = wider
-        r, js = np.nonzero((cols >= c[:, None]) & (cols < sl[:, None]))
-        word[r, base[r] + js - c[r]] = letters[s[r], js]
-        code = np.where(wlen >= depth, word[:, :depth] @ place, -1)
-        same = (code >= 0) & (code == prev)
-        streak = np.where(same, streak + 1, code >= 0)
-        prev = code
-        rest = np.maximum(stabilize - streak, ~same)  # steps until the loop records
-        done = (code >= 0) & (wlen - reach * rest >= depth) & (t + rest < step_cap)
+            steps = law.draw(_uniform_rows([ns[j] for j in live], t0, t1))
+            drawn_to = np.zeros((t1 - t0 + 1, len(live)),
+                                dtype=np.min_scalar_type(-reach * (t1 - t0)))
+            np.cumsum(law.step_len.take(steps), axis=0, out=drawn_to[1:])
+            row = np.arange(len(live))
+            start = words.lengths()
+            grown[:] = 0
+            target = targets(row, due)
+        if longest + reach > words.width - 8:
+            longest = int(words.lengths().max(initial=0))
+            words.make_room(longest + reach)
+        longest += reach
+        at = words.at
+        s = np.left_shift(steps[t - t0].take(row), 3, dtype=np.intp)
+        low = False
+        for q in range(len(law.inverse)):
+            x = words.tail[at] ^ law.inverse[q].take(s)
+            c = _TRAILING_BYTES.take((x & (0 - x)).astype(np.float64).view(np.int64) >> 52)
+            at += c
+            low = low | (at > words.cut)
+            words.end[at] = law.append[q].take(s + c)
+            a = law.length[q].take(s) - c
+            at -= a
+            grown += a
+        if low.any():
+            rows = np.flatnonzero(low)
+            new = words.codes(rows, place)
+            moved = new != code[rows]
+            if moved.any():
+                rows = rows[moved]
+                code[rows] = new[moved]
+                due[rows] = t + hold
+                target[rows] = targets(rows, t + hold)
+        done = grown >= target
         if done.any():
-            out[live[done]] = code[done]
-            keep = ~done
-            live, word, wlen, prev, streak, steps = (
-                live[keep], word[keep], wlen[keep], prev[keep], streak[keep], steps[keep])
-            if not len(live):
+            rows = np.flatnonzero(done)
+            out[live[rows]] = code[rows] - shift
+            grown[rows] = _DONE
+            finished += len(rows)
+            if finished == len(live):
                 break
+            if 2 * finished >= len(live):
+                drop_finished()
     return out
 
 
 def _hitting_codes(mu: WalkMeasure, n_paths: int, depth: int, seed: int, stabilize: int,
                    step_cap: int) -> np.ndarray:
     """Final depth-prefix code of each path, -1 for a path that never stabilized."""
-    n_letters = mu.ab.n_letters
-    support = sorted(mu.masses)
-    weights = np.array([mu.masses[g] for g in support])
-    cum = np.cumsum(weights / weights.sum())
-    step_len = np.array([len(g) for g in support], dtype=np.intp)
-    letters = np.zeros((len(support), int(step_len.max(initial=0))), dtype=np.int16)
-    for r, g in enumerate(support):
-        letters[r, :len(g)] = g
-    inverse = letters ^ 1
+    law = _StepLaw.of(mu)
     outcome = np.full(n_paths, -1, dtype=np.int64)
     for lo in range(0, n_paths, HIT_CHUNK):
         hi = min(lo + HIT_CHUNK, n_paths)
         ns = [seed * 1_000_003 + i for i in range(lo, hi)]
-        outcome[lo:hi] = _hit_chunk(ns, cum, letters, inverse, step_len, n_letters,
-                                    depth, stabilize, step_cap)
+        outcome[lo:hi] = _hit_chunk(ns, law, mu.ab.n_letters, depth, stabilize, step_cap)
     return outcome
 
 

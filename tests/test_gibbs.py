@@ -328,6 +328,18 @@ class TestRadonNikodymArrays:
             tracemalloc.stop()
         assert peak < 10 * size * 8, peak
 
+    def test_deep_letter_table_is_freed(self, stream_m2):
+        # the depth-13 letter table (2,125,764 stems x 13 int8 letters, 26 MB)
+        # goes with the call's StemTable; before, a process-wide cache kept it
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            stream_m2.rho_phi_array((0, 2, 1), 13)
+            held = tracemalloc.get_traced_memory()[0] - held
+        finally:
+            tracemalloc.stop()
+        assert held < 2**20, held
+
 
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("rule", ["average", "extend"])

@@ -277,20 +277,27 @@ class TestChi2:
         assert proc.returncode == 0, proc.stderr
 
 
-def _reference_prefixes(mu, n_paths, depth, seed, stabilize=50, step_cap=2000):
-    """The per-path loop: one random.Random stream and one Python word per path.
+def _python_uniforms(n):
+    return iter(random.Random(n).random, None)
 
-    Returns each path's final depth prefix, None for a path that failed.
+
+def _reference_records(mu, n_paths, depth, seed, stabilize=50, step_cap=2000,
+                       uniforms=_python_uniforms):
+    """The per-path loop: one stream of uniforms and one Python word per path.
+
+    Path i reads `uniforms(seed * 1_000_003 + i)`, by default the stream of
+    that random.Random.  Returns each path's final depth prefix and the step
+    that recorded it, (None, None) for a path that failed.
     """
     support = sorted(mu.masses)
     weights = np.array([mu.masses[g] for g in support])
     cum = np.cumsum(weights / weights.sum())
     out = []
     for i in range(n_paths):
-        rng = random.Random(seed * 1_000_003 + i)
-        word, prev, streak, final = [], None, 0, None
-        for _ in range(step_cap):
-            step = support[bisect.bisect_left(cum, rng.random())]
+        draws = uniforms(seed * 1_000_003 + i)
+        word, prev, streak, final = [], None, 0, (None, None)
+        for t in range(step_cap):
+            step = support[bisect.bisect_left(cum, next(draws))]
             for s in step:
                 if word and word[-1] == (s ^ 1):
                     word.pop()
@@ -300,12 +307,56 @@ def _reference_prefixes(mu, n_paths, depth, seed, stabilize=50, step_cap=2000):
             if cur is not None and cur == prev:
                 streak += 1
                 if streak >= stabilize:
-                    final = cur
+                    final = (cur, t)
                     break
             else:
                 streak = 1 if cur is not None else 0
             prev = cur
         out.append(final)
+    return out
+
+
+def _reference_prefixes(mu, n_paths, depth, seed, stabilize=50, step_cap=2000):
+    """Each path's final depth prefix, None for a path that failed."""
+    return [p for p, _ in _reference_records(mu, n_paths, depth, seed, stabilize, step_cap)]
+
+
+def _stop_steps(mu, n_paths, depth, seed, stabilize, step_cap, block):
+    """The step at which each path stops (step_cap if it never does) when the
+    steps up to its record count their drawn lengths within the block of
+    draws they fall in, blocks being `block`, `block`, then doubling; and
+    when each counts as the longest step, with block None."""
+    support = sorted(mu.masses)
+    weights = np.array([mu.masses[g] for g in support])
+    cum = np.cumsum(weights / weights.sum())
+    reach = max(len(g) for g in support)
+    ends = [0]
+    while ends[-1] < step_cap and block:
+        ends.append(min(max(2 * ends[-1], block), step_cap))
+    out = []
+    for i in range(n_paths):
+        rng = random.Random(seed * 1_000_003 + i)
+        draws = []
+        word, prev, due, stop = [], None, None, step_cap
+        for t in range(step_cap):
+            while len(draws) <= t + stabilize:
+                draws.append(support[bisect.bisect_left(cum, rng.random())])
+            for s in draws[t]:
+                if word and word[-1] == (s ^ 1):
+                    word.pop()
+                else:
+                    word.append(s)
+            cur = tuple(word[:depth]) if len(word) >= depth else None
+            if cur != prev or cur is None:
+                due = t + max(stabilize - 1, 1) if cur is not None else None
+            prev = cur
+            if due is not None and due < step_cap:
+                end = next(e for e in ends if e > t) if block else t + 1
+                need = sum(len(draws[k]) if k < end else reach for k in range(t + 1, due + 1))
+                if len(word) - depth >= need:
+                    stop = t
+                    break
+        out.append(stop)
     return out
 
 
@@ -324,6 +375,18 @@ def _hitting_reference(mu, n_paths, depth, seed, stabilize=50, step_cap=2000):
     return emp, err, failures
 
 
+def _rank8_walk(seed, size=24):
+    ab8 = Alphabet(8)
+    rng = np.random.default_rng(seed)
+    steps = set()
+    while len(steps) < size:
+        w = []
+        for _ in range(int(rng.integers(1, 5))):
+            w.append(int(rng.choice([s for s in ab8.letters if not w or s != (w[-1] ^ 1)])))
+        steps.add(tuple(w))
+    return WalkMeasure(ab8, {g: float(rng.uniform(0.01, 0.1)) for g in sorted(steps)})
+
+
 @pytest.fixture(scope="module")
 def hitting_walks(uniform_decomposition, uniform_stream):
     ab3 = Alphabet(3)
@@ -337,6 +400,17 @@ def hitting_walks(uniform_decomposition, uniform_stream):
         # long steps that the next step often undoes whole: words stay within a
         # step or two of their depth prefix
         "undoing": WalkMeasure(AB, {(0, 0, 0): 0.4, (1, 1, 1): 0.4, (2, 2): 0.1, (3, 3): 0.1}),
+        # runs of a^5 and A^5: words grow past their 8 last letters, which the
+        # kernel reads as one word, and later cancel back into them
+        "refill": WalkMeasure(AB, {(0,) * 5: 0.35, (1,) * 5: 0.35, (2,): 0.15, (3,): 0.15}),
+        # steps of 9, 12 and 15 letters, longer than the 7 applied in one pass
+        "long_step": WalkMeasure(AB, {(0, 2) * 6: 0.15, (3, 1) * 6: 0.15, (0,) * 9: 0.1,
+                                      (1,) * 9: 0.1, (2, 0) * 7 + (2,): 0.05,
+                                      (3,) + (1, 3) * 7: 0.05, (2,): 0.2, (3,): 0.2}),
+        # 16 letters
+        "rank8": _rank8_walk(36),
+        # the identity step leaves the word as it is
+        "identity": WalkMeasure(AB, {(): 0.3, (0,): 0.2, (1,): 0.15, (2,): 0.2, (3,): 0.15}),
     }
 
 
@@ -346,6 +420,18 @@ def _same_report(rep, mu, n_paths, depth, seed, stabilize=50, step_cap=2000):
     assert rep.stderr == err
     assert rep.failures == failures
     return failures
+
+
+def _same_codes_at_every_step_cap(mu, depth):
+    place = [mu.ab.n_letters ** (depth - 1 - j) for j in range(depth)]
+    # the loop runs the same steps under every cap: a path records under cap c
+    # when it recorded before step c under the largest cap
+    ref = _reference_records(mu, 150, depth, 11, 20, 45)
+    for step_cap in range(20, 46):
+        want = [-1 if p is None or t >= step_cap else sum(s * b for s, b in zip(p, place))
+                for p, t in ref]
+        got = walk._hitting_codes(mu, 150, depth, 11, 20, step_cap)
+        assert got.tolist() == want, step_cap
 
 
 class TestBatchedHitting:
@@ -398,18 +484,46 @@ class TestBatchedHitting:
             for n, row in zip(part, rows):
                 assert (row == whole[ns.index(n), 32:]).all()
 
-    @pytest.mark.parametrize("name", ["uniform", "long_steps", "undoing"])
+    @pytest.mark.parametrize("name", ["uniform", "long_steps", "rank3", "undoing", "refill",
+                                      "long_step", "rank8", "identity"])
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_early_stop_is_exact_at_every_step_cap(self, hitting_walks, name, depth):
         # a path stops once its prefix cannot change before its streak is
         # complete; caps 20..45 put that point on both sides of the cap
-        mu = hitting_walks[name]
-        place = [mu.ab.n_letters ** (depth - 1 - j) for j in range(depth)]
-        for step_cap in range(20, 46):
-            ref = _reference_prefixes(mu, 150, depth, 11, 20, step_cap)
-            want = [-1 if p is None else sum(s * b for s, b in zip(p, place)) for p in ref]
-            got = walk._hitting_codes(mu, 150, depth, 11, 20, step_cap)
-            assert got.tolist() == want, step_cap
+        _same_codes_at_every_step_cap(hitting_walks[name], depth)
+
+    @pytest.mark.parametrize("name", ["uniform", "long_steps", "rank3", "undoing", "refill",
+                                      "long_step", "rank8", "identity"])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_early_stop_is_exact_with_small_blocks(self, hitting_walks, monkeypatch, name, depth):
+        # small chunks and blocks: most paths stop or redraw near a block edge
+        monkeypatch.setattr(walk, "HIT_CHUNK", 50)
+        monkeypatch.setattr(walk, "HIT_BLOCK", 3)
+        _same_codes_at_every_step_cap(hitting_walks[name], depth)
+
+    def test_uniforms_on_cum_entries_and_bucket_edges(self, monkeypatch):
+        # dyadic masses put every cum entry on a bucket edge; each uniform is a
+        # cum entry, another dyadic edge, or the double next to one of them
+        mu = WalkMeasure(AB, {(0,): 0.25, (1,): 0.125, (2,): 0.125, (3,): 0.25,
+                              (0, 2): 0.125, (2, 0): 0.125})
+        edges = {0.0} | {k / 2.0 ** m for m in (1, 3, 4, 7, 13, 16) for k in range(1, 2 ** m, 2)
+                         if k < 40 or 2 ** m - k < 40}
+        special = sorted({x for e in edges for x in (e, np.nextafter(e, 0.0), np.nextafter(e, 1.0))
+                          if 0.0 <= x < 1.0})
+
+        def uniforms(n):
+            return (special[(n * 7919 + t * 104729) % len(special)] for t in range(10**9))
+
+        def rows(ns, t0, t1):
+            return np.array([[special[(n * 7919 + t * 104729) % len(special)]
+                              for t in range(t0, t1)] for n in ns])
+
+        monkeypatch.setattr(walk, "_uniform_rows", rows)
+        for depth in (1, 2):
+            ref = _reference_records(mu, 300, depth, 5, 20, 400, uniforms)
+            want = [-1 if p is None else sum(s * 4 ** (depth - 1 - j) for j, s in enumerate(p))
+                    for p, _ in ref]
+            assert walk._hitting_codes(mu, 300, depth, 5, 20, 400).tolist() == want
 
     def test_paths_stop_before_their_streak_completes(self, monkeypatch):
         # the word of "a a a ..." grows a letter a step, so its depth-2 prefix is
@@ -427,6 +541,32 @@ class TestBatchedHitting:
         rep = simulate_hitting(mu, 10, 2, seed=1, stabilize=100, check_support=False)
         assert rep.empirical == {(0, 0): 1.0}
         assert draws == [walk.HIT_BLOCK]
+
+    def test_drawn_lengths_stop_paths_sooner(self, step_decomposition, uniform_stream,
+                                             monkeypatch):
+        # on the step-f2 walk a path stops sooner when its next steps count
+        # their drawn lengths than when each counts as the longest step.  With
+        # one path per call the kernel reads one row of its block of draws
+        # per step, so a block that counts its row reads shows its steps.
+        mu = assemble_walk(step_decomposition, uniform_stream)
+        reads = []
+
+        class Block(np.ndarray):
+            def __getitem__(self, key):
+                reads.append(key)
+                return np.asarray(self)[key]
+
+        draw = walk._StepLaw.draw
+        monkeypatch.setattr(walk._StepLaw, "draw", lambda law, u: draw(law, u).view(Block))
+        taken = []
+        for seed in range(60):
+            reads.clear()
+            walk._hitting_codes(mu, 1, 2, seed, 50, 2000)
+            taken.append(len(reads))
+        drawn = [_stop_steps(mu, 1, 2, seed, 50, 2000, walk.HIT_BLOCK)[0] + 1 for seed in range(60)]
+        bound = [_stop_steps(mu, 1, 2, seed, 50, 2000, None)[0] + 1 for seed in range(60)]
+        assert taken == drawn
+        assert sum(drawn) < 0.85 * sum(bound), (sum(drawn), sum(bound))
 
     def test_memory_stays_per_chunk(self, step_decomposition, uniform_stream):
         mu = assemble_walk(step_decomposition, uniform_stream)
