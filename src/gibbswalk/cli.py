@@ -81,8 +81,13 @@ def load_config(path: str | None, preset: str | None, seed: int | None) -> dict:
         with open(path) as fh:
             cfg = json.load(fh)
         if "preset" in cfg and cfg["preset"]:
+            # each section the file names is merged into the preset's, one level deep
             base = json.loads(json.dumps(PRESETS[cfg["preset"]]))
-            base.update({k: v for k, v in cfg.items() if k != "preset"})
+            for key, val in cfg.items():
+                if isinstance(val, dict) and isinstance(base.get(key), dict):
+                    base[key].update(val)
+                elif key != "preset":
+                    base[key] = val
             cfg = base
     else:
         cfg = json.loads(json.dumps(PRESETS[preset or "uniform-f2"]))
@@ -140,7 +145,7 @@ class Reporter:
 
 
 def run_pressure(cfg, ab, P, S, rep: Reporter) -> dict:
-    lam = critical_exponent(P)
+    lam = S.pressure
     slope = shell_slope(P, 20, 40)
     lam_flip = critical_exponent(flip_potential(P))
     sym_defect = critical_exponent(sym_potential(P)) - S.pressure
@@ -245,6 +250,8 @@ def run_decompose(cfg, ab, S, F, lab: SpikeLab, rep: Reporter):
            "status": dec.status, "bounds_ok": bounds_ok, "ratio_ok": ratio_ok,
            "moment_ok": mom_ok, "positive": positive,
            "pass": bounds_ok and ratio_ok and mom_ok and positive}
+    if dec.needed_shell is not None:
+        out["needed_shell"] = dec.needed_shell
     rep.json("decompose_summary.json", out)
     if not out["pass"]:
         raise StageFailure("decompose", "a certified stage bound failed")

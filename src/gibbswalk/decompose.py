@@ -93,6 +93,7 @@ class Decomposition:
     target: CylinderFunction
     stream: GibbsStream
     status: str = "target"   # "target" | "stage_cap" | "shell_budget"
+    needed_shell: int | None = None  # the shell a "shell_budget" stop would have needed
 
 
 def _coarsest_scale(R: CylinderFunction, ell: float) -> tuple[float, float]:
@@ -208,6 +209,7 @@ def decompose(F: CylinderFunction, S: GibbsStream, cfg: DecomposerConfig,
     bound_sup = F.sup
     prev_l1 = bound_l1
     status = "stage_cap"
+    needed_shell = None
     for n in range(cfg.stage_cap):
         l1 = R.l1(mass(R.depth))
         if l1 <= cfg.target_l1:
@@ -219,7 +221,7 @@ def decompose(F: CylinderFunction, S: GibbsStream, cfg: DecomposerConfig,
         s_needed = -math.log(eps) + math.log(t_inf / t_eps) / cert.beta_G
         shell = max(1, math.ceil(s_needed - 1e-12))
         if shell > cfg_run.max_shell:
-            status = "shell_budget"
+            status, needed_shell = "shell_budget", shell
             break
         spikes = [get_spike(g) for g in S.ab.reduced_words(shell)]
         h, lams = subfunction_step(R, spikes, cert, cfg_run, eps, stage=n)
@@ -259,7 +261,7 @@ def decompose(F: CylinderFunction, S: GibbsStream, cfg: DecomposerConfig,
     return Decomposition(
         entries=entries, stages=stages, final_residual_l1=prev_l1, residual=R,
         config=cfg_run, cert=cert, spike_l1=spike_l1,
-        spike_s=spike_s, target=F, stream=S, status=status,
+        spike_s=spike_s, target=F, stream=S, status=status, needed_shell=needed_shell,
     )
 
 

@@ -38,6 +38,19 @@ class TestConfig:
         cfg = load_config(str(path), None, None)
         assert cfg["target"]["kind"] == "step" and cfg["seed"] == 99
 
+    def test_partial_sections_merge_into_preset(self, tmp_path):
+        path = tmp_path / "target.json"
+        path.write_text(json.dumps({"preset": "step-f2", "target": {"entries": {"a a": 1.5}}}))
+        cfg = load_config(str(path), None, None)
+        assert cfg["target"] == dict(PRESETS["step-f2"]["target"], entries={"a a": 1.5})
+        ab, P, S, F = build_objects(cfg)
+        assert F.depth == 2
+        path = tmp_path / "audits.json"
+        path.write_text(json.dumps({"preset": "step-f2", "audits": {"h2_samples": 500}}))
+        cfg = load_config(str(path), None, None)
+        assert cfg["audits"] == dict(PRESETS["step-f2"]["audits"], h2_samples=500)
+        assert cfg["audits"]["spike_radius"] == 6
+
     def test_build_objects(self):
         ab, P, S, F = build_objects(load_config(None, "step-f2", None))
         assert ab.rank == 2

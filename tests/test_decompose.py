@@ -177,6 +177,7 @@ class TestDecompose:
         dec = decompose(step_target, uniform_stream,
                         DecomposerConfig(stage_cap=40, target_l1=1e-9, max_shell=2))
         assert dec.status == "shell_budget"
+        assert dec.needed_shell > dec.config.max_shell == 2
 
     def test_unboosted_matches_proposition_exactly(self, ones_target, uniform_stream):
         # without the headroom rescaling the first residual is the raw

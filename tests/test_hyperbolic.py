@@ -166,6 +166,149 @@ class TestAudits:
             assert all(v["pass"] for v in rep.values())
 
 
+# Per-sample reference loops: the audits' draws and geometry one sample at a
+# time, with scalar libm arithmetic.  The batch audits must match them sample
+# by sample up to last-ulp differences between libm and numpy.
+
+
+def _ref_partner_at(p, e1, e2, zeta, dd, rho, sign=1.0):
+    phi0 = math.atan2(float(minkowski_dot(e2, zeta)), float(minkowski_dot(e1, zeta)))
+    phi = phi0 + sign * math.acos((math.cosh(dd) - math.exp(rho)) / math.sinh(dd))
+    q = math.cosh(dd) * p + math.sinh(dd) * (math.cos(phi) * e1 + math.sin(phi) * e2)
+    return q / math.sqrt(-minkowski_dot(q, q))
+
+
+def _ref_dist_flow(coeffs, s, n_nodes=96, window=45.0):
+    A, B, C = (float(c) for c in coeffs)
+    total = 0.0
+    for lo, hi in ((s - window, s), (s, s + window)):
+        nodes, weights = hyperbolic._gl_panel(lo, hi, n_nodes)
+        sep = np.arccosh(np.maximum(A * np.exp(2.0 * nodes) + B + C * np.exp(-2.0 * nodes), 1.0))
+        total += 0.5 * float((sep * np.exp(-np.abs(nodes - s)) * weights).sum())
+    return total + (2.0 * (abs(s) + window) + 60.0) * math.exp(-window)
+
+
+def _ref_phi_integral(geo, lo, hi, n_nodes):
+    nodes, weights = hyperbolic._gl_panel(lo, hi, n_nodes)
+    return float((hyperbolic._phi_sample(geo.point(nodes)) * weights).sum())
+
+
+def _ref_horodistance(n, seed):
+    rng = np.random.default_rng(seed)
+    rng.uniform(size=5 * n)  # theta and the four distance-form arrays
+    d0 = rng.uniform(0.5, 4.0, n)
+    rho_raw = rng.uniform(-1.5, 1.5, n)
+    s2 = rng.uniform(0.0, 5.0, n)
+    t2 = rng.uniform(0.0, 5.0, n)
+    signs = rng.choice([-1.0, 1.0], n)
+    viols = np.empty(n)
+    for i in range(n):
+        p = h2_point(rng.uniform(0, 1.5), rng.uniform(0, 2 * math.pi))
+        g1 = geodesic_from(p, rng.uniform(0, 2 * math.pi))
+        zeta = g1.ideal_forward()
+        e1, e2 = tangent_basis(p)
+        rho_i = max(-0.9 * d0[i], min(0.9 * d0[i], rho_raw[i]))
+        g2 = geodesic_toward(_ref_partner_at(p, e1, e2, zeta, d0[i], rho_i, signs[i]), zeta)
+        dd = float(h2_distance(g1.p, g2.p))
+        rr = float(busemann_h2(zeta, g1.p, g2.p))
+        A, B, C = (float(c) for c in
+                   hyperbolic._profile_coeffs(g1.flow(s2[i] - t2[i]), g2, forward_asymptotic=True))
+        cosh_lhs = A * math.exp(2 * t2[i]) + B + C * math.exp(-2 * t2[i])
+        inner = (math.cosh(dd) - math.cosh(rr)) * math.exp(-(t2[i] + s2[i])) \
+            + math.cosh(rr + s2[i] - t2[i])
+        viol = (cosh_lhs - inner) / max(math.sinh(math.acosh(max(inner, 1.0))), 0.2)
+        g2h = geodesic_toward(_ref_partner_at(p, e1, e2, zeta, d0[i], 0.0, signs[i]), zeta)
+        Ch = float(hyperbolic._profile_coeffs(g1, g2h, forward_asymptotic=True)[2])
+        sh_half = math.sqrt(max(Ch, 0.0) / 2.0)
+        dh = 2.0 * math.asinh(sh_half)
+        tt = t2[i]
+        case = dh - (2.0 / dh) * (math.exp(-dh) + dh - 1.0) * tt if tt <= dh / 2.0 \
+            else 2.0 * math.sinh(dh / 2.0) * math.exp(-tt)
+        viols[i] = max(viol, 2.0 * math.asinh(sh_half * math.exp(-tt)) - case)
+    return viols
+
+
+def _ref_holder_chain(n, seed):
+    rng = np.random.default_rng(seed)
+    K, beta = hyperbolic.PHI_K, hyperbolic.PHI_BETA
+    out = {name: np.empty(n) for name in
+           ("phi_certificate", "length_gap", "horosphere_flow", "busemann_gap")}
+    for i in range(n):
+        p = h2_point(rng.uniform(0, 1.2), rng.uniform(0, 2 * math.pi))
+        th = rng.uniform(0.05, math.pi - 0.05)
+        base = rng.uniform(0, 2 * math.pi)
+        g1, g2 = geodesic_from(p, base), geodesic_from(p, base + th)
+        sh = rng.uniform(0.0, 3.0)
+        gap = abs(float(hyperbolic._phi_sample(g1.flow(sh).p))
+                  - float(hyperbolic._phi_sample(g2.flow(sh).p)))
+        dist = _ref_dist_flow(hyperbolic._profile_coeffs(g1, g2), sh)
+        out["phi_certificate"][i] = gap - K * dist ** beta
+    for i in range(n):
+        p = h2_point(rng.uniform(0, 1.2), rng.uniform(0, 2 * math.pi))
+        th = rng.uniform(0.3, math.pi - 0.05)
+        base = rng.uniform(0, 2 * math.pi)
+        g1, g2 = geodesic_from(p, base), geodesic_from(p, base + th)
+        cp = -math.log(math.sin(th / 2.0))
+        al = rng.uniform(0.05, 1.0)
+        lhs = abs(_ref_phi_integral(g1, 0.0, al * cp, 64) - _ref_phi_integral(g2, 0.0, al * cp, 64))
+        rhs = K * ((1.0 / beta + cp / 2.0) * math.exp(-beta * cp)
+                   + (2.0 / beta + (1 - al) * cp / 2.0) * math.exp(-beta * (1 - al) * cp))
+        out["length_gap"][i] = lhs - rhs
+    for i in range(n):
+        p = h2_point(rng.uniform(0, 1.2), rng.uniform(0, 2 * math.pi))
+        g1 = geodesic_from(p, rng.uniform(0, 2 * math.pi))
+        zeta = g1.ideal_forward()
+        e1, e2 = tangent_basis(p)
+        g2 = geodesic_toward(_ref_partner_at(p, e1, e2, zeta, rng.uniform(0.2, 3.0), 0.0), zeta)
+        dd = float(h2_distance(g1.p, g2.p))
+        ss = rng.uniform(0.0, 5.0)
+        lhs2 = _ref_dist_flow(hyperbolic._profile_coeffs(g1, g2, forward_asymptotic=True), ss)
+        rhs2 = 1.0 + dd - 2.0 * ss + ss / dd if ss <= dd / 2.0 \
+            else math.exp(dd / 2.0 - ss) * (1.5 + ss / 2.0 - dd / 4.0)
+        out["horosphere_flow"][i] = lhs2 - rhs2
+        # the whole 160-node panel on [s, s + 55], not only its first node
+        W = ss + 55.0
+        lhs3 = abs(_ref_phi_integral(g1, ss, W, 160) - _ref_phi_integral(g2, ss, W, 160))
+        rhs3 = K * (((dd / 2.0 - ss) * (beta / 2.0 + beta * dd / 2.0 + 1.0) + 2.0 / beta)
+                    if ss <= dd / 2.0
+                    else math.exp(beta * (dd / 2.0 - ss)) * (2.0 / beta + ss / 2.0 - dd / 4.0))
+        out["busemann_gap"][i] = lhs3 + 2.0 * math.sinh(dd / 2.0) * math.exp(-W) - rhs3
+    return out
+
+
+def _per_sample(monkeypatch, audit, n, seed):
+    """The audit's report and, per entry, the violation of every sample."""
+    report = hyperbolic._report
+    diffs = []
+
+    def recording(d, params):
+        diffs.append(np.asarray(d))
+        return report(d, params)
+
+    monkeypatch.setattr(hyperbolic, "_report", recording)
+    rep = audit(n, seed)
+    return rep, dict(zip(rep, diffs))
+
+
+class TestBatchAudits:
+    # n spans two H2_CHUNK chunks and part of a third
+    N = 150
+
+    @pytest.mark.parametrize("seed", [3, 20260810])
+    def test_horodistance_matches_loop(self, monkeypatch, seed):
+        rep, viols = _per_sample(monkeypatch, comparison_audit, self.N, seed)
+        ref = _ref_horodistance(self.N, seed)
+        assert rep["horodistance"]["samples"] == len(ref) == self.N
+        assert np.abs(viols["horodistance"] - ref).max() <= 1e-9
+
+    @pytest.mark.parametrize("seed", [11, 20260811])
+    def test_holder_chain_matches_loops(self, monkeypatch, seed):
+        rep, viols = _per_sample(monkeypatch, holder_chain_audit, self.N, seed)
+        for name, ref in _ref_holder_chain(self.N, seed).items():
+            assert rep[name]["samples"] == len(ref) == self.N
+            assert np.abs(viols[name] - ref).max() <= 1e-9, name
+
+
 class TestNodeBudget:
     def test_chunked_integral_equals_one_pass(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -178,8 +321,10 @@ class TestNodeBudget:
 
     def test_oversized_node_array_refused(self, monkeypatch):
         # 2 samples x 48 outer x 96 inner nodes per chunk, n x 96 nodes in one pass
+        unchunked = holder_chain_audit(100, 3)
         monkeypatch.setattr(hyperbolic, "H2_CHUNK", 2)
         monkeypatch.setattr(hyperbolic, "H2_NODE_BYTES", 2 * 48 * 96 * 8)
         assert all(v["pass"] for v in comparison_audit(96, 1).values())
+        assert holder_chain_audit(100, 3) == unchunked
         with pytest.raises(NodeBudgetError):
             comparison_audit(97, 1)
