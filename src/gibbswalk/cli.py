@@ -100,11 +100,24 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
 
 
+def _entries(ab: Alphabet, entries: dict, what: str, shortest: int, longest: int) -> dict:
+    """Config entries keyed by reduced words of shortest..longest letters;
+    any other key is refused by name rather than dropped or reduced."""
+    out = {}
+    for key, val in entries.items():
+        w = tuple(ab.letter_from_name(t) for t in key.split())
+        if not shortest <= len(w) <= longest or ab.reduce(w) != w:
+            size = longest if shortest == longest else f"{shortest} to {longest}"
+            raise ValueError(f"{what} entry {key!r} is not a reduced word of {size} letters")
+        out[w] = float(val)
+    return out
+
+
 def build_objects(cfg: dict):
     ab = Alphabet(cfg["alphabet"]["rank"])
     pot = cfg["potential"]
     depth = pot.get("depth", 1)
-    entries = {ab.parse_word(k): float(v) for k, v in pot.get("entries", {}).items()}
+    entries = _entries(ab, pot.get("entries", {}), "potential", depth, depth)
     table = {w: entries.get(w, 0.0) for w in ab.reduced_words(depth)}
     P = Potential(ab, depth, table, pot.get("suffix_rule", "average"))
     S = GibbsStream(P)
@@ -113,8 +126,7 @@ def build_objects(cfg: dict):
         F = CylinderFunction.constant(ab, 1.0)
     elif tgt["kind"] == "step":
         F = CylinderFunction.from_table(
-            ab, tgt["depth"],
-            {ab.parse_word(k): float(v) for k, v in tgt["entries"].items()},
+            ab, tgt["depth"], _entries(ab, tgt["entries"], "target", 1, tgt["depth"]),
             default=float(tgt.get("default", 1.0)))
     else:
         raise ValueError(f"unknown target kind {tgt['kind']!r}")
@@ -185,7 +197,7 @@ def run_gibbs(cfg, ab, P, S, rep: Reporter) -> dict:
     add_err = 0.0
     for n in range(1, 8):
         arr = S.mass_array(n)
-        kids = S.mass_array(n + 1).reshape(len(arr), -1).sum(axis=1)
+        kids = StemTable(ab, n + 1).blocks(S.mass_array(n + 1), n).sum(axis=1)
         add_err = max(add_err, float(np.abs(arr - kids).max()))
     total_err = abs(float(S.mass_array(1).sum()) - 1.0)
     out = {

@@ -57,8 +57,8 @@ class CylinderFunction:
             raise ValueError("cannot coarsen a cylinder function")
         if depth == self.depth:
             return self
-        factor = (self.ab.n_letters - 1) ** (depth - self.depth)
-        return CylinderFunction(self.ab, depth, np.repeat(self.values, factor))
+        return CylinderFunction(self.ab, depth,
+                                np.repeat(self.values, StemTable(self.ab, depth).span(self.depth)))
 
     def _align(self, other: "CylinderFunction"):
         d = max(self.depth, other.depth)
@@ -114,8 +114,7 @@ class CylinderFunction:
 
         The stems extending a depth-j prefix are one contiguous block, so the
         ball of radius e^{-j} around any stem is its row of this view."""
-        rows = 1 if j == 0 else self.values.size // (self.ab.n_letters - 1) ** (self.depth - j)
-        return self.values.reshape(rows, -1)
+        return self.table.blocks(self.values, j)
 
     def ratio_within(self, scale: float) -> float:
         """sup f(y)/f(x) over pairs with pi(x, y) <= scale (closed balls)."""

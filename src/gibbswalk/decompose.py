@@ -27,7 +27,7 @@ from .words import Word
 
 # Besicovitch multiplicity of the shell's shadow balls (they partition the
 # boundary); the stage bound D is the largest spike constant over
-# |g| <= SWEEP_RADIUS, times D_MARGIN, unless a d_schedule is given
+# |g| <= SWEEP_RADIUS, times D_MARGIN, unless a d_bound is given
 BESICOVITCH = 1
 D_MARGIN = 1.1
 SWEEP_RADIUS = 4
@@ -44,20 +44,15 @@ class DecomposerConfig:
     delta: float = 1.0
     stage_cap: int = 40
     target_l1: float = 1e-2
-    d_schedule: tuple = ()
+    d_bound: float | None = None  # the spike-constant bound D of every stage
     boost: bool = True   # rescale each stage subfunction by its exact headroom
     max_shell: int = 5   # exact-representation budget: stop before deeper shells
 
     def __post_init__(self):
         if self.ell <= 1 or not 0 < self.gamma < 1:
             raise ValueError("need ell > 1, 0 < gamma < 1")
-        if self.d_schedule and any(d < 1 for d in self.d_schedule):
-            raise ValueError("spike-constant bounds must be >= 1")
-
-    def d_for(self, stage: int) -> float:
-        if not self.d_schedule:
-            raise ValueError("spike-constant schedule not resolved yet")
-        return self.d_schedule[min(stage, len(self.d_schedule) - 1)]
+        if self.d_bound is not None and self.d_bound < 1:
+            raise ValueError("the spike-constant bound must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -96,6 +91,11 @@ class Decomposition:
     needed_shell: int | None = None  # the shell a "shell_budget" stop would have needed
 
 
+def _contraction(cfg: DecomposerConfig, cert: DecayCert) -> float:
+    """The certified per-stage factor on the residual's L1 and sup norms."""
+    return 1.0 - cfg.gamma / (2.0 * cfg.d_bound ** 2 * cfg.ell ** 3 * cert.C_G * BESICOVITCH)
+
+
 def _coarsest_scale(R: CylinderFunction, ell: float) -> tuple[float, float]:
     """Largest scale e^{-j} (j >= 0) with ratio-within <= ell, and that ratio;
     exact.  At j = depth every ball is one cylinder, so the ratio is 1."""
@@ -121,8 +121,7 @@ def _ball_coverage_counts(spikes: list[SpikeRecord], depth: int, ab) -> np.ndarr
 
 
 def subfunction_step(R: CylinderFunction, spikes: list[SpikeRecord], cert: DecayCert,
-                     cfg: DecomposerConfig, eps: float,
-                     stage: int = 0) -> tuple[CylinderFunction, dict]:
+                     cfg: DecomposerConfig, eps: float) -> tuple[CylinderFunction, dict]:
     """One-shot subfunction: h = sum lambda_i f_i with certified sandwich bounds.
 
     lambda_i = R(a_i) / (2 D C_G t_eps^2 B).  All hypotheses are checked and
@@ -131,7 +130,9 @@ def subfunction_step(R: CylinderFunction, spikes: list[SpikeRecord], cert: Decay
     """
     if not spikes:
         raise HypothesisError("no spikes supplied")
-    d_bound = cfg.d_for(stage)
+    d_bound = cfg.d_bound
+    if d_bound is None:
+        raise ValueError("spike-constant bound not resolved yet")
     B = BESICOVITCH
     t_inf = R.sup / R.inf
     t_eps = R.ratio_within(eps)
@@ -153,7 +154,7 @@ def subfunction_step(R: CylinderFunction, spikes: list[SpikeRecord], cert: Decay
         raise HypothesisError(f"ball multiplicity {counts.max()} exceeds B = {B}")
 
     lam_scale = 1.0 / (2.0 * d_bound * cert.C_G * t_eps ** 2 * B)
-    acc = np.zeros((R.ab.n_letters - 1) ** (depth - 1) * R.ab.n_letters)
+    acc = np.zeros(StemTable(R.ab, depth).size)
     lambdas = {}
     for rec in spikes:
         lam = R(rec.a) * lam_scale
@@ -194,10 +195,11 @@ def decompose(F: CylinderFunction, S: GibbsStream, cfg: DecomposerConfig,
         return spike_cache[g]
 
     cfg_run = cfg
-    if not cfg.d_schedule:
+    if cfg.d_bound is None:
         probe = [get_spike(g).C for n in range(1, SWEEP_RADIUS + 1)
                  for g in S.ab.reduced_words(n)]
-        cfg_run = replace(cfg, d_schedule=(max(probe) * D_MARGIN,))
+        cfg_run = replace(cfg, d_bound=max(probe) * D_MARGIN)
+    contraction = _contraction(cfg_run, cert)
 
     mass = S.mass_array
     R = F
@@ -224,7 +226,7 @@ def decompose(F: CylinderFunction, S: GibbsStream, cfg: DecomposerConfig,
             status, needed_shell = "shell_budget", shell
             break
         spikes = [get_spike(g) for g in S.ab.reduced_words(shell)]
-        h, lams = subfunction_step(R, spikes, cert, cfg_run, eps, stage=n)
+        h, lams = subfunction_step(R, spikes, cert, cfg_run, eps)
         if cfg_run.boost:
             # weights may be varied per stage; take the exact headroom so the
             # subtracted part touches the residual while both certified
@@ -235,11 +237,8 @@ def decompose(F: CylinderFunction, S: GibbsStream, cfg: DecomposerConfig,
         new_R = R - cfg_run.gamma * h
         if new_R.inf <= 0:
             raise CertificationError(f"residual positivity lost at stage {n}")
-        d_n = cfg_run.d_for(n)
-        factor = 1.0 - cfg_run.gamma / (2.0 * d_n ** 2 * cfg_run.ell ** 3
-                                        * cert.C_G * BESICOVITCH)
-        bound_l1 *= factor
-        bound_sup *= factor
+        bound_l1 *= contraction
+        bound_sup *= contraction
         for rec in spikes:
             g = tuple(rec.center)
             entries[g] = entries.get(g, 0.0) + cfg_run.gamma * lams[g]
@@ -287,14 +286,13 @@ def moment_majorant(dec: Decomposition) -> list[float]:
     """Per-stage majorant (S_n + delta) * contraction^n * |F|_1; its partial
     sums dominate the staged moment partial sums."""
     cfg = dec.config
-    cert = dec.cert
+    contraction = _contraction(cfg, dec.cert)
     f_l1 = dec.target.l1(dec.stream.mass_array(dec.target.depth))
     out = []
     prod = 1.0
     for tr in dec.stages:
         out.append((tr.s_value + cfg.delta) * prod * f_l1)
-        d_n = cfg.d_for(tr.n)
-        prod *= 1.0 - cfg.gamma / (2.0 * d_n ** 2 * cfg.ell ** 3 * cert.C_G * BESICOVITCH)
+        prod *= contraction
     return out
 
 

@@ -167,9 +167,7 @@ class GibbsStream:
             raise ValueError("depth must be >= 1")
         m = self.depth_m
         if depth < m:
-            deep = self.mass_array(m)
-            block = (self.ab.n_letters - 1) ** (m - depth)
-            return deep.reshape(-1, block).sum(axis=1)
+            return self._tab_m.blocks(self.mass_array(m), depth).sum(axis=1)
         if depth not in self._mass:
             st, ws = self._layers(depth)
             self._mass[depth] = np.exp(-ws) * self.h_right[st] / self._Z
@@ -195,15 +193,13 @@ class GibbsStream:
         if m == 1:
             return self.rho_profile(q)[tab.branch_depths(q)]
         # d_phi(q, stem) - d_phi(base, stem).  A stem of confluence c with q
-        # is reached from q along the reduced word q[c:]^-1 stem[c:]; those
-        # stems extend q[:c] but not q[:c+1], at most two index ranges.
+        # is reached from q along the reduced word q[c:]^-1 stem[c:].
         P, letters = self.potential, tab.letters
         from_q = np.empty(tab.size)
-        ranges = [(0, tab.size)] + [tab.prefix_range(q[:c]) for c in range(1, len(q) + 1)]
-        for c, (lo, hi) in enumerate(ranges):
-            inner = ranges[c + 1] if c < len(q) else (hi, hi)
-            for a, b in ((lo, inner[0]), (inner[1], hi)):
-                from_q[a:b] = window_sums(P, self.ab.inv(q[c:]), letters[a:b, c:])
+        confluence = tab.branch_depths(q)
+        for c in range(len(q) + 1):
+            rows = np.flatnonzero(confluence == c)
+            from_q[rows] = window_sums(P, self.ab.inv(q[c:]), letters[rows, c:])
         return from_q - window_sums(P, (), letters)
 
     def rho_profile(self, q: Word) -> np.ndarray:
@@ -246,15 +242,14 @@ class GibbsStream:
         m = self.depth_m
         if len(stem) < m:
             return float(self.mass_array(len(stem))[StemTable(self.ab, len(stem)).index_of(stem)])
-        tab = self._tab_m
-        _, succ, wts, _ = window_graph(self.potential)
-        st = tab.index_of(stem[:m])
+        nxt, wts = self.potential._next_state, window_graph(self.potential).weights
+        st = self._tab_m.index_of(stem[:m])
         ws = wts[st]
-        for a, b in zip(stem[m - 1:], stem[m:]):  # summed letter by letter, as in _layers
-            j = tab.branch_index[a, b]
-            if j < 0:
-                raise ValueError("stem is not reduced")
-            st = succ[st, j]
+        B = self.ab.n_letters
+        for t in stem[m:]:  # summed letter by letter, as in _layers
+            st = nxt[st * B + t] if 0 <= t < B else -1
+            if st < 0:
+                raise ValueError("stem is not a reduced word")
             ws = ws + wts[st]
         return float(np.exp(-ws) * self.h_right[st] / self._Z)
 

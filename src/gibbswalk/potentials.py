@@ -39,9 +39,7 @@ class Potential:
         got = {tuple(w) for w in self.table}
         if got != want:
             raise ValueError("table must cover exactly the reduced windows of the given depth")
-        tbl = {tuple(w): float(v) for w, v in self.table.items()}
-        object.__setattr__(self, "table", tbl)
-        object.__setattr__(self, "_short", _short_window_values(self.ab, self.depth, tbl))
+        object.__setattr__(self, "table", {tuple(w): float(v) for w, v in self.table.items()})
 
     @classmethod
     def constant(cls, ab: Alphabet, value: float, depth: int = 1) -> "Potential":
@@ -60,9 +58,7 @@ class Potential:
         w = tuple(w)
         if len(w) >= self.depth:
             return self.table[w[: self.depth]]
-        if self.suffix_rule == "extend":  # the last letter repeated to full length
-            return self.table[w + (w[-1],) * (self.depth - len(w))]
-        return self._short[w]
+        return float(self._window_values[len(w)][StemTable(self.ab, len(w)).index_of(w)])
 
     @property
     def sup_abs(self) -> float:
@@ -81,42 +77,49 @@ class Potential:
 
     @cached_property
     def _graph(self) -> "_WindowGraph":
-        tab = StemTable(self.ab, self.depth)
-        letters = tab.letters.astype(np.int64)
-        b = tab.branching
-        # successor rows w[1:] + t, t over the legal successors of w[-1] in letter order
-        rows = np.concatenate([np.repeat(letters[:, 1:], b, axis=0),
-                               tab.child_letters[letters[:, -1]].reshape(-1, 1)], axis=1)
-        states = list(tab.stems())
         m = self.depth
+        tab, grown = StemTable(self.ab, m), StemTable(self.ab, m + 1)
+        states = list(tab.stems())
+        # w + t, t the j-th legal successor of w[-1], is grown stem s * (2k-1) + j;
+        # the successor state is its last m letters
+        succ = grown.suffix_index(np.arange(grown.size), grown.letters[:, 1], m)
         tails = [sum(self.window(w[m - j:]) for j in range(1, m)) for w in states]
-        arrays = (tab.indices(rows).reshape(-1, b), np.array([self.table[w] for w in states]),
+        arrays = (succ.reshape(-1, tab.branching), self._window_values[m],
                   np.array(tails, dtype=float))
         for arr in arrays:  # shared by every reader
             arr.setflags(write=False)
         return _WindowGraph(states, *arrays)
 
     @cached_property
-    def _values(self) -> tuple[np.ndarray, ...]:
-        """Window values by letter code, one dense array per window length 0..m.
+    def _window_values(self) -> tuple[np.ndarray, ...]:
+        """Every window's value, one read-only array per length 1..m in
+        StemTable order (index 0 is empty); the short ones by the suffix rule:
+        "extend" repeats the last letter, "average" takes the mean over the
+        one-letter extensions."""
+        m = self.depth
+        vals = {m: [self.table[w] for w in StemTable(self.ab, m).stems()]}
+        for length in range(m - 1, 0, -1):
+            tab = StemTable(self.ab, length)
+            if self.suffix_rule == "extend":
+                vals[length] = [self.table[w + (w[-1],) * (m - length)] for w in tab.stems()]
+            else:  # the extensions' values added in letter order
+                kids = StemTable(self.ab, length + 1).blocks(np.array(vals[length + 1]), length)
+                vals[length] = [sum(row) / tab.branching for row in kids.tolist()]
+        out = (np.empty(0),) + tuple(np.array(vals[length]) for length in range(1, m + 1))
+        for arr in out:
+            arr.setflags(write=False)
+        return out
 
-        A window w of length l has code sum(w[j] * B^(l-1-j)) with B = 2k letters.
-        Each reduced window holds the value it has anywhere in a word: full
-        windows the table entry, short (tail) windows the suffix rule.  Codes
-        of non-reduced windows hold NaN and are never read.
-        """
-        B = self.ab.n_letters
-        out = [np.empty(0)]
-        for length in range(1, self.depth + 1):
-            vals = np.full(B ** length, np.nan)
-            for w in self.ab.reduced_words(length):
-                code = 0
-                for s in w:
-                    code = code * B + s
-                vals[code] = self.window(w)
-            vals.setflags(write=False)
-            out.append(vals)
-        return tuple(out)
+    @cached_property
+    def _next_state(self) -> np.ndarray:
+        """The chain's successor by letter, flat: state s reading letter t
+        moves to entry s * 2k + t, -1 when t cancels s's last letter."""
+        tab = StemTable(self.ab, self.depth)
+        branch = tab.branch_index[tab.letters[:, -1]]
+        succ = np.take_along_axis(self._graph.succ, branch, axis=1)
+        out = np.where(branch < 0, -1, succ).ravel()
+        out.setflags(write=False)
+        return out
 
 
 class _WindowGraph(NamedTuple):
@@ -130,18 +133,6 @@ class _WindowGraph(NamedTuple):
 
 def _rev_inv(w: Word) -> Word:
     return tuple(inverse_letter(s) for s in reversed(w))
-
-
-def _short_window_values(ab: Alphabet, m: int, table: dict) -> dict:
-    """Suffix-rule values for windows of length 1..m-1 ("average" rule)."""
-    if m == 1:
-        return {}
-    vals: dict = dict(table)
-    for length in range(m - 1, 0, -1):
-        for w in ab.reduced_words(length):
-            kids = [w + (t,) for t in ab.letters if t != inverse_letter(w[-1])]
-            vals[w] = sum(vals[k] for k in kids) / len(kids)
-    return {w: v for w, v in vals.items() if len(w) < m}
 
 
 def flip_potential(P: Potential) -> Potential:
@@ -180,32 +171,38 @@ def d_phi(P: Potential, p: Word, q: Word) -> float:
 def window_sums(P: Potential, head: Word, tails: np.ndarray) -> np.ndarray:
     """Weighted length of the reduced word head + tails[r], for each row r.
 
-    `tails` is a (count, length) letter array.  The words are read one window
-    column at a time, each column's values are gathered from the potential's
-    window values and added to the running sum in place, so every row's
-    float is d_phi's left-to-right sum bit for bit, with memory a few arrays
-    of one entry per row.
+    `tails` is a (count, length) letter array.  The first window of every
+    row is indexed once; each later full window rolls that index along the
+    window chain and each tail window keeps its low digits
+    (`StemTable.suffix_index`).  Values are added to the running sum one
+    window at a time, left to right, so every row's float is d_phi's sum
+    bit for bit, with memory a few arrays of one entry per row.
     """
-    values = P._values
-    B = P.ab.n_letters
-    m = P.depth
-    a = len(head)
+    values = P._window_values
+    m, a = P.depth, len(head)
+    count = tails.shape[0]
     length = a + tails.shape[1]
 
     def letter(t):
         return head[t] if t < a else tails[:, t - a].astype(np.int64)
 
-    code = 0
-    for t in range(min(m, length)):
-        code = code * B + letter(t)
-    acc = np.zeros(tails.shape[0])
-    for i in range(length):
-        width = min(m, length - i)
-        if i and width == m:
-            code = code % B ** (m - 1) * B + letter(i + m - 1)
-        elif i:  # tail window: the last `width` letters of the previous one
-            code = code % B ** width
-        acc += values[width][code]
+    width = min(m, length)  # of the first window
+    tab = StemTable(P.ab, width)
+    if a >= width:
+        state = tab.index_of(head[:width])
+    else:
+        first = np.empty((count, width), dtype=tails.dtype)
+        first[:, :a] = head
+        first[:, a:] = tails[:, : width - a]
+        state = tab.indices(first)
+    acc = np.zeros(count)
+    acc += values[width][state]
+    nxt, B = P._next_state, P.ab.n_letters
+    for t in range(m, length):  # the full window ending at letter t
+        state = nxt[state * B + letter(t)]
+        acc += values[m][state]
+    for j in range(1, width):  # tail windows: the last one's letters j onward
+        acc += values[width - j][tab.suffix_index(state, letter(length - width + j), width - j)]
     return acc
 
 

@@ -87,10 +87,9 @@ class _KernelIntegrator:
         _, self._succ, self._phi, _ = window_graph(kernel)
         self._tab = tab = StemTable(kernel.ab, mK)
         # nu(next letter | window): mass ratios of the window's last mnu letters
-        span = tab.branching ** (mnu - 1)
-        u = tab.letters[:, mK - mnu].astype(np.int64) * span + np.arange(tab.size) % span
-        self._next_prob = (nu.mass_array(mnu + 1).reshape(-1, tab.branching)[u]
-                           / nu.mass_array(mnu)[u][:, None])
+        u = tab.suffix_index(np.arange(tab.size), tab.letters[:, mK - mnu], mnu)
+        kids = StemTable(kernel.ab, mnu + 1).blocks(nu.mass_array(mnu + 1), mnu)
+        self._next_prob = kids[u] / nu.mass_array(mnu)[u][:, None]
         self._backward: dict = {}
 
     def _continuation(self, n: int, c: int, s: float) -> np.ndarray:

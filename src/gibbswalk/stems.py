@@ -37,13 +37,7 @@ class StemTable:
     def index_of(self, stem: Word) -> int:
         if len(stem) != self.depth:
             raise ValueError(f"expected stem of depth {self.depth}")
-        idx = stem[0]
-        for a, b in zip(stem, stem[1:]):
-            j = self.branch_index[a, b]
-            if j < 0:
-                raise ValueError("stem is not reduced")
-            idx = idx * self.branching + j
-        return int(idx)
+        return int(self._code(stem))
 
     def stem_of(self, idx: int) -> Word:
         digits = []
@@ -63,14 +57,33 @@ class StemTable:
         """Contiguous [lo, hi) of stems extending the reduced word w."""
         if not 1 <= len(w) <= self.depth:
             raise ValueError("prefix length out of range")
+        lo, span = self._code(w), self.branching ** (self.depth - len(w))
+        return lo * span, (lo + 1) * span
+
+    def _code(self, w: Word):
+        """Index of the reduced word w among the stems of its own length."""
         lo = w[0]
         for a, b in zip(w, w[1:]):
             j = self.branch_index[a, b]
             if j < 0:
-                raise ValueError("prefix is not reduced")
+                raise ValueError("word is not reduced")
             lo = lo * self.branching + j
-        span = self.branching ** (self.depth - len(w))
-        return lo * span, (lo + 1) * span
+        return lo
+
+    def span(self, j: int) -> int:
+        """Number of stems extending one length-j prefix (j = 0: every stem)."""
+        if not 0 <= j <= self.depth:
+            raise ValueError("prefix length out of range")
+        return self.size if j == 0 else self.branching ** (self.depth - j)
+
+    def suffix_index(self, idx, first, length: int):
+        """Index among the depth-`length` stems of the last `length` letters of
+        the stems `idx`, whose first kept letter is `first`: dropping leading
+        letters keeps the branch digits of the rest."""
+        if not 1 <= length <= self.depth:
+            raise ValueError("suffix length out of range")
+        span = self.branching ** (length - 1)
+        return np.asarray(first, dtype=np.int64) * span + idx % span
 
     # -- vectorized views ----------------------------------------------------
 
@@ -83,16 +96,23 @@ class StemTable:
 
     def indices(self, letters: np.ndarray) -> np.ndarray:
         """index_of for every row of a (count, depth) array of stem letters."""
-        letters = np.asarray(letters, dtype=np.int64)
+        letters = np.asarray(letters)
         if letters.ndim != 2 or letters.shape[1] != self.depth:
             raise ValueError(f"expected rows of {self.depth} letters")
-        idx = letters[:, 0].copy()
+        branch, k2 = self.branch_index.ravel(), self.ab.n_letters
+        idx = prev = letters[:, 0].astype(np.int64)
         for col in range(1, self.depth):
-            j = self.branch_index[letters[:, col - 1], letters[:, col]]
-            if (j < 0).any():
+            cur = letters[:, col].astype(np.int64)
+            j = branch[prev * k2 + cur]
+            if j.size and j.min() < 0:
                 raise ValueError("stem is not reduced")
             idx = idx * self.branching + j
+            prev = cur
         return idx
+
+    def blocks(self, values: np.ndarray, j: int) -> np.ndarray:
+        """Per-stem values as rows, one row per depth-j cylinder (j = 0: one row)."""
+        return values.reshape(-1, self.span(j))
 
     def branch_depths(self, w: Word) -> np.ndarray:
         """Per-stem confluence length with the word w (clipped at depth)."""
@@ -128,14 +148,10 @@ def _shared_letters(rank: int, depth: int) -> np.ndarray:
 def _letters_array(tab: StemTable) -> np.ndarray:
     depth = tab.depth
     out = np.empty((tab.size, depth), dtype=np.int8)
-    first = np.repeat(np.arange(tab.ab.n_letters), tab.branching ** (depth - 1))
-    out[:, 0] = first
-    idx = np.arange(tab.size)
-    rem = idx % tab.branching ** (depth - 1)
+    out[:, 0] = np.repeat(np.arange(tab.ab.n_letters), tab.span(1))
+    rem = np.arange(tab.size) % tab.span(1)
     for col in range(1, depth):
-        span = tab.branching ** (depth - 1 - col)
-        j = rem // span
-        rem = rem % span
+        j, rem = np.divmod(rem, tab.span(col + 1))
         out[:, col] = tab.child_letters[out[:, col - 1], j]
     out.setflags(write=False)
     return out

@@ -95,7 +95,7 @@ def density_masses(F: CylinderFunction, S: GibbsStream, depth: int) -> np.ndarra
     at depth max(depth(F), depth) and summed over each depth cylinder."""
     d = max(F.depth, depth)
     deep = F.refine(d).values * S.mass_array(d)
-    return deep.reshape(-1, (S.ab.n_letters - 1) ** (d - depth)).sum(axis=1)
+    return StemTable(S.ab, d).blocks(deep, depth).sum(axis=1)
 
 
 def stationarity_error(mu: WalkMeasure, F: CylinderFunction, S: GibbsStream,

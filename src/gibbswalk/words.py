@@ -113,11 +113,6 @@ class Alphabet:
                 if not w or w[-1] != inverse_letter(s):
                     yield w + (s,)
 
-    def sphere_size(self, length: int) -> int:
-        if length == 0:
-            return 1
-        return 2 * self.rank * (2 * self.rank - 1) ** (length - 1)
-
 
 # --------------------------------------------------------------------------
 # Boundary words: infinite reduced words given by a letter rule.

@@ -4,6 +4,7 @@ import csv
 import filecmp
 import json
 import os
+import re
 
 import pytest
 
@@ -61,6 +62,21 @@ class TestConfig:
         cfg["potential"]["entries"] = {"a": 0.2, "b'": -0.1}
         ab, P, S, F = build_objects(cfg)
         assert P.table[(0,)] == 0.2 and P.table[(3,)] == -0.1 and P.table[(2,)] == 0.0
+
+    @pytest.mark.parametrize("key", ["a", "b b'", "a b a"])
+    def test_potential_entry_that_is_no_window_is_refused(self, key):
+        # before, such keys were dropped and the zero potential certified
+        cfg = small_config()
+        cfg["potential"] = {"depth": 2, "entries": {"a a": 0.1, key: 0.5}}
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            build_objects(cfg)
+
+    @pytest.mark.parametrize("key", ["", "a a'", "a b a"])
+    def test_target_entry_outside_the_target_depth_is_refused(self, key):
+        cfg = small_config()
+        cfg["target"] = {"kind": "step", "depth": 2, "entries": {"a a": 1.25, key: 1.5}}
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            build_objects(cfg)
 
 
 class TestRunner:

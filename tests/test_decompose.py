@@ -36,7 +36,7 @@ class TestSubfunctionStep:
     def test_single_covering_spike_half(self):
         # the one-spike instance of the subfunction formula: lambda = 1/2
         R = CylinderFunction.constant(AB, 1.0)
-        cfg = DecomposerConfig(d_schedule=(1.0,))
+        cfg = DecomposerConfig(d_bound=1.0)
         h, lams = subfunction_step(R, [identity_spike()], unit_cert(), cfg, eps=1.0)
         assert lams[()] == pytest.approx(0.5)
         assert h.sup == h.inf == pytest.approx(0.5)
@@ -50,12 +50,12 @@ class TestSubfunctionStep:
             aud = lab.spike_audit(rec, holder_q=lab.beta)
             spikes.append(rec.__class__(h=rec.h, r=rec.r, a=rec.a, s=rec.s,
                                         C=aud.minimal_c, center=rec.center))
-        cfg = DecomposerConfig(d_schedule=(max(s.C for s in spikes),))
+        cfg = DecomposerConfig(d_bound=max(s.C for s in spikes))
         h, lams = subfunction_step(ones_target, spikes, cert, cfg, eps=1.0)
         vals = list(lams.values())
         assert all(v == pytest.approx(vals[0], rel=1e-12) for v in vals)
         # exact cover: the certified floor holds everywhere
-        d = cfg.d_for(0)
+        d = cfg.d_bound
         t_eps = 1.0
         floor = 1.0 / (2 * d * d * cert.C_G * t_eps ** 3)
         assert h.inf >= floor * ones_target.inf - 1e-12
@@ -69,14 +69,14 @@ class TestSubfunctionStep:
             aud = lab.spike_audit(rec, holder_q=lab.beta)
             spikes.append(rec.__class__(h=rec.h, r=rec.r, a=rec.a, s=rec.s,
                                         C=aud.minimal_c, center=rec.center))
-        cfg = DecomposerConfig(d_schedule=(max(s.C for s in spikes),))
+        cfg = DecomposerConfig(d_bound=max(s.C for s in spikes))
         h, _ = subfunction_step(step_target, spikes, cert, cfg, eps=1.0)
         gap = step_target.refine(h.depth).values - h.values
         assert gap.min() >= -1e-12
 
     def test_hypothesis_violations_reported(self):
         R = CylinderFunction.constant(AB, 1.0)
-        cfg = DecomposerConfig(d_schedule=(1.0,))
+        cfg = DecomposerConfig(d_bound=1.0)
         with pytest.raises(HypothesisError, match="radius"):
             subfunction_step(R, [identity_spike()], unit_cert(), cfg, eps=0.1)
         with pytest.raises(HypothesisError, match="constant"):
@@ -93,7 +93,7 @@ class TestSubfunctionStep:
         # t_inf e^{-beta S} <= eps^beta t_eps must be verified, not assumed
         rng = np.random.default_rng(5)
         R = CylinderFunction(AB, 2, rng.uniform(1.0, 60.0, 12))
-        cfg = DecomposerConfig(d_schedule=(1.0,))
+        cfg = DecomposerConfig(d_bound=1.0)
         shallow = SpikeRecord(h=CylinderFunction.constant(AB, 1.0), r=math.exp(-2),
                               a=ray_word(AB, ()), s=0.0, C=1.0, center=())
         with pytest.raises(HypothesisError, match="shallow"):
@@ -112,7 +112,7 @@ class TestDecompose:
 
     def test_uniform_first_stage_bound(self, uniform_decomposition):
         dec = uniform_decomposition
-        d = dec.config.d_for(0)
+        d = dec.config.d_bound
         factor = 1.0 - dec.config.gamma / (2 * d * d * dec.config.ell ** 3 * dec.cert.C_G)
         assert dec.stages[0].residual_l1 <= factor + 1e-12
 
@@ -156,7 +156,7 @@ class TestDecompose:
         # sum of (S + delta) rho^n is dominated by a convergent geometric series
         dec = uniform_decomposition
         cfg = dec.config
-        d = cfg.d_for(0)
+        d = cfg.d_bound
         rho = 1.0 - cfg.gamma / (2 * d * d * cfg.ell ** 3 * dec.cert.C_G)
         s_max = max(tr.s_value for tr in dec.stages)
         closed = (s_max + cfg.delta) / (1.0 - rho)
@@ -188,7 +188,7 @@ class TestDecompose:
         lam = next(iter(tr.lambda_entries.values()))
         h_l1 = sum(tr.lambda_entries[g] * dec.spike_l1[g] for g in tr.lambda_entries)
         assert tr.residual_l1 == pytest.approx(1.0 - dec.config.gamma * h_l1, abs=1e-12)
-        d = dec.config.d_for(0)
+        d = dec.config.d_bound
         assert lam == pytest.approx(1.0 / (2 * d * dec.cert.C_G), rel=1e-12)
 
     def test_one_decay_certificate_per_call(self, monkeypatch, ones_target, uniform_stream):
@@ -208,7 +208,7 @@ class TestDecompose:
 class TestConfigFields:
     @pytest.mark.parametrize("name,value", [("besicovitch", 1), ("d_margin", 1.1),
                                             ("sweep_radius", 4), ("tau", 1.0),
-                                            ("m_scale", 1.0)])
+                                            ("m_scale", 1.0), ("d_schedule", (1.0,))])
     def test_removed_field_is_refused(self, name, value):
         # the multiplicity, the D margin and the probe radius are module
         # constants; a config naming one fails instead of being ignored

@@ -277,14 +277,15 @@ def deep_streams(stream_m2):
     return {"m2": stream_m2,
             "m3-average": _deep_stream(2, 3, "average"),
             "m3-extend": _deep_stream(2, 3, "extend"),
-            "rank3-m2": _deep_stream(3, 2, "average")}
+            "rank3-m2": _deep_stream(3, 2, "average"),
+            "rank3-m3": _deep_stream(3, 3, "extend")}
 
 
 class TestRadonNikodymArrays:
     """The depth > 1 arrays keep the per-stem d_phi loop's floats bit for bit."""
 
     @pytest.mark.parametrize("name,max_q", [("m2", 3), ("m3-average", 3), ("m3-extend", 3),
-                                            ("rank3-m2", 2)])
+                                            ("rank3-m2", 2), ("rank3-m3", 1)])
     def test_rho_equals_per_stem_loop(self, deep_streams, name, max_q):
         S = deep_streams[name]
         for n in range(max_q + 1):
@@ -294,12 +295,14 @@ class TestRadonNikodymArrays:
                     assert got.tobytes() == _rho_loop(S, q, depth).tobytes(), (q, depth)
 
     def test_rho_rank3_long_words(self, deep_streams):
-        S = deep_streams["rank3-m2"]
-        for q in ((0, 2, 4), (5, 5, 1), (3, 0, 3)):
-            for depth in (5, 6):
-                assert np.array_equal(S.rho_phi_array(q, depth), _rho_loop(S, q, depth))
+        cases = {"rank3-m2": [(q, d) for q in ((0, 2, 4), (5, 5, 1), (3, 0, 3)) for d in (5, 6)],
+                 "rank3-m3": [((0, 2, 4, 4), 7), ((5, 1, 3), 6), ((3, 0), 5), ((1,), 5)]}
+        for name, pairs in cases.items():
+            S = deep_streams[name]
+            for q, depth in pairs:
+                assert S.rho_phi_array(q, depth).tobytes() == _rho_loop(S, q, depth).tobytes(), q
 
-    @pytest.mark.parametrize("name", ["m2", "m3-average", "m3-extend", "rank3-m2"])
+    @pytest.mark.parametrize("name", ["m2", "m3-average", "m3-extend", "rank3-m2", "rank3-m3"])
     def test_shallow_dphi_equals_per_stem_loop(self, deep_streams, name):
         S = deep_streams[name]
         for depth in range(1, S.depth_m):

@@ -320,11 +320,20 @@ class TestNodeBudget:
         assert chunked.tolist() == _integral_dist_beta(*args).tolist()
 
     def test_oversized_node_array_refused(self, monkeypatch):
-        # 2 samples x 48 outer x 96 inner nodes per chunk, n x 96 nodes in one pass
+        # 2 samples x 48 outer x 96 inner nodes per chunk fit the budget; a
+        # 3-sample chunk of _integral_dist_beta does not
         unchunked = holder_chain_audit(100, 3)
         monkeypatch.setattr(hyperbolic, "H2_CHUNK", 2)
         monkeypatch.setattr(hyperbolic, "H2_NODE_BYTES", 2 * 48 * 96 * 8)
         assert all(v["pass"] for v in comparison_audit(96, 1).values())
         assert holder_chain_audit(100, 3) == unchunked
+        monkeypatch.setattr(hyperbolic, "H2_CHUNK", 3)
         with pytest.raises(NodeBudgetError):
             comparison_audit(97, 1)
+
+    def test_every_node_panel_is_chunked(self, monkeypatch):
+        # 97 samples x 96 nodes in one pass exceed this budget; chunks do not
+        unpatched = comparison_audit(97, 1)
+        monkeypatch.setattr(hyperbolic, "H2_CHUNK", 2)
+        monkeypatch.setattr(hyperbolic, "H2_NODE_BYTES", 2 * 48 * 96 * 8)
+        assert comparison_audit(97, 1) == unpatched

@@ -58,6 +58,25 @@ class TestDPhi:
         P = Potential(AB, 1, {(0,): 1.0, (1,): 2.0, (2,): 3.0, (3,): 4.0})
         assert d_phi(P, (), (0, 2)) == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("rank, m", [(2, 2), (2, 3), (3, 3)])
+    def test_short_windows_follow_the_suffix_rule(self, rank, m):
+        # "average": the mean over the one-letter extensions, summed in letter
+        # order from length m down; "extend": the last letter repeated
+        ab = Alphabet(rank)
+        words = list(ab.reduced_words(m))
+        vals = np.random.default_rng(10 * rank + m).uniform(-0.5, 1.0, len(words))
+        table = {w: float(v) for w, v in zip(words, vals)}
+        mean = dict(table)
+        for length in range(m - 1, 0, -1):
+            for w in ab.reduced_words(length):
+                kids = [w + (t,) for t in ab.letters if t != inverse_letter(w[-1])]
+                mean[w] = sum(mean[k] for k in kids) / len(kids)
+        average, extend = (Potential(ab, m, table, rule) for rule in ("average", "extend"))
+        for length in range(1, m):
+            for w in ab.reduced_words(length):
+                assert average.window(w) == mean[w]
+                assert extend.window(w) == table[w + (w[-1],) * (m - length)]
+
     def test_flip_identity_depth1_exact(self):
         P = rand_potential(1)
         Pf = flip_potential(P)
@@ -502,3 +521,37 @@ class TestTranslateFunction:
         assert np.array_equal(tab.indices(tab.letters), np.arange(tab.size))
         with pytest.raises(ValueError):
             tab.indices(np.array([[0, 1, 2]]))
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+class TestStemLayout:
+    """Block views and suffix indices against prefix_range slices and index_of."""
+
+    def test_blocks_are_prefix_ranges(self, rank):
+        ab = Alphabet(rank)
+        rng = np.random.default_rng(70 + rank)
+        for d in range(1, 7):
+            tab = StemTable(ab, d)
+            vals = rng.uniform(0.0, 1.0, tab.size)
+            assert tab.blocks(vals, 0).tolist() == [vals.tolist()]
+            for j in range(1, d + 1):
+                rows = tab.blocks(vals, j)
+                sums = rows.sum(axis=1)
+                assert len(rows) == len(sums) == StemTable(ab, j).size
+                for i, w in enumerate(StemTable(ab, j).stems()):
+                    lo, hi = tab.prefix_range(w)
+                    assert hi - lo == tab.span(j)
+                    assert rows[i].tobytes() == vals[lo:hi].tobytes()
+                    assert sums[i] == vals[lo:hi].sum()
+
+    def test_suffix_index_is_index_of_the_sliced_stem(self, rank):
+        ab = Alphabet(rank)
+        for d in range(1, 7):
+            tab = StemTable(ab, d)
+            stems = tab.letters.tolist()
+            for length in range(1, d + 1):
+                got = tab.suffix_index(np.arange(tab.size), tab.letters[:, d - length], length)
+                short = StemTable(ab, length)
+                assert got.tolist() == [short.index_of(s[d - length:]) for s in stems]
+        with pytest.raises(ValueError):
+            tab.suffix_index(0, 0, d + 1)

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from gibbswalk.stems import StemTable
 from gibbswalk.words import (
     Alphabet,
     BoundaryError,
@@ -239,7 +240,7 @@ class TestShadowsAndCylinders:
     def test_partition_count(self):
         for n in range(1, 5):
             stems = [w for w in AB.reduced_words(n)]
-            assert len(stems) == AB.sphere_size(n)
+            assert len(stems) == StemTable(AB, n).size
 
     def test_translate_cylinder_brute_force(self):
         # sample depth exceeds every piece length (|g| + |w|), so stems stand
