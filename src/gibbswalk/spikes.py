@@ -68,6 +68,21 @@ class DecayCert:
 # Exact kernel integrals over cylinders (backward recursion on the window chain).
 
 
+@dataclass(frozen=True)
+class _Prefixes:
+    """Reduced words of one length n, one per row, with their state on nu's
+    window chain once n reaches the window length m: the index of the last
+    window and the window weights summed letter by letter."""
+
+    letters: np.ndarray              # (rows, n)
+    state: np.ndarray | None = None
+    weight: np.ndarray | None = None
+
+    def take(self, rows: np.ndarray) -> "_Prefixes":
+        return _Prefixes(self.letters[rows], *(None if a is None else a[rows]
+                                               for a in (self.state, self.weight)))
+
+
 class _KernelIntegrator:
     """integral over [prefix] of exp(-2 d^K along y from c to s) dnu(y).
 
@@ -76,7 +91,9 @@ class _KernelIntegrator:
     next-letter law is nu's (nu's windows are no longer than the kernel's),
     so the expected factor over continuations depends on the prefix only
     through its last window: one backward vector per (|prefix|, c, s) serves
-    every prefix.
+    every prefix.  `integrals` takes a batch of prefixes of one length, their
+    nu masses rolled along nu's windows as `GibbsStream.cylinder_mass_of_stem`
+    rolls them, so each float equals the one-prefix `integral`.
     """
 
     def __init__(self, nu: GibbsStream, kernel: Potential):
@@ -90,6 +107,8 @@ class _KernelIntegrator:
         u = tab.suffix_index(np.arange(tab.size), tab.letters[:, mK - mnu], mnu)
         kids = StemTable(kernel.ab, mnu + 1).blocks(nu.mass_array(mnu + 1), mnu)
         self._next_prob = kids[u] / nu.mass_array(mnu)[u][:, None]
+        self._nu_tab = StemTable(kernel.ab, mnu)
+        self._nu_next, self._nu_wts = nu.potential._next_state, window_graph(nu.potential).weights
         self._backward: dict = {}
 
     def _continuation(self, n: int, c: int, s: float) -> np.ndarray:
@@ -108,6 +127,61 @@ class _KernelIntegrator:
                 v = sum(w[:, j] * v[self._succ[:, j]] for j in range(self._succ.shape[1]))
             self._backward[key] = v
         return self._backward[key]
+
+    def prefixes(self, letters: np.ndarray) -> list[_Prefixes]:
+        """The rows' prefixes of every length 0..n, rolled onto nu's chain."""
+        letters = np.asarray(letters, dtype=np.int64)
+        out = [_Prefixes(letters[:, :0])]
+        for i in range(letters.shape[1]):
+            out.append(self.extend(out[-1], letters[:, i]))
+        return out
+
+    def extend(self, rows: _Prefixes, t: np.ndarray) -> _Prefixes:
+        """Each row's word with its letter t appended, nu's state rolled one letter."""
+        letters = np.column_stack([rows.letters, t])
+        n, m = letters.shape[1], self.nu.depth_m
+        if n < m:
+            return _Prefixes(letters)
+        if n == m:
+            state = self._nu_tab.indices(letters)
+            return _Prefixes(letters, state, self._nu_wts[state])
+        state = self._nu_next[rows.state * self.K.ab.n_letters + t]
+        return _Prefixes(letters, state, rows.weight + self._nu_wts[state])
+
+    def masses(self, rows: _Prefixes) -> np.ndarray:
+        """nu-mass of each row's cylinder, as `cylinder_mass_of_stem` gives it."""
+        if rows.state is None:
+            n = rows.letters.shape[1]
+            return self.nu.mass_array(n)[StemTable(self.K.ab, n).indices(rows.letters)]
+        return np.exp(-rows.weight) * self.nu.h_right[rows.state] / self.nu._Z
+
+    def integrals(self, rows: _Prefixes, c: int, s: float) -> np.ndarray:
+        """`integral` of every row's prefix, all of one length n >= c, bit for bit."""
+        n = rows.letters.shape[1]
+        if c > n:
+            raise ValueError("kernel start beyond the prefix")
+        if s <= c:
+            return self.masses(rows)
+        mK = self.K.depth
+        if n < mK:  # a block sum over the children, in letter order
+            kids = self._tab.child_letters[rows.letters[:, -1]]
+            each = np.repeat(np.arange(len(kids)), kids.shape[1])
+            vals = self.integrals(self.extend(rows.take(each), kids.ravel()), c, s)
+            return _add_columns(np.zeros(len(kids)), vals.reshape(kids.shape))
+        last_edge = math.ceil(s) - 1  # the edges as `integral` takes them
+        out = self.masses(rows)
+        edges = range(c, min(last_edge, n - mK) + 1)
+        if edges:
+            fixed = np.zeros(len(out))
+            for p in edges:
+                win = self._tab.indices(rows.letters[:, p:p + mK])
+                fixed += (min(s, p + 1.0) - p) * self._phi[win]
+            # math.exp once per distinct exponent, as `integral` takes it
+            u, at = np.unique(fixed, return_inverse=True)
+            out = np.array([math.exp(-2.0 * f) for f in u.tolist()])[at] * out
+        if last_edge + mK <= n:
+            return out
+        return out * self._continuation(n, c, s)[self._tab.indices(rows.letters[:, -mK:])]
 
     def integral(self, prefix: Word, c: int, s: float) -> float:
         prefix = tuple(prefix)
@@ -129,6 +203,13 @@ class _KernelIntegrator:
         if last_edge + mK <= n:  # no edge reaches past the prefix
             return out
         return out * self._continuation(n, c, s)[self._tab.index_of(prefix[-mK:])]
+
+
+def _add_columns(total: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """total plus block's columns, added one at a time from the left."""
+    for col in block.T:
+        total = total + col
+    return total
 
 
 # --------------------------------------------------------------------------
@@ -167,24 +248,54 @@ class SpikeLab:
 
     def tail_integral(self, x: BoundaryWord, r: float, s: float) -> float:
         """sup-audit integrand: integral of G(x, ., s) over X - ball(x, r)."""
-        j = scale_depth(r) if r > 0 else None
-        if j == 0:
-            return 0.0
-        top = math.ceil(s) + 1 if j is None else min(j, math.ceil(s) + 1)
-        total = 0.0
-        for c in range(top):
-            px = x.prefix(c + 1)
-            banned = {px[-1]} | ({inverse_letter(px[-2])} if c >= 1 else set())
-            for t in self.ab.letters:
-                if t in banned:
+        return float(self._tail_grid([x], (r,), (s,))[0, 0, 0])
+
+    def _tail_grid(self, xs: list[BoundaryWord], rs, ss) -> np.ndarray:
+        """tail_integral(x, r, s) for every (r, s, x), one running-sum table per s.
+
+        The integral over X - ball(x, r) adds the kernel integrals over the
+        cylinders x[:c] + (t,), t off the ray, for confluences c below
+        top = min(j, ceil(s) + 1), j = scale_depth(r); shells past top carry
+        G = 1 up to the ball.  A term does not depend on r, so each s builds
+        the running sums over c and t once, in that order, for every ray,
+        and each radius reads the sum at c = top - 1.
+        """
+        integ = self._integrator
+        depths = [scale_depth(r) if r > 0 else None for r in rs]
+        shells = max(math.ceil(s) + 1 for s in ss)
+        rays = integ.prefixes([x.prefix(max([shells] + [j or 0 for j in depths])) for x in xs])
+        letters, alphabet = rays[-1].letters, np.arange(self.ab.n_letters)
+        off_ray = []  # per c: the cylinders x[:c] + (t,), ray by ray, t in letter order
+        for c in range(shells):
+            off = alphabet != letters[:, c:c + 1]
+            if c:
+                off &= integ._tab.branch_index[letters[:, c - 1]] >= 0
+            ray, t = np.nonzero(off)
+            off_ray.append(integ.extend(rays[c].take(ray), t))
+        masses: dict[int, np.ndarray] = {}  # ray prefix masses by length, as read
+
+        def mass(n: int) -> np.ndarray:
+            if n not in masses:
+                masses[n] = integ.masses(rays[n])
+            return masses[n]
+
+        out = np.zeros((len(rs), len(ss), len(xs)))
+        for k, s in enumerate(ss):
+            running = [np.zeros(len(xs))]
+            for c in range(math.ceil(s) + 1):
+                terms = integ.integrals(off_ray[c], c, s).reshape(len(xs), -1)
+                running.append(_add_columns(running[-1], terms))
+            for i, j in enumerate(depths):
+                if j == 0:
                     continue
-                total += self._integrator.integral(px[:c] + (t,), c, s)
-        if j is None or j > top:
-            # far shells with G = 1 up to the ball boundary
-            total += self.nu.cylinder_mass_of_stem(x.prefix(top))
-            if j is not None:
-                total -= self.nu.cylinder_mass_of_stem(x.prefix(j))
-        return total
+                top = math.ceil(s) + 1 if j is None else min(j, math.ceil(s) + 1)
+                val = running[top]
+                if j is None or j > top:  # far shells with G = 1 up to the ball boundary
+                    val = val + mass(top)
+                    if j is not None:
+                        val = val - mass(j)
+                out[i, k] = val
+        return out
 
     @cached_property
     def cert(self) -> DecayCert:
@@ -194,25 +305,23 @@ class SpikeLab:
     def decay_audit(self) -> DecayCert:
         """Minimal C_G fitting the decay inequality over the audited grid.
 
-        Fails with a witness when the scaled ratios still grow at the edge of
-        the s-grid (no finite constant is plausible).
+        The grid is one running-sum table per kernel time s, shared by every
+        radius (`_tail_grid`).  Fails with a witness when the scaled ratios
+        still grow at the edge of the s-grid (no finite constant is plausible).
         """
         xs = [ray_word(self.ab, stem) for stem in StemTable(self.ab, X_DEPTH).stems()]
+        grid = self._tail_grid(xs, R_GRID, [float(s) for s in S_GRID])
         best = 0.0
         per_s: dict[float, float] = {}
         witness = None
-        for r in R_GRID:
-            for s in S_GRID:
-                worst = 0.0
-                wx = None
-                for x in xs:
-                    val = self.tail_integral(x, r, float(s))
-                    scaled = val * math.exp(self.alpha * s) * max(math.exp(s) * r, 1.0) ** self.beta
-                    if scaled > worst:
-                        worst, wx = scaled, x
+        for r, by_s in zip(R_GRID, grid):
+            for s, vals in zip(S_GRID, by_s):
+                scaled = vals * math.exp(self.alpha * s) * max(math.exp(s) * r, 1.0) ** self.beta
+                i = int(np.argmax(scaled))  # the first strict maximum over x
+                worst = max(float(scaled[i]), 0.0)
                 per_s[s] = max(per_s.get(s, 0.0), worst)
                 if worst > best:
-                    best, witness = worst, (wx, r, s)
+                    best, witness = worst, (xs[i], r, s)
         # divergent fits grow geometrically in s; converging ones flatten out
         tailvals = [per_s[s] for s in sorted(per_s)[-3:]]
         if (len(tailvals) == 3 and tailvals[2] > tailvals[1] * 1.001

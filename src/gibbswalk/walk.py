@@ -51,7 +51,12 @@ class WalkMeasure:
         with open(path) as fh:
             payload = json.load(fh)
         ab = Alphabet(payload["rank"])
-        masses = {ab.parse_word(k): float(v) for k, v in payload["masses"].items()}
+        masses: dict = {}
+        for key, m in payload["masses"].items():
+            g = tuple(ab.letter_from_name(t) for t in key.split())
+            if ab.reduce(g) != g or g in masses:
+                raise ValueError(f"walk mass key {key!r} is not a distinct reduced word")
+            masses[g] = float(m)
         return cls(ab=ab, masses=masses, base=ab.parse_word(payload.get("base", "")))
 
 
@@ -68,25 +73,67 @@ def convolved_density_masses(mu: WalkMeasure, F: CylinderFunction, S: GibbsStrea
     """Cylinder masses of sum_g mu(g) * g_*(F d nu) at the given depth.
 
     Built directly from translated cylinders and the stream's mass arrays,
-    independently of the spike machinery.  F, nu and the stem table are read
-    at each piece depth once; the sums run in (g, stem, piece) order.
+    independently of the spike machinery.  g^-1 maps a stem w that leaves g
+    after j < depth letters onto the one cylinder g^-1[:|g| - j] + w[j:]; the
+    stem g[:depth] maps onto a union of pieces.  A piece's integral of F dnu
+    is the dot of F and nu over its range at depth max(depth(F), |piece|),
+    a single product when the piece is that long.  The pieces are gathered
+    for every (g, stem) at once, grouped by length; the sums run in
+    (g, stem, piece) order.
     """
     ab = mu.ab
-    stems = list(StemTable(ab, depth).stems())
-    deep: dict[int, tuple] = {}  # piece depth -> (F values, nu masses, stem table)
-    out = np.zeros(len(stems))
-    for g, m in sorted(mu.masses.items()):
-        ginv = ab.inv(g)
-        for i, stem in enumerate(stems):
-            total = 0.0
-            for piece in _translate_stem_set(ab, ginv, stem):
-                d = max(F.depth, len(piece))
-                if d not in deep:
-                    deep[d] = (F.refine(d).values, S.mass_array(d), StemTable(ab, d))
-                fv, mv, tab = deep[d]
-                lo, hi = tab.prefix_range(piece)
-                total += float(fv[lo:hi] @ mv[lo:hi])
-            out[i] += m * total
+    tab = StemTable(ab, depth)
+    support = sorted(mu.masses)
+    deep: dict[int, tuple] = {}  # piece depth -> (F values, nu masses)
+
+    def integrals(pieces: np.ndarray) -> np.ndarray:
+        """F dnu over the cylinder of each row, the rows all one length n."""
+        n = pieces.shape[1]
+        d = max(F.depth, n)
+        if d not in deep:
+            deep[d] = (F.refine(d).values, S.mass_array(d))
+        fv, mv = deep[d]
+        at = StemTable(ab, n).indices(pieces)
+        if d == n:
+            return fv[at] * mv[at]
+        span = tab.branching ** (d - n)
+        return np.array([float(fv[i * span:(i + 1) * span] @ mv[i * span:(i + 1) * span])
+                         for i in at.tolist()])
+
+    totals = np.zeros((len(support), tab.size))  # per (g, stem): its pieces summed
+    owners, whole = [], []  # (g, stem) of each stem g[:depth], and its pieces
+    for n in sorted({len(g) for g in support}):
+        own = np.array([k for k, g in enumerate(support) if len(g) == n])
+        gs = np.array([support[k] for k in own], dtype=np.int64).reshape(len(own), n)
+        ginv = gs[:, ::-1] ^ 1  # g^-1: the inverse letters (s ^ 1), read backwards
+        shared = min(n, depth)
+        agree = gs[:, None, :shared] == tab.letters[None, :, :shared]
+        conf = np.cumprod(agree, axis=2).sum(axis=2)  # letters each stem shares with g
+        for j in range(min(shared + 1, depth)):
+            gi, si = np.nonzero(conf == j)
+            if gi.size:
+                pieces = np.column_stack([ginv[gi, :n - j], tab.letters[si, j:]])
+                totals[own[gi], si] = integrals(pieces)
+        if n >= depth:
+            for k in own.tolist():
+                head = support[k][:depth]
+                owners.append((k, tab.index_of(head)))
+                whole.append(_translate_stem_set(ab, ab.inv(support[k]), head))
+    flat = [piece for pieces in whole for piece in pieces]
+    lengths = np.array([len(piece) for piece in flat], dtype=np.int64)
+    dots = np.empty(len(flat))
+    for n in np.unique(lengths).tolist():
+        rows = np.flatnonzero(lengths == n)
+        dots[rows] = integrals(np.array([flat[r] for r in rows.tolist()], dtype=np.int64))
+    start = 0
+    for (k, i), pieces in zip(owners, whole):
+        total = 0.0
+        for dot in dots[start:start + len(pieces)].tolist():
+            total += dot
+        totals[k, i], start = total, start + len(pieces)
+    out = np.zeros(tab.size)
+    for g, row in zip(support, totals):
+        out += mu.masses[g] * row
     return out
 
 

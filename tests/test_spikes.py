@@ -2,16 +2,18 @@
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from gibbswalk.cylfun import CylinderFunction
+from gibbswalk.cylfun import CylinderFunction, scale_depth
 from gibbswalk.gibbs import GibbsStream
 from gibbswalk.potentials import Potential, d_phi_ray, sym_potential
 from gibbswalk.spikes import (
     S_GRID,
     R_GRID,
+    X_DEPTH,
     CertificationError,
     SpikeLab,
     _KernelIntegrator,
@@ -169,6 +171,134 @@ class TestDecayCert:
         ray = EventuallyPeriodicWord(AB, AB.parse_word(w["preamble"]), AB.parse_word(w["period"]))
         assert ray.key() == ray_word(AB, ray.prefix(3)).key()
         assert "witness" in str(info.value)
+
+
+def _scalar_tail(lab, x, r, s):
+    """The per-(x, r, s) tail integral, one `integral` call per term."""
+    j = scale_depth(r) if r > 0 else None
+    if j == 0:
+        return 0.0
+    top = math.ceil(s) + 1 if j is None else min(j, math.ceil(s) + 1)
+    total = 0.0
+    for c in range(top):
+        px = x.prefix(c + 1)
+        banned = {px[-1]} | ({inverse_letter(px[-2])} if c >= 1 else set())
+        for t in lab.ab.letters:
+            if t not in banned:
+                total += lab._integrator.integral(px[:c] + (t,), c, s)
+    if j is None or j > top:
+        total += lab.nu.cylinder_mass_of_stem(x.prefix(top))
+        if j is not None:
+            total -= lab.nu.cylinder_mass_of_stem(x.prefix(j))
+    return total
+
+
+def _scalar_audit(lab):
+    """The per-(x, r, s) decay audit: (grid values, C_G, growth witness or None)."""
+    xs = [ray_word(lab.ab, stem) for stem in StemTable(lab.ab, X_DEPTH).stems()]
+    grid = np.zeros((len(R_GRID), len(S_GRID), len(xs)))
+    best, per_s, witness = 0.0, {}, None
+    for a, r in enumerate(R_GRID):
+        for b, s in enumerate(S_GRID):
+            worst, wx = 0.0, None
+            for i, x in enumerate(xs):
+                grid[a, b, i] = val = _scalar_tail(lab, x, r, float(s))
+                scaled = val * math.exp(lab.alpha * s) * max(math.exp(s) * r, 1.0) ** lab.beta
+                if scaled > worst:
+                    worst, wx = scaled, x
+            per_s[s] = max(per_s.get(s, 0.0), worst)
+            if worst > best:
+                best, witness = worst, (wx, r, s)
+    tail = [per_s[s] for s in sorted(per_s)[-3:]]
+    grows = tail[2] > tail[1] * 1.001 and tail[1] > tail[0] * 1.001
+    ray, r_w, s_w = witness
+    found = {"preamble": lab.ab.format_word(ray.preamble),
+             "period": lab.ab.format_word(ray.period), "r": r_w, "s": s_w}
+    return grid, best, found if grows else None
+
+
+class TestBatchedDecayGrid:
+    """The grid as running-sum tables per s equals the per-(x, r, s) loop exactly."""
+
+    @pytest.fixture(scope="class")
+    def labs(self, uniform_stream, random_stream, stream_m2):
+        return {"uniform-gibbs": SpikeLab(uniform_stream, nu_id="gibbs"),
+                "random-hausdorff": SpikeLab(random_stream, nu_id="hausdorff"),
+                "m2-hausdorff": SpikeLab(stream_m2, nu_id="hausdorff"),
+                "m2-gibbs": SpikeLab(stream_m2, nu_id="gibbs"),
+                "rank3-zero": SpikeLab(GibbsStream(Potential.zero(Alphabet(3))))}
+
+    @pytest.mark.parametrize("name", ["uniform-gibbs", "random-hausdorff", "m2-hausdorff",
+                                      "m2-gibbs", "rank3-zero"])
+    def test_grid_and_certificate_equal(self, labs, name):
+        lab = labs[name]
+        grid, best, grows = _scalar_audit(lab)
+        xs = [ray_word(lab.ab, stem) for stem in StemTable(lab.ab, X_DEPTH).stems()]
+        batched = lab._tail_grid(xs, R_GRID, [float(s) for s in S_GRID])
+        assert batched.tolist() == grid.tolist()
+        if grows is None:
+            assert lab.decay_audit().C_G.hex() == best.hex()
+        else:
+            with pytest.raises(CertificationError) as info:
+                lab.decay_audit()
+            assert info.value.witness == grows
+
+    def test_growth_witness_equal(self, uniform_stream):
+        lab = SpikeLab(uniform_stream)
+        lab.alpha = 3.0
+        _, _, grows = _scalar_audit(lab)
+        assert grows is not None
+        with pytest.raises(CertificationError) as info:
+            lab.decay_audit()
+        assert info.value.witness == grows
+
+    def test_one_ray_tail_equals_scalar(self, labs):
+        lab = labs["m2-hausdorff"]
+        x = ray_word(AB, (1, 3, 0, 3, 1))
+        for r in (0.0, math.exp(-6), 0.3, 1.0):
+            for s in (0.0, 0.4, 3.0, 7.5):
+                assert lab.tail_integral(x, r, s) == _scalar_tail(lab, x, r, s)
+
+    def test_batched_integrals_equal_one_prefix_integral(self, labs):
+        rng = random.Random(5)
+        for name in ("random-hausdorff", "m2-hausdorff", "m2-gibbs"):
+            integ = labs[name]._integrator
+            for n in range(1, 6):
+                words = list(AB.reduced_words(n))
+                rows = [words[i] for i in rng.sample(range(len(words)), min(9, len(words)))]
+                batch = integ.prefixes(rows)[-1]
+                for c in range(n + 1):
+                    for s in (0.0, 1.5, 3.0, 6.25):
+                        vals = integ.integrals(batch, c, s).tolist()
+                        assert vals == [integ.integral(w, c, s) for w in rows], (name, n, c, s)
+
+    def test_each_term_batch_and_backward_vector_once(self, monkeypatch, stream_m2):
+        # depth-2 kernel: the c = 0 terms are block sums over their children
+        batches, reads, misses = Counter(), Counter(), Counter()
+        integrals, continuation = _KernelIntegrator.integrals, _KernelIntegrator._continuation
+
+        def counted_integrals(self, rows, c, s):
+            batches[rows.letters.shape[1], c, s] += 1
+            return integrals(self, rows, c, s)
+
+        def counted_continuation(self, n, c, s):
+            reads[n, c, s] += 1
+            misses[n, c, s] += (n, c, s) not in self._backward
+            return continuation(self, n, c, s)
+
+        def refused(*args):
+            raise AssertionError("the decay grid runs through the batch path only")
+
+        monkeypatch.setattr(_KernelIntegrator, "integrals", counted_integrals)
+        monkeypatch.setattr(_KernelIntegrator, "_continuation", counted_continuation)
+        monkeypatch.setattr(SpikeLab, "tail_integral", refused)
+        monkeypatch.setattr(GibbsStream, "cylinder_mass_of_stem", refused)
+        SpikeLab(stream_m2).decay_audit()
+        shells = {(c + 1, c, float(s)) for s in S_GRID for c in range(math.ceil(s) + 1)}
+        children = {(2, 0, float(s)) for s in S_GRID if s > 0}
+        assert set(batches) == shells | children
+        assert set(batches.values()) == {1}
+        assert reads and set(reads.values()) == {1} and misses == reads
 
 
 class TestUnitSpikes:

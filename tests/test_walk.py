@@ -1,9 +1,11 @@
 """Walk assembly, stationarity, statistics, and the Monte Carlo probe."""
 
 import bisect
+import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -63,6 +65,15 @@ class TestAssemble:
         hollow = dataclasses.replace(uniform_decomposition, entries={})
         with pytest.raises(ValueError):
             assemble_walk(hollow, uniform_stream)
+
+    @pytest.mark.parametrize("masses", [{"a": 0.1, "a b b'": 0.2}, {"a": 0.1, "a  a'": 0.2},
+                                        {"a": 0.1, "a   ": 0.2}])
+    def test_load_refuses_unreduced_or_repeated_keys(self, tmp_path, masses):
+        path = tmp_path / "mu.json"
+        path.write_text(json.dumps({"rank": 2, "base": "", "masses": masses}))
+        bad = list(masses)[-1]
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            WalkMeasure.load(path)
 
     def test_save_load_roundtrip(self, uniform_decomposition, uniform_stream, tmp_path):
         mu = assemble_walk(uniform_decomposition, uniform_stream)
@@ -140,6 +151,14 @@ class TestConvolution:
             for depth in (1, 2, 3):
                 conv = convolved_density_masses(mu, F, S, depth)
                 assert (conv == _convolution_reference(mu, F, S, depth)).all(), depth
+
+    def test_long_words_equal_reference(self, stream_m2, step_target):
+        # words longer than the check depth: the stem g[:depth] splits into
+        # pieces of several lengths, some shorter than F's depth
+        mu = _random_walk(34, size=80, max_len=6)
+        for depth in (2, 3, 4):
+            conv = convolved_density_masses(mu, step_target, stream_m2, depth)
+            assert (conv == _convolution_reference(mu, step_target, stream_m2, depth)).all()
 
     def test_one_refine_and_mass_array_per_depth(self, monkeypatch, uniform_stream,
                                                  random_stream, stream_m2, step_target):
