@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,9 +208,9 @@ class HittingReport:
 
 
 # Paths advance together in chunks of HIT_CHUNK; each path's steps are
-# drawn HIT_BLOCK at a time (a path that outlives its block draws a longer
-# one).  A chunk's first block of draws, as doubles, is its largest array:
-# 512 kB at these sizes.
+# drawn HIT_BLOCK at a time, a later block holding only the draws past the
+# last one.  A chunk's first block of draws, as doubles, is its largest
+# array: 512 kB at these sizes.
 HIT_CHUNK = 1024
 HIT_BLOCK = 64
 # Letters of a step applied in one pass: a piece of the step's inverse and
@@ -219,28 +218,30 @@ HIT_BLOCK = 64
 PIECE = 7
 _NONE = np.int64(2) ** 62  # a stop target no path reaches
 _DONE = -_NONE             # the appended-letter count of a finished path
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)  # SplitMix64's increment
 
 
-def _uniform_rows(ns, t0: int, t1: int) -> np.ndarray:
-    """Uniforms t0..t1-1 of `random.Random(n).random()`, one row per n.
+def _split(state, j) -> np.ndarray:
+    """Output j of SplitMix64 run from `state`, mix64(state + (j + 1) * gamma)
+    mod 2^64, for uint64 arrays that broadcast (Steele, Lea and Flood, 2014)."""
+    z = state + (j + np.uint64(1)) * _GAMMA
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
 
-    Each stream is read as raw Mersenne Twister words with `getrandbits`,
-    which emits them least significant first, and every double is built
-    from a pair of words as `random()` builds it, so the rows equal the
-    Python draws bit for bit whatever the batch.
-    """
-    rng = random.Random(0)
-    seed = super(random.Random, rng).seed  # the C seeding, as random.Random.seed(n) runs it
-    width = 8 * t1
-    raw = bytearray(width * len(ns))
-    for i, n in enumerate(ns):
-        seed(n)
-        raw[i * width:(i + 1) * width] = rng.getrandbits(8 * width).to_bytes(width, "little")
-    w = np.frombuffer(raw, dtype="<u4").reshape(-1, t1, 2)[:, t0:]
-    u = (w[..., 0] >> 5) * 67108864.0  # exact: a * 2^26 + b < 2^53
-    u += w[..., 1] >> 6
-    u *= 2.0 ** -53
-    return u
+
+def _uniform_rows(seed: int, paths: np.ndarray, t0: int, t1: int) -> np.ndarray:
+    """Uniforms t0..t1-1 of each path under `seed`, one row per path.
+
+    Uniform j of path i is (output j of SplitMix64 from key(seed, i)) >> 11
+    times 2^-53, key(seed, i) being output i from base(seed), and base(seed)
+    output 0 from seed mod 2^64: a pure function of (seed, i, j)."""
+    return (_split(_split(_split(np.array([seed % 2**64], dtype=np.uint64), 0),  # base(seed)
+                          np.asarray(paths, dtype=np.uint64))[:, None],           # key(seed, i)
+                   np.arange(t0, t1, dtype=np.uint64)) >> 11) * 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -371,9 +372,9 @@ _TRAILING_BYTES = np.zeros(1087, dtype=np.intp)
 _TRAILING_BYTES[1023:] = np.arange(64) >> 3
 
 
-def _hit_chunk(ns: list, law: _StepLaw, n_letters: int, depth: int, stabilize: int,
-               step_cap: int) -> np.ndarray:
-    """Final depth-prefix code of each path in a chunk, -1 if it never stabilized.
+def _hit_chunk(seed: int, paths: np.ndarray, law: _StepLaw, n_letters: int, depth: int,
+               stabilize: int, step_cap: int) -> np.ndarray:
+    """Final depth-prefix code of each of `paths`, -1 if it never stabilized.
 
     Live paths advance one step per pass; their words are `_Words` rows.
     The code of a prefix is its letters in base n_letters, -1 for a word
@@ -395,12 +396,12 @@ def _hit_chunk(ns: list, law: _StepLaw, n_letters: int, depth: int, stabilize: i
     hold = max(stabilize - 1, 1)
     place = n_letters ** np.arange(depth, dtype=np.int64)  # of letter depth - 1 - j
     shift = int(place.sum())  # codes are kept plus `shift`: the letters are stored plus one
-    out = np.full(len(ns), -1, dtype=np.int64)
-    live = np.arange(len(ns))  # chunk index of each row
-    words = _Words(len(ns), depth)
-    code = np.full(len(ns), shift - 1, dtype=np.int64)
-    due = np.zeros(len(ns), dtype=np.int64)
-    grown = np.zeros(len(ns), dtype=np.int64)
+    out = np.full(len(paths), -1, dtype=np.int64)
+    live = np.arange(len(paths))  # chunk index of each row
+    words = _Words(len(paths), depth)
+    code = np.full(len(paths), shift - 1, dtype=np.int64)
+    due = np.zeros(len(paths), dtype=np.int64)
+    grown = np.zeros(len(paths), dtype=np.int64)
     longest = finished = t0 = t1 = 0
 
     def drop_finished():
@@ -425,7 +426,7 @@ def _hit_chunk(ns: list, law: _StepLaw, n_letters: int, depth: int, stabilize: i
             if finished:
                 drop_finished()
             t0, t1 = t1, min(max(2 * t1, HIT_BLOCK), step_cap)
-            steps = law.draw(_uniform_rows([ns[j] for j in live], t0, t1))
+            steps = law.draw(_uniform_rows(seed, paths[live], t0, t1))
             drawn_to = np.zeros((t1 - t0 + 1, len(live)),
                                 dtype=np.min_scalar_type(-reach * (t1 - t0)))
             np.cumsum(law.step_len.take(steps), axis=0, out=drawn_to[1:])
@@ -478,8 +479,8 @@ def _hitting_codes(mu: WalkMeasure, n_paths: int, depth: int, seed: int, stabili
     outcome = np.full(n_paths, -1, dtype=np.int64)
     for lo in range(0, n_paths, HIT_CHUNK):
         hi = min(lo + HIT_CHUNK, n_paths)
-        ns = [seed * 1_000_003 + i for i in range(lo, hi)]
-        outcome[lo:hi] = _hit_chunk(ns, law, mu.ab.n_letters, depth, stabilize, step_cap)
+        outcome[lo:hi] = _hit_chunk(seed, np.arange(lo, hi), law, mu.ab.n_letters, depth,
+                                    stabilize, step_cap)
     return outcome
 
 
@@ -489,12 +490,13 @@ def simulate_hitting(mu: WalkMeasure, n_paths: int, depth: int, seed: int,
     """Empirical boundary hitting distribution on depth cylinders.
 
     Each path multiplies i.i.d. steps until its depth prefix has persisted
-    for `stabilize` consecutive steps.  Path i draws its steps from the
-    stream of `random.Random(seed * 1_000_003 + i)`, bisecting the
-    cumulative step law, so the result does not depend on how paths are
-    grouped.  Paths advance together, one step per numpy pass, in chunks of
-    HIT_CHUNK paths.  Degenerate step laws (deterministic walks) are allowed
-    only with `check_support=False`.
+    for `stabilize` consecutive steps.  Step j of path i bisects the
+    cumulative step law at u(seed, i, j), a SplitMix64 output keyed by the
+    seed and then by the path (`_uniform_rows`), so the result does not
+    depend on how paths are grouped or how far a block reaches.  Paths
+    advance together, one step per numpy pass, in chunks of HIT_CHUNK
+    paths.  Degenerate step laws (deterministic walks) are allowed only
+    with `check_support=False`.
     """
     if check_support and not nondegenerate_support(mu):
         raise SimulationError("support does not generate a nonelementary subgroup")

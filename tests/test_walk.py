@@ -1,10 +1,10 @@
 """Walk assembly, stationarity, statistics, and the Monte Carlo probe."""
 
+import ast
 import bisect
 import json
 import math
 import os
-import random
 import re
 import subprocess
 import sys
@@ -296,24 +296,46 @@ class TestChi2:
         assert proc.returncode == 0, proc.stderr
 
 
-def _python_uniforms(n):
-    return iter(random.Random(n).random, None)
+_MASK = 2**64 - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix64(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def _splitmix64(state):
+    """SplitMix64's outputs from `state`, one Python int at a time."""
+    while True:
+        state = (state + _GAMMA) & _MASK
+        yield _mix64(state)
+
+
+def _python_uniforms(seed, i):
+    """Uniforms of path i under `seed`: base(s) = mix64(s mod 2^64 + gamma),
+    key(s, i) = mix64(base(s) + (i + 1) gamma), and uniform j is
+    (mix64(key(s, i) + (j + 1) gamma) >> 11) 2^-53, all mod 2^64."""
+    base = _mix64((seed % 2**64 + _GAMMA) & _MASK)
+    key = _mix64((base + (i + 1) * _GAMMA) & _MASK)
+    return ((z >> 11) * 2.0 ** -53 for z in _splitmix64(key))
 
 
 def _reference_records(mu, n_paths, depth, seed, stabilize=50, step_cap=2000,
                        uniforms=_python_uniforms):
     """The per-path loop: one stream of uniforms and one Python word per path.
 
-    Path i reads `uniforms(seed * 1_000_003 + i)`, by default the stream of
-    that random.Random.  Returns each path's final depth prefix and the step
-    that recorded it, (None, None) for a path that failed.
+    Path i reads `uniforms(seed, i)`, by default the scalar SplitMix64
+    oracle.  Returns each path's final depth prefix and the step that
+    recorded it, (None, None) for a path that failed.
     """
     support = sorted(mu.masses)
     weights = np.array([mu.masses[g] for g in support])
     cum = np.cumsum(weights / weights.sum())
     out = []
     for i in range(n_paths):
-        draws = uniforms(seed * 1_000_003 + i)
+        draws = uniforms(seed, i)
         word, prev, streak, final = [], None, 0, (None, None)
         for t in range(step_cap):
             step = support[bisect.bisect_left(cum, next(draws))]
@@ -354,12 +376,12 @@ def _stop_steps(mu, n_paths, depth, seed, stabilize, step_cap, block):
         ends.append(min(max(2 * ends[-1], block), step_cap))
     out = []
     for i in range(n_paths):
-        rng = random.Random(seed * 1_000_003 + i)
+        stream = _python_uniforms(seed, i)
         draws = []
         word, prev, due, stop = [], None, None, step_cap
         for t in range(step_cap):
             while len(draws) <= t + stabilize:
-                draws.append(support[bisect.bisect_left(cum, rng.random())])
+                draws.append(support[bisect.bisect_left(cum, next(stream))])
             for s in draws[t]:
                 if word and word[-1] == (s ^ 1):
                     word.pop()
@@ -469,7 +491,7 @@ class TestBatchedHitting:
         mu = hitting_walks["long_steps"]
         _same_report(simulate_hitting(mu, 301, 2, 7), mu, 301, 2, 7)
 
-    @pytest.mark.parametrize("depth,stabilize,step_cap,failed", [(1, 20, 40, 2), (2, 50, 80, 1)])
+    @pytest.mark.parametrize("depth,stabilize,step_cap,failed", [(3, 50, 84, 1)])
     def test_failures_within_allowance(self, hitting_walks, depth, stabilize, step_cap, failed):
         mu = hitting_walks["uniform"]
         rep = simulate_hitting(mu, HIT_CHUNK * 2 + 1, depth, 7, stabilize, step_cap)
@@ -478,30 +500,55 @@ class TestBatchedHitting:
 
     def test_failures_raise_with_the_same_count(self, hitting_walks):
         mu = hitting_walks["uniform"]
-        with pytest.raises(SimulationError) as ref:
-            _hitting_reference(mu, HIT_CHUNK * 2 + 1, 3, 7, 50, 80)
-        with pytest.raises(SimulationError) as got:
-            simulate_hitting(mu, HIT_CHUNK * 2 + 1, 3, 7, 50, 80)
-        assert str(got.value) == str(ref.value) == "4 paths failed to stabilize"
+        for depth, stabilize, step_cap in ((1, 20, 40), (2, 50, 80), (3, 50, 80)):
+            with pytest.raises(SimulationError) as ref:
+                _hitting_reference(mu, HIT_CHUNK * 2 + 1, depth, 7, stabilize, step_cap)
+            with pytest.raises(SimulationError) as got:
+                simulate_hitting(mu, HIT_CHUNK * 2 + 1, depth, 7, stabilize, step_cap)
+            assert str(got.value) == str(ref.value) == "3 paths failed to stabilize", depth
 
-    @pytest.mark.parametrize("n,words", [(0, 1), (7, 1), (2**32 - 1, 1), (2**32 + 5, 2),
-                                         (-(2**40 + 3), 2), (20260810 * 1_000_003 + 19_999, 2)])
-    def test_reseeded_stream_is_python_random(self, n, words):
-        # seeds of one and two 32-bit words, a negative one, both sides of 2^32
-        assert max(1, -(-abs(n).bit_length() // 32)) == words
-        expected = random.Random(n)
-        assert _uniform_rows([n], 0, 300)[0].tolist() == [expected.random() for _ in range(300)]
+    def test_oracle_is_splitmix64(self):
+        # the published first outputs of SplitMix64 from state 0
+        assert [z for z, _ in zip(_splitmix64(0), range(3))] == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+    @pytest.mark.parametrize("seed", [0, 7, -3, 20260810, 2**63 - 1])
+    def test_rows_equal_the_oracle(self, seed):
+        paths = [0, 1, 2, 1023, 1_000_003, 2**40 + 5]
+        want = [[u for u, _ in zip(_python_uniforms(seed, i), range(300))] for i in paths]
+        assert _uniform_rows(seed, paths, 0, 300).tolist() == want
+        for t0, t1 in ((1, 2), (64, 128), (128, 300), (200, 203)):
+            assert _uniform_rows(seed, paths, t0, t1).tolist() == [row[t0:t1] for row in want]
+
+    def test_seed_and_path_key_separate_streams(self):
+        # keyed by seed * 1_000_003 + i, path 1_000_003 of seed s would read
+        # path 0 of seed s + 1; keyed by |seed|, seeds -1 and 1 would agree
+        for seed in (0, 7, -3, 20260810):
+            assert (_uniform_rows(seed, [1_000_003], 0, 64)
+                    != _uniform_rows(seed + 1, [0], 0, 64)).all()
+        assert (_uniform_rows(-1, [0], 0, 64) != _uniform_rows(1, [0], 0, 64)).all()
+
+    def test_walk_does_not_import_random(self):
+        # the package loads `random` elsewhere (words.py), so read walk.py's
+        # own imports rather than sys.modules
+        tree = ast.parse(Path(walk.__file__).read_text())
+        names = {a.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for a in node.names}
+        names |= {(node.module or "").split(".")[0] for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)}
+        assert "random" not in names, names
 
     def test_rows_do_not_depend_on_the_batch(self):
-        ns = [20260810 * 1_000_003 + i for i in range(40)] + [-5, 0, 2**33]
-        whole = _uniform_rows(ns, 0, 96)
-        assert whole.shape == (len(ns), 96)
-        for k, n in enumerate(ns):
-            assert (_uniform_rows([n], 0, 96)[0] == whole[k]).all()
-        for part in (ns[:7], ns[7:30], ns[::-3]):
-            rows = _uniform_rows(part, 32, 96)
-            for n, row in zip(part, rows):
-                assert (row == whole[ns.index(n), 32:]).all()
+        seed = 20260810
+        paths = list(range(40)) + [19_999, 5, 2**33]
+        whole = _uniform_rows(seed, paths, 0, 96)
+        assert whole.shape == (len(paths), 96)
+        for k, i in enumerate(paths):
+            assert (_uniform_rows(seed, [i], 0, 96)[0] == whole[k]).all()
+        for part in (paths[:7], paths[7:30], paths[::-3]):
+            rows = _uniform_rows(seed, np.array(part), 32, 96)
+            for i, row in zip(part, rows):
+                assert (row == whole[paths.index(i), 32:]).all()
 
     @pytest.mark.parametrize("name", ["uniform", "long_steps", "rank3", "undoing", "refill",
                                       "long_step", "rank8", "identity"])
@@ -530,12 +577,14 @@ class TestBatchedHitting:
         special = sorted({x for e in edges for x in (e, np.nextafter(e, 0.0), np.nextafter(e, 1.0))
                           if 0.0 <= x < 1.0})
 
-        def uniforms(n):
-            return (special[(n * 7919 + t * 104729) % len(special)] for t in range(10**9))
+        def draw(seed, i, t):
+            return special[((seed * 1_000_003 + i) * 7919 + t * 104729) % len(special)]
 
-        def rows(ns, t0, t1):
-            return np.array([[special[(n * 7919 + t * 104729) % len(special)]
-                              for t in range(t0, t1)] for n in ns])
+        def uniforms(seed, i):
+            return (draw(seed, i, t) for t in range(10**9))
+
+        def rows(seed, paths, t0, t1):
+            return np.array([[draw(seed, int(i), t) for t in range(t0, t1)] for i in paths])
 
         monkeypatch.setattr(walk, "_uniform_rows", rows)
         for depth in (1, 2):
@@ -551,9 +600,9 @@ class TestBatchedHitting:
         draws = []
         uniform_rows = walk._uniform_rows
 
-        def counted(ns, t0, t1):
+        def counted(seed, paths, t0, t1):
             draws.append(t1)
-            return uniform_rows(ns, t0, t1)
+            return uniform_rows(seed, paths, t0, t1)
 
         monkeypatch.setattr(walk, "_uniform_rows", counted)
         mu = WalkMeasure(AB, {(0,): 1.0})
