@@ -7,13 +7,14 @@ certification pipeline.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .stems import StemTable
-from .words import Alphabet, BoundaryWord, Word
+from .stems import StemTable, word_rows
+from .words import Alphabet, BoundaryWord, Word, inverse_letter
 
 
 @dataclass(frozen=True)
@@ -131,15 +132,38 @@ class CylinderFunction:
         pair meeting deeper, at j' > j, is scored again at j' with weight
         e^{aj'} >= e^{aj} (a >= 0), so the running maximum is the exact sup.
         """
-        if a < 0:
-            raise ValueError("Holder exponent must be non-negative")
-        out = np.zeros_like(self.values)
-        for j in range(scale_depth(r), self.depth):
-            balls = self._balls(j)
-            gap = np.maximum(balls.max(axis=1, keepdims=True) - balls,
-                             balls - balls.min(axis=1, keepdims=True))
-            np.maximum(out, gap.ravel() * math.exp(a * j), out=out)
-        return out
+        return holder_rows(self.values[None], self.table, scale_depth(r), a)[0]
+
+
+def holder_rows(values: np.ndarray, tab: StemTable, j0: int, a: float,
+                extrema: tuple[list, list] | None = None) -> np.ndarray:
+    """`holder_at` from level j0 on, for each row of a (count, size) array of
+    values on the stems of `tab`; `extrema` is their `block_extrema` if known."""
+    if a < 0:
+        raise ValueError("Holder exponent must be non-negative")
+    top, low = extrema or block_extrema(values, tab)
+    out = np.zeros(values.shape)
+    for j in range(j0, tab.depth):
+        balls = values.reshape(len(values), -1, tab.span(j))
+        gap = np.maximum(top[j][:, :, None] - balls, balls - low[j][:, :, None])
+        np.maximum(out, gap.reshape(values.shape) * math.exp(a * j), out=out)
+    return out
+
+
+def block_extrema(values: np.ndarray, tab: StemTable) -> tuple[list, list]:
+    """Max and min of each row of values on the stems of `tab` over every
+    depth-i cylinder, i = 0..depth: two lists of (count, cylinders) arrays.
+
+    Each level is taken from the next deeper one, one child column at a
+    time (max and min are exact, so the order does not matter)."""
+    top, low = [values], [values]
+    for i in range(tab.depth - 1, -1, -1):
+        width = tab.span(i) // tab.span(i + 1)  # children per depth-i cylinder
+        hi = top[-1].reshape(len(values), -1, width)
+        lo = low[-1].reshape(len(values), -1, width)
+        top.append(functools.reduce(np.maximum, (hi[:, :, k] for k in range(width))))
+        low.append(functools.reduce(np.minimum, (lo[:, :, k] for k in range(width))))
+    return top[::-1], low[::-1]
 
 
 def scale_depth(scale: float) -> int:
@@ -153,19 +177,32 @@ def scale_depth(scale: float) -> int:
 
 
 def translate_function(f: CylinderFunction, g: Word) -> CylinderFunction:
-    """(g_* f)(xi) = f(g^{-1} xi), exactly, at depth |g| + depth(f).
+    """(g_* f)(xi) = f(g^{-1} xi), exactly, at depth |g| + depth(f)."""
+    return CylinderFunction(f.ab, len(g) + f.depth, translate_rows(f, word_rows([g]))[0])
+
+
+def translate_rows(f: CylinderFunction, words: np.ndarray) -> np.ndarray:
+    """The values of g_* f at depth n + depth(f), one row per row g of a
+    (count, n) letter array.
 
     g^{-1} cancels the first c letters of a stem x, c being its confluence
-    length with g, so f is read at the first depth(f) letters of
-    g^{-1}[: |g| - c] + x[c:]: one integer gather over all stems at once.
+    length with g, so f is read at the first d = depth(f) letters of
+    g^{-1}[: n - c] + x[c:].  Where c <= n - d that is g^{-1}[:d], one value
+    per row; the stems meeting g deeper are gathered one by one.
     """
-    ab = f.ab
-    g = tuple(g)
-    n, d = len(g), f.depth
-    tab = StemTable(ab, n + d)
-    c = tab.branch_depths(g)[:, None]
-    col = np.arange(d)[None, :]
-    head = np.array((ab.inv(g) + (0,) * d)[:d])  # g^{-1}, padded to d letters
-    tail = np.take_along_axis(tab.letters, np.maximum(col + 2 * c - n, 0), axis=1)
-    src = np.where(col < n - c, head, tail)
-    return CylinderFunction(ab, n + d, f.values[f.table.indices(src)])
+    count, n = words.shape
+    d = f.depth
+    tab = StemTable(f.ab, n + d)
+    # g^{-1}, padded to d letters
+    head = np.zeros((count, max(n, d)), dtype=np.int64)
+    head[:, :n] = inverse_letter(words[:, ::-1])
+    out = np.empty((count, tab.size))
+    if n >= d:
+        out[:] = f.values[f.table.indices(head[:, :d])][:, None]
+    c = tab.confluences(words)
+    row, stem = np.nonzero(c > n - d)
+    c, col = c[row, stem][:, None], np.arange(d)
+    tail = tab.letters[stem[:, None], np.maximum(col + 2 * c - n, 0)]
+    src = np.where(col < n - c, head[row, :d], tail)
+    out[row, stem] = f.values[f.table.indices(src)]
+    return out

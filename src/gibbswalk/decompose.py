@@ -22,7 +22,6 @@ from .cylfun import CylinderFunction, scale_depth
 from .gibbs import GibbsStream
 from .spikes import CertificationError, DecayCert, SpikeLab, SpikeRecord
 from .stems import StemTable
-from .words import Word
 
 
 # Besicovitch multiplicity of the shell's shadow balls (they partition the
@@ -185,19 +184,17 @@ def decompose(F: CylinderFunction, S: GibbsStream, cfg: DecomposerConfig,
         lab = SpikeLab(S, nu_id="gibbs")
     cert = lab.cert
     F_const = float(F.values.max()) == float(F.values.min())
-    spike_cache: dict = {}
+    shells: dict[int, list[SpikeRecord]] = {}
 
-    def get_spike(g: Word) -> SpikeRecord:
-        if g not in spike_cache:
-            rec = lab.unit_spike(g, None if F_const else F)
-            audit = lab.spike_audit(rec, holder_q=lab.beta)
-            spike_cache[g] = replace(rec, C=audit.minimal_c)
-        return spike_cache[g]
+    def shell_spikes(n: int) -> list[SpikeRecord]:
+        """The audited unit spikes of shell n, built once, a whole shell at a time."""
+        if n not in shells:
+            shells[n] = lab.shell(n, None if F_const else F)
+        return shells[n]
 
     cfg_run = cfg
     if cfg.d_bound is None:
-        probe = [get_spike(g).C for n in range(1, SWEEP_RADIUS + 1)
-                 for g in S.ab.reduced_words(n)]
+        probe = [rec.C for n in range(1, SWEEP_RADIUS + 1) for rec in shell_spikes(n)]
         cfg_run = replace(cfg, d_bound=max(probe) * D_MARGIN)
     contraction = _contraction(cfg_run, cert)
 
@@ -225,7 +222,7 @@ def decompose(F: CylinderFunction, S: GibbsStream, cfg: DecomposerConfig,
         if shell > cfg_run.max_shell:
             status, needed_shell = "shell_budget", shell
             break
-        spikes = [get_spike(g) for g in S.ab.reduced_words(shell)]
+        spikes = shell_spikes(shell)
         h, lams = subfunction_step(R, spikes, cert, cfg_run, eps)
         if cfg_run.boost:
             # weights may be varied per stage; take the exact headroom so the

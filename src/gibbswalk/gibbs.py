@@ -17,7 +17,7 @@ import numpy as np
 
 from .cylfun import CylinderFunction
 from .potentials import Potential, d_phi, rho_phi, window_graph, window_sums
-from .stems import StemTable
+from .stems import StemTable, word_rows
 from .words import (
     Alphabet,
     BoundaryWord,
@@ -77,7 +77,9 @@ def shell_sums_log(P: Potential, n_max: int) -> np.ndarray:
     sigma = np.array([math.exp(-t) for t in tails])
     out = np.empty(n_max)
     for n in range(1, min(m, n_max + 1)):
-        out[n - 1] = math.log(sum(math.exp(-d_phi(P, (), g)) for g in P.ab.reduced_words(n)))
+        # the short words' weighted lengths, in stem (= reduced_words) order
+        lengths = window_sums(P, (), StemTable(P.ab, n).letters)
+        out[n - 1] = math.log(sum(math.exp(-x) for x in lengths.tolist()))
     if n_max < m:
         return out
     v = np.array([math.exp(-w) for w in wts])
@@ -185,29 +187,41 @@ class GibbsStream:
 
     def rho_phi_array(self, q: Word, depth: int) -> np.ndarray:
         """rho^Phi_xi(base, q) per depth-n stem (constant there); depth >= |q| + m."""
-        q = tuple(q)
-        m = self.depth_m
-        if depth < len(q) + m:
+        return self.rho_phi_rows(word_rows([q]), depth)[0]
+
+    def rho_phi_rows(self, words: np.ndarray, depth: int) -> np.ndarray:
+        """`rho_phi_array` for each row q of a (count, n) letter array, as rows."""
+        n, m = words.shape[1], self.depth_m
+        if depth < n + m:
             raise ValueError("depth too shallow for stabilization")
         tab = StemTable(self.ab, depth)
+        confluence = tab.confluences(words)
         if m == 1:
-            return self.rho_profile(q)[tab.branch_depths(q)]
+            return np.take_along_axis(self.rho_profiles(words), confluence, axis=1)
         # d_phi(q, stem) - d_phi(base, stem).  A stem of confluence c with q
-        # is reached from q along the reduced word q[c:]^-1 stem[c:].
+        # is reached from q along the reduced word q[c:]^-1 stem[c:], the
+        # row's first n - c inverse letters followed by stem[c:].
         P, letters = self.potential, tab.letters
-        from_q = np.empty(tab.size)
-        confluence = tab.branch_depths(q)
-        for c in range(len(q) + 1):
-            rows = np.flatnonzero(confluence == c)
-            from_q[rows] = window_sums(P, self.ab.inv(q[c:]), letters[rows, c:])
+        inverse = inverse_letter(words[:, ::-1])
+        from_q = np.empty(confluence.shape)
+        for c in range(n + 1):
+            row, stem = np.nonzero(confluence == c)
+            path = np.empty((len(row), n - c + depth - c), dtype=letters.dtype)
+            path[:, :n - c] = inverse[row, :n - c]
+            path[:, n - c:] = letters[stem, c:]
+            from_q[row, stem] = window_sums(P, (), path)
         return from_q - window_sums(P, (), letters)
 
-    def rho_profile(self, q: Word) -> np.ndarray:
-        """Depth-1 tables: rho^Phi_xi(base, q) for xi branching from q at c = 0..|q|."""
+    def rho_profiles(self, words: np.ndarray) -> np.ndarray:
+        """Depth-1 tables: rho^Phi_xi(base, q) for xi branching from q at
+        c = 0..n, one row per row q of a (count, n) letter array, the running
+        sums taken along the letters."""
         phi = np.array([self.potential.table[(s,)] for s in self.ab.letters])
-        fwd = np.concatenate([[0.0], np.cumsum([phi[s] for s in q])])
-        bwd = np.concatenate([[0.0], np.cumsum([phi[inverse_letter(s)] for s in reversed(q)])])[::-1]
-        return bwd - fwd
+        zero = np.zeros((len(words), 1))
+        fwd = np.cumsum(phi[words], axis=1)
+        bwd = np.cumsum(phi[inverse_letter(words[:, ::-1])], axis=1)
+        return (np.concatenate([zero, bwd], axis=1)[:, ::-1]
+                - np.concatenate([zero, fwd], axis=1))
 
     def rn_derivative(self, p: Word, q: Word, xi: BoundaryWord) -> float:
         """d mu_q / d mu_p at xi: exp(-rho^Phi_xi(p, q)) for the normalized table."""

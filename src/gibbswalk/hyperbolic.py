@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 
 class InvalidPointError(ValueError):
@@ -195,6 +194,8 @@ def sh_distance_numeric(g1: H2Geodesic, g2: H2Geodesic, window: float = 40.0,
     The tail beyond the window is controlled analytically by
     d(t) <= 2|t| + d(g1(0), g2(0)); window 40 keeps it below 1e-15.
     """
+    from scipy.integrate import quad  # this check's only reader; not loaded on import
+
     if window < 40:
         raise ValueError("window must be >= 40 for the certified tail")
     d0 = h2_distance(g1.p, g2.p)

@@ -16,10 +16,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .cylfun import CylinderFunction, scale_depth, translate_function
+# translate_function stays a module attribute here: tracing wraps it by this name
+from .cylfun import (CylinderFunction, block_extrema, holder_rows, scale_depth,
+                     translate_function, translate_rows)
 from .gibbs import GibbsStream, critical_exponent, hausdorff_stream
 from .potentials import Potential, d_phi_ray, min_cycle_mean, sym_potential, window_graph
-from .stems import StemTable
+from .stems import StemTable, word_rows
 from .words import BoundaryWord, Word, gromov_product, inverse_letter, ray_word
 
 
@@ -28,6 +30,11 @@ from .words import BoundaryWord, Word, gromov_product, inverse_letter, ray_word
 R_GRID = (0.0, math.e ** -4, math.e ** -3, math.e ** -2, math.e ** -1, 1.0)
 S_GRID = tuple(range(13)) + (2.5,)
 X_DEPTH = 3
+
+
+# A shell's spikes are built and audited this many cells (floats per row
+# times rows) at a time: max(1, BUDGET // cells) rows a chunk.
+BUDGET = 1 << 16
 
 
 class CertificationError(RuntimeError):
@@ -335,38 +342,74 @@ class SpikeLab:
                          kernel_id="sym", r_grid=R_GRID, s_grid=S_GRID)
 
     # -- spikes ------------------------------------------------------------------
+    #
+    # One path builds and audits spikes: the centres are rows of a (count, n)
+    # letter array and the spikes rows of a (count, cells) array, BUDGET cells
+    # at a time.  The per-g methods are batches of one.
 
     def rn_spike(self, g: Word) -> "SpikeRecord":
         """The normalized derivative spike of the stream at g (target F = 1)."""
-        g = tuple(g)
-        n = len(g)
-        if n == 0:
-            return SpikeRecord(h=CylinderFunction.constant(self.ab, 1.0), r=1.0,
-                               a=ray_word(self.ab, ()), s=0.0, C=None, center=g)
-        depth = n + self.S.depth_m
-        rho = self.S.rho_phi_array(g, depth)
-        vals = np.exp(-rho)
-        a = ray_word(self.ab, g)
-        tab = StemTable(self.ab, depth)
-        vals = vals / vals[tab.index_of(a.prefix(depth))]
-        return SpikeRecord(h=CylinderFunction(self.ab, depth, vals), r=math.exp(-n),
-                           a=a, s=float(n), C=None, center=g)
+        return self.unit_spike(g)
 
     def unit_spike(self, g: Word, F: CylinderFunction | None = None) -> "SpikeRecord":
         """Unit derivative spike weighted by a positive target function F.
 
         h = (g_* F) * d(g_* nu)/d nu, normalized to 1 at the ray through g.
         """
-        base = self.rn_spike(tuple(g))
-        if F is None:
-            return base
-        if F.inf <= 0:
+        words = word_rows([g])
+        return self._records(words, *self._spike_rows(words, F))[0]
+
+    def shell(self, n: int, F: CylinderFunction | None = None) -> list["SpikeRecord"]:
+        """The unit spikes of every g with |g| = n, in stem order, each with C
+        its minimal constant (Holder exponent beta)."""
+        chunks = self._spike_chunks(_shell_words(self.ab, n), F)
+        return [rec for words, vals, depth, audits in chunks
+                for rec in self._records(words, vals, depth, [a.minimal_c for a in audits])]
+
+    def _spike_chunks(self, words: np.ndarray, F: CylinderFunction | None):
+        """(centres, spike rows, depth, audits at Holder exponent beta) of the
+        centres' unit spikes, BUDGET cells a chunk."""
+        n = words.shape[1]
+        depth = n + max(self.S.depth_m, F.depth if F is not None else 0)
+        for chunk in _chunks(words, StemTable(self.ab, depth).size):
+            vals, depth = self._spike_rows(chunk, F)
+            yield chunk, vals, depth, self._audit_rows(vals, depth, self._rays(chunk, depth),
+                                                       math.exp(-n), float(n), self.beta)
+
+    def _spike_rows(self, words: np.ndarray,
+                    F: CylinderFunction | None) -> tuple[np.ndarray, int]:
+        """Each centre's unit spike values as a row, and their depth."""
+        if F is not None and F.inf <= 0:
             raise ValueError("target function must be positive")
-        shifted = translate_function(F, tuple(g))
-        h = base.h * shifted
-        a = base.a
-        h = h * (1.0 / h(a))
-        return replace(base, h=h)
+        n = words.shape[1]
+        depth = n + self.S.depth_m
+        rows = np.arange(len(words))
+        vals = np.exp(-self.S.rho_phi_rows(words, depth))
+        at_ray = vals[rows, StemTable(self.ab, depth).indices(self._rays(words, depth))]
+        vals = vals / at_ray[:, None]
+        if F is None:
+            return vals, depth
+        full = max(depth, n + F.depth)
+        tab = StemTable(self.ab, full)
+        vals = (np.repeat(vals, tab.span(depth), axis=1)
+                * np.repeat(translate_rows(F, words), tab.span(n + F.depth), axis=1))
+        at_ray = vals[rows, tab.indices(self._rays(words, full))]
+        return vals * (1.0 / at_ray)[:, None], full
+
+    def _rays(self, words: np.ndarray, length: int) -> np.ndarray:
+        """The first `length` letters of each centre's `ray_word` (its last
+        letter repeated; the identity's ray repeats letter 0)."""
+        count, n = words.shape
+        last = words[:, -1:] if n else np.zeros((count, 1), dtype=np.int64)
+        return np.concatenate([words, np.repeat(last, max(0, length - n), axis=1)], axis=1)
+
+    def _records(self, words: np.ndarray, vals: np.ndarray, depth: int,
+                 constants=None) -> list["SpikeRecord"]:
+        n = words.shape[1]
+        return [SpikeRecord(h=CylinderFunction(self.ab, depth, row), r=math.exp(-n),
+                            a=ray_word(self.ab, g), s=float(n), C=C, center=g)
+                for g, row, C in zip(map(tuple, words.tolist()), vals,
+                                     constants or [None] * len(words))]
 
     # -- certification -------------------------------------------------------------
 
@@ -374,73 +417,112 @@ class SpikeLab:
         """Least constant satisfying the three spike conditions (and the
         Holder condition when an exponent is supplied), by exact cylinder sup."""
         h = rec.h
-        if h.inf <= 0:
-            raise NotASpikeError("spike function must be strictly positive")
         j = scale_depth(rec.r)
-        c3 = h.ratio_within(rec.r)
+        if h.depth < j:
+            h = h.refine(j)
+        rays = word_rows([rec.a.prefix(h.depth)])
+        return self._audit_rows(h.values[None], h.depth, rays, rec.r, rec.s, holder_q)[0]
+
+    def _audit_rows(self, vals: np.ndarray, depth: int, rays: np.ndarray, r: float, s: float,
+                    holder_q: float | None) -> list["SpikeAudit"]:
+        """`spike_audit` of each row of depth-`depth` spike values, for balls
+        of radius r (j = scale_depth(r) <= depth) about the rows' rays.
+
+        Every sup is a block max or min: the stems of one depth-i cylinder
+        are one block, and the stems meeting the ball word at confluence c are
+        the depth-(c+1) blocks below its length-c prefix but its own."""
+        count = len(vals)
+        rows = np.arange(count)
+        tab = StemTable(self.ab, depth)
+        j = scale_depth(r)
+        if (vals.min(axis=1) <= 0).any():
+            raise NotASpikeError("spike function must be strictly positive")
+        top, low = block_extrema(vals, tab)
+        c3 = np.ones(count) if j >= depth else (top[j] / low[j]).max(axis=1)
         if j == 0:
-            c1, c2 = c3, 0.0
+            c1, c2 = c3, np.zeros(count)
         else:
-            if h.depth < j:
-                h = h.refine(j)
-            hv = h.values
-            tab = h.table
-            ball_lo, ball_hi = tab.prefix_range(rec.a.prefix(j))
-            c1 = h.sup / float(hv[ball_lo:ball_hi].min())
+            ball = rays[:, :j]
+            codes = list(tab.prefix_codes(ball))
+            c1 = top[0][:, 0] / low[j][rows, codes[-1]]
             # condition (2): x outside the ball, grouped by confluence depth
-            ball_word = rec.a.prefix(j)
-            h_a = h(rec.a)
-            cdep = tab.branch_depths(ball_word)
-            c2 = 0.0
-            for c in range(j):
-                sel = cdep == c
-                if not sel.any():
-                    continue
-                integ = self._integrator.integral(ball_word, c, rec.s)
-                if integ <= 0:
+            scale = vals[rows, tab.indices(rays[:, :depth])] * math.exp(self.alpha * s)
+            prefixes = self._integrator.prefixes(ball)[-1]
+            c2 = np.zeros(count)
+            parent = np.zeros(count, dtype=np.int64)
+            for c, code in enumerate(codes):
+                kids = top[c + 1].reshape(count, len(top[c][0]), -1)[rows, parent]
+                kids[rows, code - parent * kids.shape[1]] = -np.inf
+                integ = self._integrator.integrals(prefixes, c, s)
+                if (integ <= 0).any():
                     raise NotASpikeError(f"kernel integral vanishes at confluence {c}")
-                bound = h_a * math.exp(self.alpha * rec.s) * integ
-                c2 = max(c2, float(hv[sel].max()) / bound)
-        out = SpikeAudit(c1=c1, c2=c2, c3=c3, c_holder=None)
+                c2 = np.maximum(c2, kids.max(axis=1) / (scale * integ))
+                parent = code
+        holder = [None] * count
         if holder_q is not None:
-            dr = h.holder_at(rec.r, holder_q)
-            out = replace(out, c_holder=float((dr * rec.r ** holder_q / h.values).max()))
-        return out
+            dr = holder_rows(vals, tab, j, holder_q, (top, low))
+            holder = (dr * r ** holder_q / vals).max(axis=1).tolist()
+        return [SpikeAudit(*row) for row in zip(c1.tolist(), c2.tolist(), c3.tolist(), holder)]
 
     def _profile_audit(self, g: Word) -> SpikeAudit:
-        """Closed-form audit of the depth-1 rn spike at g.
+        """Closed-form audit of the depth-1 rn spike at g."""
+        return self._profile_rows(word_rows([g]))[0]
+
+    def _profile_rows(self, words: np.ndarray) -> list[SpikeAudit]:
+        """Closed-form audits of the depth-1 rn spikes at the centres.
 
         For a depth-1 table the spike value and the kernel integral over the
         shadow of g depend on a boundary point only through its confluence
         depth with g, so every sup collapses to an (n+1)-profile.
         """
-        g = tuple(g)
-        n = len(g)
-        rho = self.S.rho_profile(g)
-        v = np.exp(rho[n] - rho)  # spike value on the confluence-c shell
+        count, n = words.shape
+        rho = self.S.rho_profiles(words)
+        v = np.exp(rho[:, n:] - rho)  # spike value on the confluence-c shell
         phi_k = np.array([self.kernel.table[(s,)] for s in self.ab.letters])
-        ksuffix = np.concatenate([[0.0], np.cumsum(phi_k[list(g)])])
-        mass_g = self.nu.cylinder_mass_of_stem(g)
-        c1 = float(v.max()) / float(v[n])
-        c2 = 0.0
-        for c in range(n):
-            integ = math.exp(-2.0 * (ksuffix[n] - ksuffix[c])) * mass_g
-            c2 = max(c2, float(v[c]) / (math.exp(self.alpha * n) * integ))
+        ksuffix = np.concatenate([np.zeros((count, 1)), np.cumsum(phi_k[words], axis=1)], axis=1)
+        integ = self._integrator
+        mass_g = integ.masses(integ.prefixes(words)[-1])
+        # math.exp once per distinct exponent, as `_KernelIntegrator.integrals` takes it
+        u, at = np.unique(-2.0 * (ksuffix[:, n:] - ksuffix[:, :n]), return_inverse=True)
+        kernel = np.array([math.exp(f) for f in u.tolist()])[at].reshape(count, n)
+        c1 = v.max(axis=1) / v[:, n]
+        c2 = (v[:, :n] / (math.exp(self.alpha * n) * (kernel * mass_g[:, None]))).max(
+            axis=1, initial=0.0)
         # pairs below the ball scale share their confluence depth: conditions
         # (3) and the Holder bound are exact zeros of oscillation
-        return SpikeAudit(c1=c1, c2=c2, c3=1.0, c_holder=0.0)
+        return [SpikeAudit(c1=a, c2=b, c3=1.0, c_holder=0.0)
+                for a, b in zip(c1.tolist(), c2.tolist())]
 
     def rn_spike_audit(self, g: Word) -> SpikeAudit:
         """Audit of the derivative spike at g, Holder exponent beta included:
         the closed-form profile for depth-1 tables, the dense audit otherwise."""
+        return self._rn_audits(word_rows([g]))[0]
+
+    def shell_audits(self, n: int) -> list[SpikeAudit]:
+        """`rn_spike_audit` of every g with |g| = n, in stem order."""
+        return self._rn_audits(_shell_words(self.ab, n))
+
+    def _rn_audits(self, words: np.ndarray) -> list[SpikeAudit]:
         if self.S.depth_m == 1:  # the kernel has the stream's depth
-            return self._profile_audit(g)
-        return self.spike_audit(self.unit_spike(g), holder_q=self.beta)
+            return [a for chunk in _chunks(words, words.shape[1] + 1)
+                    for a in self._profile_rows(chunk)]
+        return [a for *_, audits in self._spike_chunks(words, None) for a in audits]
 
     def sweep(self, radius: int) -> list[tuple[Word, float]]:
         """Audit every derivative spike with |g| <= radius; rows (g, minimal C)."""
-        return [(g, self.rn_spike_audit(g).minimal_c)
-                for n in range(1, radius + 1) for g in self.ab.reduced_words(n)]
+        return [(g, a.minimal_c) for n in range(1, radius + 1)
+                for g, a in zip(self.ab.reduced_words(n), self.shell_audits(n))]
+
+
+def _chunks(words: np.ndarray, cells: int):
+    """The rows of `words` in slices of max(1, BUDGET // cells) rows."""
+    step = max(1, BUDGET // cells)
+    return (words[lo:lo + step] for lo in range(0, len(words), step))
+
+
+def _shell_words(ab, n: int) -> np.ndarray:
+    """The reduced words of length n as letter rows, in stem (= lexicographic) order."""
+    return StemTable(ab, n).letters.astype(np.int64)
 
 
 @dataclass(frozen=True)

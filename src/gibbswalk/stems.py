@@ -99,28 +99,51 @@ class StemTable:
         letters = np.asarray(letters)
         if letters.ndim != 2 or letters.shape[1] != self.depth:
             raise ValueError(f"expected rows of {self.depth} letters")
+        for idx in self.prefix_codes(letters):  # the last code is the whole stem's
+            pass
+        return idx
+
+    def prefix_codes(self, letters: np.ndarray):
+        """Each row's index among the stems of its first i letters, i = 1, 2, ...,
+        yielded one letter column at a time."""
         branch, k2 = self.branch_index.ravel(), self.ab.n_letters
         idx = prev = letters[:, 0].astype(np.int64)
-        for col in range(1, self.depth):
+        yield idx
+        for col in range(1, letters.shape[1]):
             cur = letters[:, col].astype(np.int64)
             j = branch[prev * k2 + cur]
             if j.size and j.min() < 0:
                 raise ValueError("stem is not reduced")
             idx = idx * self.branching + j
             prev = cur
-        return idx
+            yield idx
 
     def blocks(self, values: np.ndarray, j: int) -> np.ndarray:
         """Per-stem values as rows, one row per depth-j cylinder (j = 0: one row)."""
         return values.reshape(-1, self.span(j))
 
-    def branch_depths(self, w: Word) -> np.ndarray:
-        """Per-stem confluence length with the word w (clipped at depth)."""
-        c = np.zeros(self.size, dtype=np.int64)
-        for i in range(1, min(len(w), self.depth) + 1):
-            lo, hi = self.prefix_range(w[:i])
-            c[lo:hi] = i
-        return c
+    def confluences(self, words: np.ndarray) -> np.ndarray:
+        """(count, size): the confluence length of every stem with each row of a
+        (count, n) letter array of reduced words, clipped at depth.
+
+        The stems extending a row's length-i prefix are one index range, so
+        each prefix code marks its range's ends and one running sum along the
+        stems counts the ranges that hold a stem."""
+        words = np.asarray(words)
+        count, n = words.shape
+        marks = np.zeros((count, self.size + 1), dtype=np.int64)
+        rows = np.arange(count)
+        if n:
+            for i, code in enumerate(self.prefix_codes(words[:, :self.depth]), 1):
+                marks[rows, code * self.span(i)] += 1
+                marks[rows, (code + 1) * self.span(i)] -= 1
+        return np.cumsum(marks[:, :-1], axis=1)
+
+
+def word_rows(words) -> np.ndarray:
+    """Words of one length as a (count, n) integer letter array."""
+    words = list(words)
+    return np.array(words, dtype=np.int64).reshape(len(words), len(words[0]) if words else 0)
 
 
 @lru_cache(maxsize=None)

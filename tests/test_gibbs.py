@@ -319,6 +319,25 @@ class TestRadonNikodymArrays:
         assert np.array_equal(stream_m2.rho_phi_array((0, 2, 1), 6), ref)
         assert stream_m2.dphi_array(1).shape == (4,)
 
+    @pytest.mark.parametrize("name", ["m2", "m3-average", "m3-extend", "rank3-m2", "rank3-m3"])
+    def test_shell_sums_short_words_equal_per_word_loop(self, deep_streams, name, monkeypatch):
+        # the short words (n < m) are read from one window_sums gather in stem
+        # order, which is reduced_words order, so the Python sum adds the same terms
+        S = deep_streams[name]
+        potentials_ = (S.potential, _deep_potential(S.ab.rank, S.depth_m, "extend"))
+        m = S.depth_m
+        for n in range(1, m):
+            assert list(S.ab.reduced_words(n)) == list(StemTable(S.ab, n).stems())
+        refs = [[math.log(sum(math.exp(-d_phi(P, (), g)) for g in P.ab.reduced_words(n)))
+                 for n in range(1, m)] for P in potentials_]
+
+        def refuse(*args):
+            raise AssertionError("per-word d_phi call")
+
+        monkeypatch.setattr(gibbs, "d_phi", refuse)
+        for P, ref in zip(potentials_, refs):
+            assert shell_sums_log(P, m + 1)[: m - 1].tolist() == ref
+
     def test_memory_stays_per_stem(self, stream_m2):
         # 78,732 stems at depth 10: ten arrays of one float per stem take
         # 6.3 MB, an int64 array of stems x word length (13 letters) 8.2 MB

@@ -7,9 +7,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from gibbswalk import cli, cylfun, spikes
 from gibbswalk.cylfun import CylinderFunction, scale_depth
+from gibbswalk.decompose import SWEEP_RADIUS, DecomposerConfig, decompose
 from gibbswalk.gibbs import GibbsStream
-from gibbswalk.potentials import Potential, d_phi_ray, sym_potential
+from gibbswalk.potentials import Potential, d_phi_ray, sym_potential, window_sums
 from gibbswalk.spikes import (
     S_GRID,
     R_GRID,
@@ -401,3 +403,210 @@ class TestSpikeAudit:
         head = max(per[n] for n in per if n <= stream_m2.depth_m + 2)
         assert all(per[n] <= head * (1 + 1e-9) for n in per)
         assert all(math.isfinite(c) for _, c in rows)
+
+
+# --------------------------------------------------------------------------
+# The shell path against the per-g loop it replaced.
+
+
+def _branch_depths(tab, w):
+    """Per-stem confluence length with the word w (clipped at depth)."""
+    c = np.zeros(tab.size, dtype=np.int64)
+    for i in range(1, min(len(w), tab.depth) + 1):
+        lo, hi = tab.prefix_range(w[:i])
+        c[lo:hi] = i
+    return c
+
+
+def _loop_rho_profile(S, q):
+    phi = np.array([S.potential.table[(s,)] for s in S.ab.letters])
+    fwd = np.concatenate([[0.0], np.cumsum([phi[s] for s in q])])
+    bwd = np.concatenate([[0.0], np.cumsum([phi[inverse_letter(s)] for s in reversed(q)])])[::-1]
+    return bwd - fwd
+
+
+def _loop_rho(S, q, depth):
+    """rho_phi_array of one centre, one window_sums call per confluence."""
+    tab = StemTable(S.ab, depth)
+    conf = _branch_depths(tab, q)
+    if S.depth_m == 1:
+        return _loop_rho_profile(S, q)[conf]
+    P, letters = S.potential, tab.letters
+    from_q = np.empty(tab.size)
+    for c in range(len(q) + 1):
+        rows = np.flatnonzero(conf == c)
+        from_q[rows] = window_sums(P, S.ab.inv(q[c:]), letters[rows, c:])
+    return from_q - window_sums(P, (), letters)
+
+
+def _loop_translate(f, g):
+    n, d = len(g), f.depth
+    tab = StemTable(f.ab, n + d)
+    c = _branch_depths(tab, g)[:, None]
+    col = np.arange(d)[None, :]
+    head = np.array((f.ab.inv(g) + (0,) * d)[:d])
+    tail = np.take_along_axis(tab.letters, np.maximum(col + 2 * c - n, 0), axis=1)
+    return f.values[f.table.indices(np.where(col < n - c, head, tail))]
+
+
+def _loop_unit_spike(lab, g, F):
+    """The unit spike at g, built for that g alone."""
+    n, ab = len(g), lab.ab
+    depth = n + lab.S.depth_m
+    vals = np.exp(-_loop_rho(lab.S, g, depth))
+    a = ray_word(ab, g)
+    h = CylinderFunction(ab, depth, vals / vals[StemTable(ab, depth).index_of(a.prefix(depth))])
+    if F is None:
+        return h
+    h = h * CylinderFunction(ab, n + F.depth, _loop_translate(F, g))
+    return h * (1.0 / h(a))
+
+
+def _loop_holder(h, r, q):
+    out = np.zeros_like(h.values)
+    for j in range(scale_depth(r), h.depth):
+        balls = h.table.blocks(h.values, j)
+        gap = np.maximum(balls.max(axis=1, keepdims=True) - balls,
+                         balls - balls.min(axis=1, keepdims=True))
+        np.maximum(out, gap.ravel() * math.exp(q * j), out=out)
+    return out
+
+
+def _loop_spike_audit(lab, h, g, holder_q):
+    """(c1, c2, c3, c_holder) of the unit spike h at g, one confluence at a time."""
+    n = len(g)
+    r, s, a = math.exp(-n), float(n), ray_word(lab.ab, g)
+    j = scale_depth(r)
+    c3 = h.ratio_within(r)
+    hv, tab = h.values, h.table
+    lo, hi = tab.prefix_range(a.prefix(j))
+    c1 = h.sup / float(hv[lo:hi].min())
+    h_a = h(a)
+    cdep = _branch_depths(tab, a.prefix(j))
+    c2 = 0.0
+    for c in range(j):
+        sel = cdep == c
+        bound = h_a * math.exp(lab.alpha * s) * lab._integrator.integral(a.prefix(j), c, s)
+        c2 = max(c2, float(hv[sel].max()) / bound)
+    c_holder = float((_loop_holder(h, r, holder_q) * r ** holder_q / hv).max())
+    return c1, c2, c3, c_holder
+
+
+def _loop_profile_audit(lab, g):
+    n = len(g)
+    v = np.exp((rho := _loop_rho_profile(lab.S, g))[n] - rho)
+    phi_k = np.array([lab.kernel.table[(s,)] for s in lab.ab.letters])
+    ksuffix = np.concatenate([[0.0], np.cumsum(phi_k[list(g)])])
+    mass_g = lab.nu.cylinder_mass_of_stem(g)
+    c2 = 0.0
+    for c in range(n):
+        integ = math.exp(-2.0 * (ksuffix[n] - ksuffix[c])) * mass_g
+        c2 = max(c2, float(v[c]) / (math.exp(lab.alpha * n) * integ))
+    return float(v.max()) / float(v[n]), c2, 1.0, 0.0
+
+
+def _audit_tuple(aud):
+    return aud.c1, aud.c2, aud.c3, aud.c_holder
+
+
+SHELL_CASES = ["uniform", "step-f2", "random-hausdorff", "m2-average-hausdorff",
+               "m2-average-gibbs", "m2-extend-hausdorff", "m2-extend-gibbs", "rank3-zero",
+               "depth3-target"]
+
+
+class TestShellBatch:
+    """Whole-shell spikes and audits equal the per-g loop bit for bit, however
+    the shell is cut into chunks."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, uniform_stream, step_target, random_stream, stream_m2):
+        table = stream_m2.potential.table
+        m2_extend = GibbsStream(Potential(AB, 2, table, "extend"))
+        depth3 = CylinderFunction(AB, 3, np.random.default_rng(4).uniform(0.5, 2.0, 36))
+        return {  # lab, target, largest shell
+            "uniform": (SpikeLab(uniform_stream), None, 4),
+            "step-f2": (SpikeLab(uniform_stream), step_target, 4),
+            "random-hausdorff": (SpikeLab(random_stream), None, 4),
+            "m2-average-hausdorff": (SpikeLab(stream_m2), None, 3),
+            "m2-average-gibbs": (SpikeLab(stream_m2, nu_id="gibbs"), None, 3),
+            "m2-extend-hausdorff": (SpikeLab(m2_extend), None, 3),
+            "m2-extend-gibbs": (SpikeLab(m2_extend, nu_id="gibbs"), None, 3),
+            "rank3-zero": (SpikeLab(GibbsStream(Potential.zero(Alphabet(3)))), None, 2),
+            "depth3-target": (SpikeLab(stream_m2), depth3, 3),
+        }
+
+    @pytest.mark.parametrize("rows", [None, 1, 5], ids=["budget", "one-row", "five-rows"])
+    @pytest.mark.parametrize("name", SHELL_CASES)
+    def test_shell_equals_per_g_loop(self, cases, name, rows, monkeypatch):
+        lab, F, top = cases[name]
+        m = lab.S.depth_m
+        for n in range(1, top + 1):
+            words = list(lab.ab.reduced_words(n))
+            depth = n + max(m, F.depth if F is not None else 0)
+            if rows is not None:  # rows 5 splits every shell inside a chunk
+                monkeypatch.setattr(spikes, "BUDGET", rows * StemTable(lab.ab, depth).size)
+            shell = lab.shell(n, F)
+            assert [rec.center for rec in shell] == words
+            for g, rec in zip(words, shell):
+                h = _loop_unit_spike(lab, g, F)
+                assert rec.h.depth == h.depth == depth
+                assert rec.h.values.tobytes() == h.values.tobytes(), (name, g)
+                want = _loop_spike_audit(lab, h, g, lab.beta)
+                assert rec.C == max(want + (1.0,)), (name, g)
+                assert _audit_tuple(lab.spike_audit(rec, holder_q=lab.beta)) == want, (name, g)
+            if F is not None:
+                continue
+            if rows is not None and m == 1:  # profile rows hold n + 1 cells
+                monkeypatch.setattr(spikes, "BUDGET", rows * (n + 1))
+            audits = lab.shell_audits(n)
+            for g, aud, rec in zip(words, audits, shell):
+                if m == 1:
+                    assert _audit_tuple(aud) == _loop_profile_audit(lab, g), (name, g)
+                else:
+                    assert aud.minimal_c == rec.C, (name, g)
+            assert len(audits) == len(words)
+
+    def test_per_g_entry_points_are_batches_of_one(self, cases):
+        lab, F, _ = cases["depth3-target"]
+        g = (0, 2, 1)
+        rec = lab.unit_spike(g, F)
+        assert rec.h.values.tobytes() == _loop_unit_spike(lab, g, F).values.tobytes()
+        assert rec.r == math.exp(-3) and rec.s == 3.0 and rec.center == g
+        lab, _, _ = cases["random-hausdorff"]
+        assert _audit_tuple(lab._profile_audit(g)) == _loop_profile_audit(lab, g)
+        assert _audit_tuple(lab.rn_spike_audit(g)) == _loop_profile_audit(lab, g)
+
+    def test_decompose_and_sweep_build_whole_shells_once(self, monkeypatch, uniform_stream,
+                                                         step_target, stream_m2, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-g spike entry point reached")
+
+        for name in ("rn_spike", "unit_spike", "spike_audit", "rn_spike_audit", "_profile_audit"):
+            monkeypatch.setattr(SpikeLab, name, refuse)
+        monkeypatch.setattr(GibbsStream, "rho_phi_array", refuse)
+        monkeypatch.setattr(spikes, "translate_function", refuse)
+        monkeypatch.setattr(cylfun, "translate_function", refuse)
+        built, audited = Counter(), Counter()
+        shell, shell_audits = SpikeLab.shell, SpikeLab.shell_audits
+
+        def counted_shell(self, n, F=None):
+            built[n] += 1
+            return shell(self, n, F)
+
+        def counted_audits(self, n):
+            audited[n] += 1
+            return shell_audits(self, n)
+
+        monkeypatch.setattr(SpikeLab, "shell", counted_shell)
+        monkeypatch.setattr(SpikeLab, "shell_audits", counted_audits)
+        cfg = {"audits": {"spike_radius": 4}}
+        for S, F in ((uniform_stream, step_target), (stream_m2, None)):
+            built.clear()
+            audited.clear()
+            F = F or CylinderFunction.constant(AB, 1.0)
+            lab = SpikeLab(S)
+            dec = decompose(F, S, DecomposerConfig(max_shell=5), lab=lab)
+            assert set(built) == set(range(1, SWEEP_RADIUS + 1)) | {t.shell for t in dec.stages}
+            assert set(built.values()) == {1}
+            assert cli.run_spikes(cfg, AB, S, lab, cli.Reporter(tmp_path, cfg))["pass"]
+            assert audited == Counter({n: 1 for n in range(1, 5)})

@@ -295,6 +295,25 @@ class TestChi2:
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
+    def test_no_scipy_integrate_import(self):
+        # only the numeric H2 distance reads scipy.integrate, and it imports it itself
+        code = ("import sys\n"
+                "import gibbswalk.cli\n"
+                "from gibbswalk import Alphabet, CylinderFunction, GibbsStream, Potential\n"
+                "from gibbswalk.decompose import DecomposerConfig, decompose\n"
+                "from gibbswalk.walk import assemble_walk, simulate_hitting\n"
+                "ab = Alphabet(2)\n"
+                "S = GibbsStream(Potential.zero(ab))\n"
+                "dec = decompose(CylinderFunction.constant(ab, 1.0), S, DecomposerConfig())\n"
+                "rep = simulate_hitting(assemble_walk(dec, S), 500, 1, seed=1)\n"
+                "assert rep.n_paths == 500\n"
+                "assert 'scipy.integrate' not in sys.modules\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
 
 _MASK = 2**64 - 1
 _GAMMA = 0x9E3779B97F4A7C15
