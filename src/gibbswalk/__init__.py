@@ -38,7 +38,7 @@ from .gibbs import (
     shadow_lemma_audit,
 )
 from .cylfun import CylinderFunction
-from .spikes import DecayCert, SpikeLab, SpikeRecord, g_kernel
+from .spikes import DecayCert, SpikeLab, SpikeRecord, SpikeShell, g_kernel
 from .decompose import (
     DecomposerConfig,
     Decomposition,

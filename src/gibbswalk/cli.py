@@ -82,7 +82,7 @@ def load_config(path: str | None, preset: str | None, seed: int | None) -> dict:
             cfg = json.load(fh)
         if "preset" in cfg and cfg["preset"]:
             # each section the file names is merged into the preset's, one level deep
-            base = json.loads(json.dumps(PRESETS[cfg["preset"]]))
+            base = _preset(cfg["preset"])
             for key, val in cfg.items():
                 if isinstance(val, dict) and isinstance(base.get(key), dict):
                     base[key].update(val)
@@ -90,10 +90,17 @@ def load_config(path: str | None, preset: str | None, seed: int | None) -> dict:
                     base[key] = val
             cfg = base
     else:
-        cfg = json.loads(json.dumps(PRESETS[preset or "uniform-f2"]))
+        cfg = _preset(preset or "uniform-f2")
     if seed is not None:
         cfg["seed"] = seed
     return cfg
+
+
+def _preset(name: str) -> dict:
+    """A deep copy of the named preset; an unknown name is refused with the known ones."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; known presets: {sorted(PRESETS)}")
+    return json.loads(json.dumps(PRESETS[name]))
 
 
 def config_hash(cfg: dict) -> str:
@@ -291,7 +298,7 @@ def run_walk(cfg, ab, P, S, F, dec, rep: Reporter) -> dict:
         emp = rep1.empirical.get(stem, 0.0)
         se = rep1.stderr.get(stem, math.sqrt(max(target[i] * (1 - target[i]), 1e-12) / rep1.n_paths))
         z = (emp - target[i]) / se if se > 0 else 0.0
-        ok = abs(emp - target[i]) <= 4 * se + err
+        ok = bool(abs(emp - target[i]) <= 4 * se + err)
         sim_ok = sim_ok and ok
         rows.append((ab.format_word(stem), emp, float(target[i]), se, z))
     rep.csv("hitting.csv", ["cylinder", "empirical", "target", "stderr", "z"], rows)
@@ -390,7 +397,10 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="reports", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     args = parser.parse_args(argv)
-    cfg = load_config(args.config, args.preset, args.seed)
+    try:
+        cfg = load_config(args.config, args.preset, args.seed)
+    except ValueError as exc:  # an unreadable config or an unknown preset: no traceback
+        parser.error(str(exc))
     stages = ALL_STAGES if args.command == "all" else (args.command,)
     code, summary = run_experiment(cfg, args.out, stages)
     for key, val in summary.items():

@@ -40,6 +40,13 @@ class CylinderFunction:
 
     @classmethod
     def from_table(cls, ab: Alphabet, depth: int, table: dict, default: float = 0.0) -> "CylinderFunction":
+        """`default` off the table's cylinders.  The keys' cylinders must be
+        disjoint: a key that is a prefix of another is refused by name."""
+        keys = sorted(map(tuple, table))
+        for u, v in zip(keys, keys[1:]):  # a key's extensions follow it in sorted order
+            if v[:len(u)] == u:
+                raise ValueError(f"table keys {ab.format_word(u)!r} and {ab.format_word(v)!r} "
+                                 "overlap: one is a prefix of the other")
         tab = StemTable(ab, depth)
         vals = np.full(tab.size, float(default))
         for stem, v in table.items():

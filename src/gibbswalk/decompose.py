@@ -18,9 +18,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cylfun import CylinderFunction, scale_depth
+from .cylfun import CylinderFunction
 from .gibbs import GibbsStream
-from .spikes import CertificationError, DecayCert, SpikeLab, SpikeRecord
+from .spikes import CertificationError, DecayCert, SpikeLab, SpikeShell, ray_rows
 from .stems import StemTable
 
 
@@ -50,6 +50,8 @@ class DecomposerConfig:
     def __post_init__(self):
         if self.ell <= 1 or not 0 < self.gamma < 1:
             raise ValueError("need ell > 1, 0 < gamma < 1")
+        if self.delta < 0:
+            raise ValueError("the shell width delta must be >= 0")
         if self.d_bound is not None and self.d_bound < 1:
             raise ValueError("the spike-constant bound must be >= 1")
 
@@ -82,8 +84,7 @@ class Decomposition:
     residual: CylinderFunction
     config: DecomposerConfig
     cert: DecayCert
-    spike_l1: dict           # g -> L1 norm of the unit spike
-    spike_s: dict            # g -> depth scale of the spike
+    spike_l1: dict           # g -> L1 norm of the unit spike (its depth scale is len(g))
     target: CylinderFunction
     stream: GibbsStream
     status: str = "target"   # "target" | "stage_cap" | "shell_budget"
@@ -106,28 +107,16 @@ def _coarsest_scale(R: CylinderFunction, ell: float) -> tuple[float, float]:
     return math.exp(-R.depth), 1.0
 
 
-def _ball_coverage_counts(spikes: list[SpikeRecord], depth: int, ab) -> np.ndarray:
-    tab = StemTable(ab, depth)
-    counts = np.zeros(tab.size, dtype=np.int64)
-    for rec in spikes:
-        j = scale_depth(rec.r)
-        if j == 0:
-            counts += 1
-        else:
-            lo, hi = tab.prefix_range(rec.a.prefix(j))
-            counts[lo:hi] += 1
-    return counts
-
-
-def subfunction_step(R: CylinderFunction, spikes: list[SpikeRecord], cert: DecayCert,
+def subfunction_step(R: CylinderFunction, spikes: SpikeShell, cert: DecayCert,
                      cfg: DecomposerConfig, eps: float) -> tuple[CylinderFunction, dict]:
-    """One-shot subfunction: h = sum lambda_i f_i with certified sandwich bounds.
+    """One-shot subfunction: h = sum lambda_i f_i over a shell's spikes, with
+    certified sandwich bounds.
 
     lambda_i = R(a_i) / (2 D C_G t_eps^2 B).  All hypotheses are checked and
     both conclusions (h <= R everywhere; h >= R / (2 D^2 C_G t_eps^3 B) on the
     union of the spike balls) are re-verified exactly on cylinders.
     """
-    if not spikes:
+    if not len(spikes.words):
         raise HypothesisError("no spikes supplied")
     d_bound = cfg.d_bound
     if d_bound is None:
@@ -135,40 +124,31 @@ def subfunction_step(R: CylinderFunction, spikes: list[SpikeRecord], cert: Decay
     B = BESICOVITCH
     t_inf = R.sup / R.inf
     t_eps = R.ratio_within(eps)
-    s_values = [rec.s for rec in spikes]
-    s_min, s_max = min(s_values), max(s_values)
-    if s_max - s_min > cfg.delta + 1e-12:
-        raise HypothesisError("spike depth spread exceeds the shell width delta")
-    for rec in spikes:
-        if rec.r > eps * (1 + 1e-12):
-            raise HypothesisError(f"spike ball radius {rec.r} exceeds eps {eps}")
-        if rec.C is None or rec.C > d_bound * (1 + 1e-12):
-            raise HypothesisError("spike constant missing or above the stage bound")
-    if t_inf * math.exp(-cert.beta_G * s_min) > eps ** cert.beta_G * t_eps * (1 + 1e-9):
+    n = spikes.words.shape[1]  # one shell: radius e^{-n}, depth scale n, no spread
+    if math.exp(-n) > eps * (1 + 1e-12):
+        raise HypothesisError(f"spike ball radius {math.exp(-n)} exceeds eps {eps}")
+    if spikes.C.max() > d_bound * (1 + 1e-12):
+        raise HypothesisError("spike constant above the stage bound")
+    if t_inf * math.exp(-cert.beta_G * n) > eps ** cert.beta_G * t_eps * (1 + 1e-9):
         raise HypothesisError("depth scale too shallow: t_inf e^{-beta S} > eps^beta t_eps")
-    # almost-decreasing slack is exp(2 L spread); zero spread on shell stages
-    depth = max(max(rec.h.depth for rec in spikes), R.depth)
-    counts = _ball_coverage_counts(spikes, depth, R.ab)
+    depth = max(spikes.depth, R.depth)
+    tab = StemTable(R.ab, depth)
+    at = tab.indices(ray_rows(spikes.words, depth))  # the stem of each spike's ray
+    ball = tab.span(n)  # a ball is the depth-n cylinder of its centre
+    counts = np.bincount(at // ball, minlength=tab.size // ball)
     if counts.max() > B:
         raise HypothesisError(f"ball multiplicity {counts.max()} exceeds B = {B}")
 
-    lam_scale = 1.0 / (2.0 * d_bound * cert.C_G * t_eps ** 2 * B)
-    acc = np.zeros(StemTable(R.ab, depth).size)
-    lambdas = {}
-    for rec in spikes:
-        lam = R(rec.a) * lam_scale
-        lambdas[tuple(rec.center)] = lam
-        acc += lam * rec.h.refine(depth).values
-    h = CylinderFunction(R.ab, depth, acc)
-
     upper = R.refine(depth).values
+    lam = upper[at] * (1.0 / (2.0 * d_bound * cert.C_G * t_eps ** 2 * B))
+    h = CylinderFunction(R.ab, depth, spikes.combine(lam, tab))
     if (h.values > upper * (1 + 1e-11) + 1e-15).any():
         raise CertificationError("subfunction exceeds the residual somewhere")
     floor = 1.0 / (2.0 * d_bound ** 2 * cert.C_G * t_eps ** 3 * B)
-    covered = counts > 0
+    covered = np.repeat(counts > 0, ball)
     if (h.values[covered] < upper[covered] * floor * (1 - 1e-11)).any():
         raise CertificationError("subfunction lower bound fails on the covered set")
-    return h, lambdas
+    return h, dict(zip(map(tuple, spikes.words.tolist()), lam.tolist()))
 
 
 def decompose(F: CylinderFunction, S: GibbsStream, cfg: DecomposerConfig,
@@ -184,9 +164,9 @@ def decompose(F: CylinderFunction, S: GibbsStream, cfg: DecomposerConfig,
         lab = SpikeLab(S, nu_id="gibbs")
     cert = lab.cert
     F_const = float(F.values.max()) == float(F.values.min())
-    shells: dict[int, list[SpikeRecord]] = {}
+    shells: dict[int, SpikeShell] = {}
 
-    def shell_spikes(n: int) -> list[SpikeRecord]:
+    def shell_spikes(n: int) -> SpikeShell:
         """The audited unit spikes of shell n, built once, a whole shell at a time."""
         if n not in shells:
             shells[n] = lab.shell(n, None if F_const else F)
@@ -194,15 +174,14 @@ def decompose(F: CylinderFunction, S: GibbsStream, cfg: DecomposerConfig,
 
     cfg_run = cfg
     if cfg.d_bound is None:
-        probe = [rec.C for n in range(1, SWEEP_RADIUS + 1) for rec in shell_spikes(n)]
-        cfg_run = replace(cfg, d_bound=max(probe) * D_MARGIN)
+        probe = max(float(shell_spikes(n).C.max()) for n in range(1, SWEEP_RADIUS + 1))
+        cfg_run = replace(cfg, d_bound=probe * D_MARGIN)
     contraction = _contraction(cfg_run, cert)
 
     mass = S.mass_array
     R = F
     entries: dict = {}
     spike_l1: dict = {}
-    spike_s: dict = {}
     stages: list[StageTrace] = []
     bound_l1 = F.l1(mass(F.depth))
     bound_sup = F.sup
@@ -236,12 +215,11 @@ def decompose(F: CylinderFunction, S: GibbsStream, cfg: DecomposerConfig,
             raise CertificationError(f"residual positivity lost at stage {n}")
         bound_l1 *= contraction
         bound_sup *= contraction
-        for rec in spikes:
-            g = tuple(rec.center)
-            entries[g] = entries.get(g, 0.0) + cfg_run.gamma * lams[g]
+        m = mass(spikes.depth)
+        for row, (g, lam) in zip(spikes.values, lams.items()):  # the shell's stem order
+            entries[g] = entries.get(g, 0.0) + cfg_run.gamma * lam
             if g not in spike_l1:
-                spike_l1[g] = rec.h.integral(mass(rec.h.depth))
-                spike_s[g] = rec.s
+                spike_l1[g] = float(row @ m)
         R = new_R
         new_l1 = R.l1(mass(R.depth))
         if new_l1 >= prev_l1:
@@ -256,8 +234,8 @@ def decompose(F: CylinderFunction, S: GibbsStream, cfg: DecomposerConfig,
         status = "target" if prev_l1 <= cfg.target_l1 else "stage_cap"
     return Decomposition(
         entries=entries, stages=stages, final_residual_l1=prev_l1, residual=R,
-        config=cfg_run, cert=cert, spike_l1=spike_l1,
-        spike_s=spike_s, target=F, stream=S, status=status, needed_shell=needed_shell,
+        config=cfg_run, cert=cert, spike_l1=spike_l1, target=F, stream=S,
+        status=status, needed_shell=needed_shell,
     )
 
 
@@ -276,7 +254,7 @@ def recompute_residual_l1(dec: Decomposition, lab: SpikeLab | None = None) -> fl
 
 def moment_sum(dec: Decomposition) -> float:
     """Weighted first moment sum(weight * |f|_1 * s) of the decomposition."""
-    return sum(w * dec.spike_l1[g] * dec.spike_s[g] for g, w in dec.entries.items())
+    return sum(w * dec.spike_l1[g] * len(g) for g, w in dec.entries.items())
 
 
 def moment_majorant(dec: Decomposition) -> list[float]:
@@ -297,6 +275,6 @@ def stage_moments(dec: Decomposition) -> list[float]:
     """Per-stage sum of gamma * lambda * |f|_1 * s (the moment increments)."""
     out = []
     for tr in dec.stages:
-        out.append(sum(dec.config.gamma * lam * dec.spike_l1[g] * dec.spike_s[g]
+        out.append(sum(dec.config.gamma * lam * dec.spike_l1[g] * len(g)
                        for g, lam in tr.lambda_entries.items()))
     return out

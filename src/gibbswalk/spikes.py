@@ -357,24 +357,31 @@ class SpikeLab:
         h = (g_* F) * d(g_* nu)/d nu, normalized to 1 at the ray through g.
         """
         words = word_rows([g])
-        return self._records(words, *self._spike_rows(words, F))[0]
+        vals, depth = self._spike_rows(words, F)
+        g = tuple(words[0].tolist())
+        return SpikeRecord(h=CylinderFunction(self.ab, depth, vals[0]), r=math.exp(-len(g)),
+                           a=ray_word(self.ab, g), s=float(len(g)), center=g)
 
-    def shell(self, n: int, F: CylinderFunction | None = None) -> list["SpikeRecord"]:
-        """The unit spikes of every g with |g| = n, in stem order, each with C
-        its minimal constant (Holder exponent beta)."""
-        chunks = self._spike_chunks(_shell_words(self.ab, n), F)
-        return [rec for words, vals, depth, audits in chunks
-                for rec in self._records(words, vals, depth, [a.minimal_c for a in audits])]
+    def shell(self, n: int, F: CylinderFunction | None = None) -> "SpikeShell":
+        """The unit spikes of every g with |g| = n, in stem order, with their
+        minimal constants C (Holder exponent beta)."""
+        words = _shell_words(self.ab, n)
+        depth = _spike_depth(self.S, n, F)
+        values, C = np.empty((len(words), StemTable(self.ab, depth).size)), []
+        for vals, audits in self._spike_chunks(words, F):  # C has one entry per row filled
+            values[len(C):len(C) + len(vals)] = vals
+            C += [a.minimal_c for a in audits]
+        values.flags.writeable = False
+        return SpikeShell(words, depth, values, np.array(C))
 
     def _spike_chunks(self, words: np.ndarray, F: CylinderFunction | None):
-        """(centres, spike rows, depth, audits at Holder exponent beta) of the
-        centres' unit spikes, BUDGET cells a chunk."""
+        """(spike rows, audits at Holder exponent beta) of the centres' unit
+        spikes, BUDGET cells a chunk."""
         n = words.shape[1]
-        depth = n + max(self.S.depth_m, F.depth if F is not None else 0)
-        for chunk in _chunks(words, StemTable(self.ab, depth).size):
+        for chunk in _chunks(words, StemTable(self.ab, _spike_depth(self.S, n, F)).size):
             vals, depth = self._spike_rows(chunk, F)
-            yield chunk, vals, depth, self._audit_rows(vals, depth, self._rays(chunk, depth),
-                                                       math.exp(-n), float(n), self.beta)
+            yield vals, self._audit_rows(vals, depth, ray_rows(chunk, depth),
+                                         math.exp(-n), float(n), self.beta)
 
     def _spike_rows(self, words: np.ndarray,
                     F: CylinderFunction | None) -> tuple[np.ndarray, int]:
@@ -385,7 +392,7 @@ class SpikeLab:
         depth = n + self.S.depth_m
         rows = np.arange(len(words))
         vals = np.exp(-self.S.rho_phi_rows(words, depth))
-        at_ray = vals[rows, StemTable(self.ab, depth).indices(self._rays(words, depth))]
+        at_ray = vals[rows, StemTable(self.ab, depth).indices(ray_rows(words, depth))]
         vals = vals / at_ray[:, None]
         if F is None:
             return vals, depth
@@ -393,23 +400,8 @@ class SpikeLab:
         tab = StemTable(self.ab, full)
         vals = (np.repeat(vals, tab.span(depth), axis=1)
                 * np.repeat(translate_rows(F, words), tab.span(n + F.depth), axis=1))
-        at_ray = vals[rows, tab.indices(self._rays(words, full))]
+        at_ray = vals[rows, tab.indices(ray_rows(words, full))]
         return vals * (1.0 / at_ray)[:, None], full
-
-    def _rays(self, words: np.ndarray, length: int) -> np.ndarray:
-        """The first `length` letters of each centre's `ray_word` (its last
-        letter repeated; the identity's ray repeats letter 0)."""
-        count, n = words.shape
-        last = words[:, -1:] if n else np.zeros((count, 1), dtype=np.int64)
-        return np.concatenate([words, np.repeat(last, max(0, length - n), axis=1)], axis=1)
-
-    def _records(self, words: np.ndarray, vals: np.ndarray, depth: int,
-                 constants=None) -> list["SpikeRecord"]:
-        n = words.shape[1]
-        return [SpikeRecord(h=CylinderFunction(self.ab, depth, row), r=math.exp(-n),
-                            a=ray_word(self.ab, g), s=float(n), C=C, center=g)
-                for g, row, C in zip(map(tuple, words.tolist()), vals,
-                                     constants or [None] * len(words))]
 
     # -- certification -------------------------------------------------------------
 
@@ -506,7 +498,7 @@ class SpikeLab:
         if self.S.depth_m == 1:  # the kernel has the stream's depth
             return [a for chunk in _chunks(words, words.shape[1] + 1)
                     for a in self._profile_rows(chunk)]
-        return [a for *_, audits in self._spike_chunks(words, None) for a in audits]
+        return [a for _, audits in self._spike_chunks(words, None) for a in audits]
 
     def sweep(self, radius: int) -> list[tuple[Word, float]]:
         """Audit every derivative spike with |g| <= radius; rows (g, minimal C)."""
@@ -525,6 +517,19 @@ def _shell_words(ab, n: int) -> np.ndarray:
     return StemTable(ab, n).letters.astype(np.int64)
 
 
+def _spike_depth(S: GibbsStream, n: int, F: CylinderFunction | None) -> int:
+    """The depth of the unit spikes of shell n."""
+    return n + max(S.depth_m, F.depth if F is not None else 0)
+
+
+def ray_rows(words: np.ndarray, length: int) -> np.ndarray:
+    """The first `length` letters of each centre's `ray_word` (its last
+    letter repeated; the identity's ray repeats letter 0)."""
+    count, n = words.shape
+    last = words[:, -1:] if n else np.zeros((count, 1), dtype=np.int64)
+    return np.concatenate([words, np.repeat(last, max(0, length - n), axis=1)], axis=1)
+
+
 @dataclass(frozen=True)
 class SpikeRecord:
     """Certified spike data: the function, ball radius, center, depth scale."""
@@ -533,13 +538,33 @@ class SpikeRecord:
     r: float
     a: BoundaryWord
     s: float
-    C: float | None
     center: Word = ()
 
     def scaled(self, alpha: float) -> "SpikeRecord":
         if alpha <= 0:
             raise ValueError("spike multiples must be positive")
         return replace(self, h=self.h * alpha)
+
+
+@dataclass(frozen=True)
+class SpikeShell:
+    """The unit spikes of every g with |g| = n: one row per centre, in stem order."""
+
+    words: np.ndarray   # (G, n) centre letters
+    depth: int
+    values: np.ndarray  # (G, cells) read-only spike values at `depth`
+    C: np.ndarray       # (G,) minimal spike constants
+
+    def combine(self, lam: np.ndarray, tab: StemTable) -> np.ndarray:
+        """sum of lam[i] * row i refined to tab's depth, BUDGET cells at a time:
+        with the running sum as the first row, a sum over axis 0 adds the rows
+        one at a time in stem order."""
+        acc = np.zeros(tab.size)
+        for rows, w in zip(_chunks(self.values, tab.size), _chunks(lam, tab.size)):
+            if tab.depth > self.depth:  # np.repeat copies even when the span is 1
+                rows = np.repeat(rows, tab.span(self.depth), axis=1)
+            acc = np.vstack([acc, w[:, None] * rows]).sum(axis=0)
+        return acc
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,10 @@ import json
 import os
 import re
 
+import numpy as np
 import pytest
 
+from gibbswalk import cli
 from gibbswalk.cli import PRESETS, build_objects, config_hash, load_config, main, run_experiment
 from gibbswalk.spikes import CertificationError, SpikeLab
 
@@ -69,6 +71,25 @@ class TestConfig:
         cfg = small_config()
         cfg["potential"] = {"depth": 2, "entries": {"a a": 0.1, key: 0.5}}
         with pytest.raises(ValueError, match=re.escape(repr(key))):
+            build_objects(cfg)
+
+    def test_unknown_preset_in_file_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "nope"}))
+        with pytest.raises(ValueError, match=re.escape(f"'nope'; known presets: {sorted(PRESETS)}")):
+            load_config(str(path), None, None)
+        with pytest.raises(SystemExit) as exc:
+            main(["pressure", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unknown preset 'nope'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entries", [{"a": 2.0, "a a": 1.25}, {"a a": 1.25, "a": 2.0}],
+                             ids=["short-first", "long-first"])
+    def test_overlapping_target_entries_are_refused(self, entries):
+        # before, the later key overwrote the earlier one on the stems they share
+        cfg = small_config()
+        cfg["target"] = {"kind": "step", "depth": 2, "entries": entries}
+        with pytest.raises(ValueError, match="'a' and 'a a' overlap"):
             build_objects(cfg)
 
     @pytest.mark.parametrize("key", ["", "a a'", "a b a"])
@@ -137,6 +158,27 @@ class TestRunner:
             with open(path, newline="") as fh:
                 for row in csv.reader(fh):
                     assert not any("np." in cell for cell in row), (path.name, row)
+
+    def test_walk_verdicts_are_booleans(self, tmp_path, monkeypatch):
+        # numpy booleans were written through default=float as 1.0 and 0.0
+        code, summary = run_experiment(small_config(), str(tmp_path / "a"),
+                                       stages=("decompose", "walk"))
+        assert code == 0, summary.get("error")
+        walk = json.loads((tmp_path / "a" / "walk_summary.json").read_text())
+        copy = json.loads((tmp_path / "a" / "summary.json").read_text())["walk"]
+        for report in (walk, copy):
+            assert report["sim_within_tolerance"] is True and report["pass"] is True
+        density = cli.density_masses
+
+        def skewed(F, S, depth):  # a hitting target the walk cannot meet: one cylinder
+            masses = density(F, S, depth)
+            return np.where(np.arange(len(masses)) == 0, masses.sum(), 0.0)
+
+        monkeypatch.setattr(cli, "density_masses", skewed)
+        code, _ = run_experiment(small_config(), str(tmp_path / "b"), stages=("decompose", "walk"))
+        assert code == 1
+        walk = json.loads((tmp_path / "b" / "walk_summary.json").read_text())
+        assert walk["sim_within_tolerance"] is False and walk["pass"] is False
 
     def test_rows_carry_hash_and_version(self, tmp_path):
         cfg = small_config()

@@ -16,8 +16,10 @@ from gibbswalk.decompose import (
     stage_moments,
     subfunction_step,
 )
-from gibbswalk.spikes import DecayCert, SpikeLab, SpikeRecord
-from gibbswalk.words import Alphabet, ray_word
+from gibbswalk import spikes as spikes_mod
+from gibbswalk.spikes import DecayCert, SpikeLab, SpikeShell
+from gibbswalk.stems import StemTable
+from gibbswalk.words import Alphabet
 
 AB = Alphabet(2)
 
@@ -27,9 +29,12 @@ def unit_cert(C_G=1.0, beta=1.0):
                      kernel_id="sym", r_grid=(0.0,), s_grid=(0,))
 
 
-def identity_spike(C=1.0):
-    return SpikeRecord(h=CylinderFunction.constant(AB, 1.0), r=1.0,
-                       a=ray_word(AB, ()), s=0.0, C=C, center=())
+def flat_shell(n=0, C=1.0):
+    """Shell n with every spike the constant 1 and every spike constant C."""
+    words = StemTable(AB, n).letters.astype(np.int64) if n else np.zeros((1, 0), dtype=np.int64)
+    depth = max(n, 1)
+    return SpikeShell(words, depth, np.ones((len(words), StemTable(AB, depth).size)),
+                      np.full(len(words), C))
 
 
 class TestSubfunctionStep:
@@ -37,21 +42,17 @@ class TestSubfunctionStep:
         # the one-spike instance of the subfunction formula: lambda = 1/2
         R = CylinderFunction.constant(AB, 1.0)
         cfg = DecomposerConfig(d_bound=1.0)
-        h, lams = subfunction_step(R, [identity_spike()], unit_cert(), cfg, eps=1.0)
+        h, lams = subfunction_step(R, flat_shell(), unit_cert(), cfg, eps=1.0)
         assert lams[()] == pytest.approx(0.5)
         assert h.sup == h.inf == pytest.approx(0.5)
 
     def test_shell_symmetry_uniform(self, uniform_stream, ones_target):
         lab = SpikeLab(uniform_stream, nu_id="gibbs")
         cert = lab.decay_audit()
-        spikes = []
-        for g in AB.reduced_words(1):
-            rec = lab.rn_spike(g)
-            aud = lab.spike_audit(rec, holder_q=lab.beta)
-            spikes.append(rec.__class__(h=rec.h, r=rec.r, a=rec.a, s=rec.s,
-                                        C=aud.minimal_c, center=rec.center))
-        cfg = DecomposerConfig(d_bound=max(s.C for s in spikes))
+        spikes = lab.shell(1)
+        cfg = DecomposerConfig(d_bound=float(spikes.C.max()))
         h, lams = subfunction_step(ones_target, spikes, cert, cfg, eps=1.0)
+        assert list(lams) == list(AB.reduced_words(1))
         vals = list(lams.values())
         assert all(v == pytest.approx(vals[0], rel=1e-12) for v in vals)
         # exact cover: the certified floor holds everywhere
@@ -63,13 +64,8 @@ class TestSubfunctionStep:
     def test_upper_bound_everywhere(self, uniform_stream, step_target):
         lab = SpikeLab(uniform_stream, nu_id="gibbs")
         cert = lab.decay_audit()
-        spikes = []
-        for g in AB.reduced_words(1):
-            rec = lab.unit_spike(g, step_target)
-            aud = lab.spike_audit(rec, holder_q=lab.beta)
-            spikes.append(rec.__class__(h=rec.h, r=rec.r, a=rec.a, s=rec.s,
-                                        C=aud.minimal_c, center=rec.center))
-        cfg = DecomposerConfig(d_bound=max(s.C for s in spikes))
+        spikes = lab.shell(1, step_target)
+        cfg = DecomposerConfig(d_bound=float(spikes.C.max()))
         h, _ = subfunction_step(step_target, spikes, cert, cfg, eps=1.0)
         gap = step_target.refine(h.depth).values - h.values
         assert gap.min() >= -1e-12
@@ -78,26 +74,76 @@ class TestSubfunctionStep:
         R = CylinderFunction.constant(AB, 1.0)
         cfg = DecomposerConfig(d_bound=1.0)
         with pytest.raises(HypothesisError, match="radius"):
-            subfunction_step(R, [identity_spike()], unit_cert(), cfg, eps=0.1)
+            subfunction_step(R, flat_shell(), unit_cert(), cfg, eps=0.1)
         with pytest.raises(HypothesisError, match="constant"):
-            subfunction_step(R, [identity_spike(C=5.0)], unit_cert(), cfg, eps=1.0)
+            subfunction_step(R, flat_shell(C=5.0), unit_cert(), cfg, eps=1.0)
+        empty = SpikeShell(np.zeros((0, 0), dtype=np.int64), 1, np.ones((0, 4)), np.zeros(0))
         with pytest.raises(HypothesisError, match="no spikes"):
-            subfunction_step(R, [], unit_cert(), cfg, eps=1.0)
-        deep = identity_spike()
-        shallow = SpikeRecord(h=CylinderFunction.constant(AB, 1.0), r=1.0,
-                              a=ray_word(AB, ()), s=5.0, C=1.0, center=())
-        with pytest.raises(HypothesisError, match="delta"):
-            subfunction_step(R, [deep, shallow], unit_cert(), cfg, eps=1.0)
+            subfunction_step(R, empty, unit_cert(), cfg, eps=1.0)
 
     def test_depth_scale_hypothesis(self):
-        # t_inf e^{-beta S} <= eps^beta t_eps must be verified, not assumed
+        # t_inf e^{-beta S} <= eps^beta t_eps must be verified, not assumed:
+        # R is constant on depth-2 balls (t_eps = 1) but not overall
         rng = np.random.default_rng(5)
         R = CylinderFunction(AB, 2, rng.uniform(1.0, 60.0, 12))
         cfg = DecomposerConfig(d_bound=1.0)
-        shallow = SpikeRecord(h=CylinderFunction.constant(AB, 1.0), r=math.exp(-2),
-                              a=ray_word(AB, ()), s=0.0, C=1.0, center=())
         with pytest.raises(HypothesisError, match="shallow"):
-            subfunction_step(R, [shallow], unit_cert(beta=1.0), cfg, eps=math.exp(-2))
+            subfunction_step(R, flat_shell(2), unit_cert(beta=1.0), cfg, eps=math.exp(-2))
+
+
+def _loop_subfunction_step(R, records, cert, d_bound, eps):
+    """The per-record stage sum and weights that the shell rows replaced."""
+    t_eps = R.ratio_within(eps)
+    depth = max(max(rec.h.depth for rec in records), R.depth)
+    lam_scale = 1.0 / (2.0 * d_bound * cert.C_G * t_eps ** 2 * 1)
+    acc = np.zeros(StemTable(R.ab, depth).size)
+    lambdas = {}
+    for rec in records:
+        lam = R(rec.a) * lam_scale
+        lambdas[tuple(rec.center)] = lam
+        acc += lam * rec.h.refine(depth).values
+    return acc, lambdas
+
+
+class TestShellStepReference:
+    """subfunction_step on shell rows equals the per-record loop bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, uniform_stream, step_target, stream_m2):
+        depth3 = CylinderFunction(AB, 3, np.random.default_rng(4).uniform(0.5, 2.0, 36))
+        return {  # lab, spike target
+            "uniform": (SpikeLab(uniform_stream), None),
+            "step": (SpikeLab(uniform_stream), step_target),
+            "stream_m2": (SpikeLab(stream_m2), None),
+            "depth3-target": (SpikeLab(stream_m2), depth3),
+        }
+
+    @pytest.mark.parametrize("rows", [None, 1, 5], ids=["budget", "one-row", "five-rows"])
+    @pytest.mark.parametrize("name", ["uniform", "step", "stream_m2", "depth3-target"])
+    def test_stage_sum_and_weights_equal_record_loop(self, cases, name, rows, monkeypatch):
+        lab, F = cases[name]
+        # eps = 1 meets every hypothesis; R varies so that every weight differs
+        R = CylinderFunction(AB, 3, np.random.default_rng(8).uniform(1.0, 1.5, 36))
+        for n in (1, 2, 3):
+            if rows is not None:  # rows 5 splits the stage sum of shells 2 and 3
+                depth = max(n + max(lab.S.depth_m, F.depth if F is not None else 0), R.depth)
+                monkeypatch.setattr(spikes_mod, "BUDGET", rows * StemTable(AB, depth).size)
+            shell = lab.shell(n, F)
+            cfg = DecomposerConfig(d_bound=float(shell.C.max()))
+            h, lams = subfunction_step(R, shell, lab.cert, cfg, eps=1.0)
+            records = [lab.unit_spike(g, F) for g in AB.reduced_words(n)]
+            acc, want = _loop_subfunction_step(R, records, lab.cert, cfg.d_bound, 1.0)
+            assert h.values.tobytes() == acc.tobytes(), (name, n)
+            assert list(lams.items()) == list(want.items()), (name, n)
+
+    def test_spike_l1_equals_record_integral(self, uniform_stream, uniform_decomposition,
+                                             step_target, step_decomposition):
+        lab = SpikeLab(uniform_stream, nu_id="gibbs")
+        for dec, F in ((uniform_decomposition, None), (step_decomposition, step_target)):
+            assert list(dec.spike_l1) == list(dec.entries)
+            for g, l1 in dec.spike_l1.items():
+                h = lab.unit_spike(g, F).h
+                assert l1 == h.integral(uniform_stream.mass_array(h.depth)), g
 
 
 class TestDecompose:
@@ -214,3 +260,8 @@ class TestConfigFields:
         # constants; a config naming one fails instead of being ignored
         with pytest.raises(TypeError):
             DecomposerConfig(**{name: value})
+
+    def test_negative_delta_is_refused(self):
+        with pytest.raises(ValueError, match="delta"):
+            DecomposerConfig(delta=-1.0)
+        assert DecomposerConfig(delta=0.0).delta == 0.0

@@ -18,6 +18,7 @@ from gibbswalk.spikes import (
     X_DEPTH,
     CertificationError,
     SpikeLab,
+    SpikeRecord,
     _KernelIntegrator,
     g_kernel,
 )
@@ -374,7 +375,7 @@ class TestSpikeAudit:
         factor = CylinderFunction(AB, rec.h.depth,
                                   rng.uniform(a1, a2, rec.h.values.size))
         squeezed = rec.__class__(h=rec.h * factor, r=rec.r, a=rec.a, s=rec.s,
-                                 C=None, center=rec.center)
+                                 center=rec.center)
         new_c = lab_uniform.spike_audit(squeezed).minimal_c
         assert new_c <= base_c * (a2 / a1) + 1e-10
 
@@ -546,24 +547,27 @@ class TestShellBatch:
             if rows is not None:  # rows 5 splits every shell inside a chunk
                 monkeypatch.setattr(spikes, "BUDGET", rows * StemTable(lab.ab, depth).size)
             shell = lab.shell(n, F)
-            assert [rec.center for rec in shell] == words
-            for g, rec in zip(words, shell):
+            assert shell.words.tolist() == [list(g) for g in words]
+            assert shell.depth == depth and not shell.values.flags.writeable
+            for g, row, C in zip(words, shell.values, shell.C):
                 h = _loop_unit_spike(lab, g, F)
-                assert rec.h.depth == h.depth == depth
-                assert rec.h.values.tobytes() == h.values.tobytes(), (name, g)
+                assert h.depth == depth
+                assert row.tobytes() == h.values.tobytes(), (name, g)
                 want = _loop_spike_audit(lab, h, g, lab.beta)
-                assert rec.C == max(want + (1.0,)), (name, g)
+                assert C == max(want + (1.0,)), (name, g)
+                rec = SpikeRecord(h=CylinderFunction(lab.ab, depth, row), r=math.exp(-n),
+                                  a=ray_word(lab.ab, g), s=float(n), center=g)
                 assert _audit_tuple(lab.spike_audit(rec, holder_q=lab.beta)) == want, (name, g)
             if F is not None:
                 continue
             if rows is not None and m == 1:  # profile rows hold n + 1 cells
                 monkeypatch.setattr(spikes, "BUDGET", rows * (n + 1))
             audits = lab.shell_audits(n)
-            for g, aud, rec in zip(words, audits, shell):
+            for g, aud, C in zip(words, audits, shell.C):
                 if m == 1:
                     assert _audit_tuple(aud) == _loop_profile_audit(lab, g), (name, g)
                 else:
-                    assert aud.minimal_c == rec.C, (name, g)
+                    assert aud.minimal_c == C, (name, g)
             assert len(audits) == len(words)
 
     def test_per_g_entry_points_are_batches_of_one(self, cases):
@@ -600,11 +604,16 @@ class TestShellBatch:
         monkeypatch.setattr(SpikeLab, "shell", counted_shell)
         monkeypatch.setattr(SpikeLab, "shell_audits", counted_audits)
         cfg = {"audits": {"spike_radius": 4}}
-        for S, F in ((uniform_stream, step_target), (stream_m2, None)):
+        cases = [(SpikeLab(S), S, F or CylinderFunction.constant(AB, 1.0))
+                 for S, F in ((uniform_stream, step_target), (stream_m2, None))]
+        for lab, _, _ in cases:
+            assert lab.cert
+        # past the decay certificate no spike is read one point or one ball at a time
+        monkeypatch.setattr(CylinderFunction, "__call__", refuse)
+        monkeypatch.setattr(StemTable, "prefix_range", refuse)
+        for lab, S, F in cases:
             built.clear()
             audited.clear()
-            F = F or CylinderFunction.constant(AB, 1.0)
-            lab = SpikeLab(S)
             dec = decompose(F, S, DecomposerConfig(max_shell=5), lab=lab)
             assert set(built) == set(range(1, SWEEP_RADIUS + 1)) | {t.shell for t in dec.stages}
             assert set(built.values()) == {1}
