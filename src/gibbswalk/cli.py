@@ -330,8 +330,8 @@ def run_h2(cfg, rep: Reporter) -> dict:
 
 
 def run_experiment(cfg: dict, out_dir: str, stages=ALL_STAGES) -> tuple[int, dict]:
+    ab, P, S, F = build_objects(cfg)  # a refused config makes no report directory
     rep = Reporter(Path(out_dir), cfg)
-    ab, P, S, F = build_objects(cfg)
     summary: dict = {"config_hash": rep.hash, "version": __version__}
     dec = None
 
@@ -397,12 +397,12 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="reports", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     args = parser.parse_args(argv)
+    stages = ALL_STAGES if args.command == "all" else (args.command,)
     try:
         cfg = load_config(args.config, args.preset, args.seed)
-    except ValueError as exc:  # an unreadable config or an unknown preset: no traceback
+        code, summary = run_experiment(cfg, args.out, stages)
+    except ValueError as exc:  # a config that is unreadable or refused: no traceback
         parser.error(str(exc))
-    stages = ALL_STAGES if args.command == "all" else (args.command,)
-    code, summary = run_experiment(cfg, args.out, stages)
     for key, val in summary.items():
         if isinstance(val, dict) and "pass" in val:
             print(f"{'PASS' if val['pass'] else 'FAIL'} {key}")

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cylfun import CylinderFunction
-from .potentials import Potential, d_phi, rho_phi, window_graph, window_sums
-from .stems import StemTable, word_rows
+from .potentials import Potential, d_phi, rho_phi, window_graph, window_sums, window_walk
+from .stems import StemTable, check_dense, word_rows
 from .words import (
     Alphabet,
     BoundaryWord,
@@ -78,7 +78,7 @@ def shell_sums_log(P: Potential, n_max: int) -> np.ndarray:
     out = np.empty(n_max)
     for n in range(1, min(m, n_max + 1)):
         # the short words' weighted lengths, in stem (= reduced_words) order
-        lengths = window_sums(P, (), StemTable(P.ab, n).letters)
+        lengths = window_sums(P, StemTable(P.ab, n).letters)
         out[n - 1] = math.log(sum(math.exp(-x) for x in lengths.tolist()))
     if n_max < m:
         return out
@@ -158,6 +158,7 @@ class GibbsStream:
             ws = wts.copy()
         else:
             st_prev, ws_prev = self._layers(depth - 1)
+            check_dense(len(st_prev) * succ.shape[1], f"the depth-{depth} stem arrays")
             st = succ[st_prev].ravel()
             ws = (ws_prev[:, None] + wts[st.reshape(len(st_prev), -1)]).ravel()
         self._state_arr[depth], self._wsum[depth] = st, ws
@@ -179,7 +180,7 @@ class GibbsStream:
         """d_phi(base, stem) for every depth-n stem (suffix rule included)."""
         m = self.depth_m
         if depth < m:
-            return window_sums(self.potential, (), StemTable(self.ab, depth).letters)
+            return window_sums(self.potential, StemTable(self.ab, depth).letters)
         st, ws = self._layers(depth)
         return ws + window_graph(self.potential).tails[st]
 
@@ -209,8 +210,8 @@ class GibbsStream:
             path = np.empty((len(row), n - c + depth - c), dtype=letters.dtype)
             path[:, :n - c] = inverse[row, :n - c]
             path[:, n - c:] = letters[stem, c:]
-            from_q[row, stem] = window_sums(P, (), path)
-        return from_q - window_sums(P, (), letters)
+            from_q[row, stem] = window_sums(P, path)
+        return from_q - window_sums(P, letters)
 
     def rho_profiles(self, words: np.ndarray) -> np.ndarray:
         """Depth-1 tables: rho^Phi_xi(base, q) for xi branching from q at
@@ -249,6 +250,15 @@ class GibbsStream:
 
     def total_mass_from(self, q: Word) -> float:
         return self.measure_from(q, [Cylinder((s,)) for s in self.ab.letters])
+
+    def stem_masses(self, letters: np.ndarray) -> np.ndarray:
+        """`cylinder_mass_of_stem` of each row of a (count, n) letter array,
+        n >= 1: e^{-sum phi} h[last window] / Z from one `window_walk`."""
+        n = letters.shape[1]
+        if n < self.depth_m:
+            return self.mass_array(n)[StemTable(self.ab, n).indices(letters)]
+        state, ws = window_walk(self.potential, letters)
+        return np.exp(-ws) * self.h_right[state] / self._Z
 
     def cylinder_mass_of_stem(self, stem: Word) -> float:
         """Mass of one origin cylinder: e^{-sum phi} h[last window] / Z along its windows."""

@@ -168,41 +168,44 @@ def d_phi(P: Potential, p: Word, q: Word) -> float:
     return total
 
 
-def window_sums(P: Potential, head: Word, tails: np.ndarray) -> np.ndarray:
-    """Weighted length of the reduced word head + tails[r], for each row r.
+def window_walk(P: Potential, letters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's walk along the window chain: the index of its last window
+    and the sum of its window values, added left to right.
 
-    `tails` is a (count, length) letter array.  The first window of every
-    row is indexed once; each later full window rolls that index along the
-    window chain and each tail window keeps its low digits
-    (`StemTable.suffix_index`).  Values are added to the running sum one
-    window at a time, left to right, so every row's float is d_phi's sum
-    bit for bit, with memory a few arrays of one entry per row.
+    `letters` is a (count, length) array of reduced words.  The first window
+    (all of a row shorter than m) is indexed once; each later letter rolls
+    that index one step along the chain and adds the new window's value, so
+    memory is a few arrays of one entry per row.
     """
-    values = P._window_values
-    m, a = P.depth, len(head)
-    count = tails.shape[0]
-    length = a + tails.shape[1]
-
-    def letter(t):
-        return head[t] if t < a else tails[:, t - a].astype(np.int64)
-
+    count, length = letters.shape
+    m, values = P.depth, P._window_values
     width = min(m, length)  # of the first window
-    tab = StemTable(P.ab, width)
-    if a >= width:
-        state = tab.index_of(head[:width])
-    else:
-        first = np.empty((count, width), dtype=tails.dtype)
-        first[:, :a] = head
-        first[:, a:] = tails[:, : width - a]
-        state = tab.indices(first)
+    state = StemTable(P.ab, width).indices(letters[:, :width])
     acc = np.zeros(count)
     acc += values[width][state]
     nxt, B = P._next_state, P.ab.n_letters
     for t in range(m, length):  # the full window ending at letter t
-        state = nxt[state * B + letter(t)]
+        state = nxt[state * B + letters[:, t].astype(np.int64)]
+        if state.size and state.min() < 0:
+            raise ValueError("stem is not reduced")
         acc += values[m][state]
-    for j in range(1, width):  # tail windows: the last one's letters j onward
-        acc += values[width - j][tab.suffix_index(state, letter(length - width + j), width - j)]
+    return state, acc
+
+
+def window_sums(P: Potential, letters: np.ndarray) -> np.ndarray:
+    """Weighted length of each row of a (count, length) letter array.
+
+    `window_walk` plus the tail windows, each the last window's letters j
+    onward (`StemTable.suffix_index`), so every row's float is d_phi's sum
+    bit for bit.
+    """
+    state, acc = window_walk(P, letters)
+    length = letters.shape[1]
+    width = min(P.depth, length)
+    tab = StemTable(P.ab, width)
+    for j in range(1, width):
+        acc += P._window_values[width - j][
+            tab.suffix_index(state, letters[:, length - width + j], width - j)]
     return acc
 
 

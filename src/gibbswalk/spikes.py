@@ -21,8 +21,8 @@ from .cylfun import (CylinderFunction, block_extrema, holder_rows, scale_depth,
                      translate_function, translate_rows)
 from .gibbs import GibbsStream, critical_exponent, hausdorff_stream
 from .potentials import Potential, d_phi_ray, min_cycle_mean, sym_potential, window_graph
-from .stems import StemTable, word_rows
-from .words import BoundaryWord, Word, gromov_product, inverse_letter, ray_word
+from .stems import StemTable, check_dense, word_rows
+from .words import BoundaryWord, Word, gromov_product, ray_word
 
 
 # the audited grid of the decay certificate: ball radii (ascending), kernel
@@ -75,21 +75,6 @@ class DecayCert:
 # Exact kernel integrals over cylinders (backward recursion on the window chain).
 
 
-@dataclass(frozen=True)
-class _Prefixes:
-    """Reduced words of one length n, one per row, with their state on nu's
-    window chain once n reaches the window length m: the index of the last
-    window and the window weights summed letter by letter."""
-
-    letters: np.ndarray              # (rows, n)
-    state: np.ndarray | None = None
-    weight: np.ndarray | None = None
-
-    def take(self, rows: np.ndarray) -> "_Prefixes":
-        return _Prefixes(self.letters[rows], *(None if a is None else a[rows]
-                                               for a in (self.state, self.weight)))
-
-
 class _KernelIntegrator:
     """integral over [prefix] of exp(-2 d^K along y from c to s) dnu(y).
 
@@ -98,9 +83,8 @@ class _KernelIntegrator:
     next-letter law is nu's (nu's windows are no longer than the kernel's),
     so the expected factor over continuations depends on the prefix only
     through its last window: one backward vector per (|prefix|, c, s) serves
-    every prefix.  `integrals` takes a batch of prefixes of one length, their
-    nu masses rolled along nu's windows as `GibbsStream.cylinder_mass_of_stem`
-    rolls them, so each float equals the one-prefix `integral`.
+    every prefix.  `integrals` takes prefixes as letter rows of one length
+    with their nu masses (`GibbsStream.stem_masses`).
     """
 
     def __init__(self, nu: GibbsStream, kernel: Potential):
@@ -114,8 +98,6 @@ class _KernelIntegrator:
         u = tab.suffix_index(np.arange(tab.size), tab.letters[:, mK - mnu], mnu)
         kids = StemTable(kernel.ab, mnu + 1).blocks(nu.mass_array(mnu + 1), mnu)
         self._next_prob = kids[u] / nu.mass_array(mnu)[u][:, None]
-        self._nu_tab = StemTable(kernel.ab, mnu)
-        self._nu_next, self._nu_wts = nu.potential._next_state, window_graph(nu.potential).weights
         self._backward: dict = {}
 
     def _continuation(self, n: int, c: int, s: float) -> np.ndarray:
@@ -135,81 +117,34 @@ class _KernelIntegrator:
             self._backward[key] = v
         return self._backward[key]
 
-    def prefixes(self, letters: np.ndarray) -> list[_Prefixes]:
-        """The rows' prefixes of every length 0..n, rolled onto nu's chain."""
-        letters = np.asarray(letters, dtype=np.int64)
-        out = [_Prefixes(letters[:, :0])]
-        for i in range(letters.shape[1]):
-            out.append(self.extend(out[-1], letters[:, i]))
-        return out
-
-    def extend(self, rows: _Prefixes, t: np.ndarray) -> _Prefixes:
-        """Each row's word with its letter t appended, nu's state rolled one letter."""
-        letters = np.column_stack([rows.letters, t])
-        n, m = letters.shape[1], self.nu.depth_m
-        if n < m:
-            return _Prefixes(letters)
-        if n == m:
-            state = self._nu_tab.indices(letters)
-            return _Prefixes(letters, state, self._nu_wts[state])
-        state = self._nu_next[rows.state * self.K.ab.n_letters + t]
-        return _Prefixes(letters, state, rows.weight + self._nu_wts[state])
-
-    def masses(self, rows: _Prefixes) -> np.ndarray:
-        """nu-mass of each row's cylinder, as `cylinder_mass_of_stem` gives it."""
-        if rows.state is None:
-            n = rows.letters.shape[1]
-            return self.nu.mass_array(n)[StemTable(self.K.ab, n).indices(rows.letters)]
-        return np.exp(-rows.weight) * self.nu.h_right[rows.state] / self.nu._Z
-
-    def integrals(self, rows: _Prefixes, c: int, s: float) -> np.ndarray:
-        """`integral` of every row's prefix, all of one length n >= c, bit for bit."""
-        n = rows.letters.shape[1]
+    def integrals(self, rows: np.ndarray, masses: np.ndarray, c: int, s: float) -> np.ndarray:
+        """The integral over each row's cylinder, for (count, n) letter rows,
+        n >= c, and their nu masses."""
+        n = rows.shape[1]
         if c > n:
             raise ValueError("kernel start beyond the prefix")
         if s <= c:
-            return self.masses(rows)
+            return masses
         mK = self.K.depth
         if n < mK:  # a block sum over the children, in letter order
-            kids = self._tab.child_letters[rows.letters[:, -1]]
-            each = np.repeat(np.arange(len(kids)), kids.shape[1])
-            vals = self.integrals(self.extend(rows.take(each), kids.ravel()), c, s)
+            kids = self._tab.child_letters[rows[:, -1]]
+            grown = np.column_stack([np.repeat(rows, kids.shape[1], axis=0), kids.ravel()])
+            vals = self.integrals(grown, self.nu.stem_masses(grown), c, s)
             return _add_columns(np.zeros(len(kids)), vals.reshape(kids.shape))
-        last_edge = math.ceil(s) - 1  # the edges as `integral` takes them
-        out = self.masses(rows)
+        last_edge = math.ceil(s) - 1  # edge p covers letters p+1 .. p+mK (1-indexed)
+        out = masses
         edges = range(c, min(last_edge, n - mK) + 1)
         if edges:
             fixed = np.zeros(len(out))
             for p in edges:
-                win = self._tab.indices(rows.letters[:, p:p + mK])
+                win = self._tab.indices(rows[:, p:p + mK])
                 fixed += (min(s, p + 1.0) - p) * self._phi[win]
-            # math.exp once per distinct exponent, as `integral` takes it
+            # math.exp once per distinct exponent
             u, at = np.unique(fixed, return_inverse=True)
             out = np.array([math.exp(-2.0 * f) for f in u.tolist()])[at] * out
-        if last_edge + mK <= n:
-            return out
-        return out * self._continuation(n, c, s)[self._tab.indices(rows.letters[:, -mK:])]
-
-    def integral(self, prefix: Word, c: int, s: float) -> float:
-        prefix = tuple(prefix)
-        n = len(prefix)
-        if c > n:
-            raise ValueError("kernel start beyond the prefix")
-        if s <= c:
-            return self.nu.cylinder_mass_of_stem(prefix)
-        mK = self.K.depth
-        if n < mK:
-            return sum(self.integral(prefix + (t,), c, s)
-                       for t in self.K.ab.letters if t != inverse_letter(prefix[-1]))
-        # edge p covers letters p+1 .. p+mK (1-indexed); fractional last edge
-        last_edge = math.ceil(s) - 1
-        fixed = 0.0
-        for p in range(c, min(last_edge, n - mK) + 1):
-            fixed += (min(s, p + 1.0) - p) * self.K.table[prefix[p : p + mK]]
-        out = math.exp(-2.0 * fixed) * self.nu.cylinder_mass_of_stem(prefix)
         if last_edge + mK <= n:  # no edge reaches past the prefix
             return out
-        return out * self._continuation(n, c, s)[self._tab.index_of(prefix[-mK:])]
+        return out * self._continuation(n, c, s)[self._tab.indices(rows[:, -mK:])]
 
 
 def _add_columns(total: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -255,42 +190,44 @@ class SpikeLab:
 
     def tail_integral(self, x: BoundaryWord, r: float, s: float) -> float:
         """sup-audit integrand: integral of G(x, ., s) over X - ball(x, r)."""
-        return float(self._tail_grid([x], (r,), (s,))[0, 0, 0])
+        rays = word_rows([x.prefix(_ray_length((r,), (s,)))])
+        return float(self._tail_grid(rays, (r,), (s,))[0, 0, 0])
 
-    def _tail_grid(self, xs: list[BoundaryWord], rs, ss) -> np.ndarray:
-        """tail_integral(x, r, s) for every (r, s, x), one running-sum table per s.
+    def _tail_grid(self, rays: np.ndarray, rs, ss) -> np.ndarray:
+        """tail_integral(x, r, s) for every (r, s, x), one running-sum table per s;
+        `rays` holds each x's first `_ray_length(rs, ss)` letters as a row.
 
         The integral over X - ball(x, r) adds the kernel integrals over the
         cylinders x[:c] + (t,), t off the ray, for confluences c below
         top = min(j, ceil(s) + 1), j = scale_depth(r); shells past top carry
         G = 1 up to the ball.  A term does not depend on r, so each s builds
         the running sums over c and t once, in that order, for every ray,
-        and each radius reads the sum at c = top - 1.
+        and each radius reads the sum at c = top - 1.  Every row set's nu
+        masses are read once, for all s.
         """
-        integ = self._integrator
+        integ, nu = self._integrator, self.nu
         depths = [scale_depth(r) if r > 0 else None for r in rs]
-        shells = max(math.ceil(s) + 1 for s in ss)
-        rays = integ.prefixes([x.prefix(max([shells] + [j or 0 for j in depths])) for x in xs])
-        letters, alphabet = rays[-1].letters, np.arange(self.ab.n_letters)
+        alphabet = np.arange(self.ab.n_letters)
         off_ray = []  # per c: the cylinders x[:c] + (t,), ray by ray, t in letter order
-        for c in range(shells):
-            off = alphabet != letters[:, c:c + 1]
+        for c in range(max(math.ceil(s) + 1 for s in ss)):
+            off = alphabet != rays[:, c:c + 1]
             if c:
-                off &= integ._tab.branch_index[letters[:, c - 1]] >= 0
+                off &= integ._tab.branch_index[rays[:, c - 1]] >= 0
             ray, t = np.nonzero(off)
-            off_ray.append(integ.extend(rays[c].take(ray), t))
+            rows = np.column_stack([rays[ray, :c], t])
+            off_ray.append((rows, nu.stem_masses(rows)))
         masses: dict[int, np.ndarray] = {}  # ray prefix masses by length, as read
 
         def mass(n: int) -> np.ndarray:
             if n not in masses:
-                masses[n] = integ.masses(rays[n])
+                masses[n] = nu.stem_masses(rays[:, :n])
             return masses[n]
 
-        out = np.zeros((len(rs), len(ss), len(xs)))
+        out = np.zeros((len(rs), len(ss), len(rays)))
         for k, s in enumerate(ss):
-            running = [np.zeros(len(xs))]
+            running = [np.zeros(len(rays))]
             for c in range(math.ceil(s) + 1):
-                terms = integ.integrals(off_ray[c], c, s).reshape(len(xs), -1)
+                terms = integ.integrals(*off_ray[c], c, s).reshape(len(rays), -1)
                 running.append(_add_columns(running[-1], terms))
             for i, j in enumerate(depths):
                 if j == 0:
@@ -316,8 +253,9 @@ class SpikeLab:
         radius (`_tail_grid`).  Fails with a witness when the scaled ratios
         still grow at the edge of the s-grid (no finite constant is plausible).
         """
-        xs = [ray_word(self.ab, stem) for stem in StemTable(self.ab, X_DEPTH).stems()]
-        grid = self._tail_grid(xs, R_GRID, [float(s) for s in S_GRID])
+        stems = StemTable(self.ab, X_DEPTH).letters
+        grid = self._tail_grid(ray_rows(stems, _ray_length(R_GRID, S_GRID)), R_GRID,
+                               [float(s) for s in S_GRID])
         best = 0.0
         per_s: dict[float, float] = {}
         witness = None
@@ -328,14 +266,15 @@ class SpikeLab:
                 worst = max(float(scaled[i]), 0.0)
                 per_s[s] = max(per_s.get(s, 0.0), worst)
                 if worst > best:
-                    best, witness = worst, (xs[i], r, s)
+                    best, witness = worst, (i, r, s)
         # divergent fits grow geometrically in s; converging ones flatten out
         tailvals = [per_s[s] for s in sorted(per_s)[-3:]]
         if (len(tailvals) == 3 and tailvals[2] > tailvals[1] * 1.001
                 and tailvals[1] > tailvals[0] * 1.001):
-            ray, r_w, s_w = witness
+            i, r_w, s_w = witness
+            ray = ray_word(self.ab, tuple(stems[i].tolist()))
             raise CertificationError(
-                f"decay ratios still growing at the grid edge; witness {witness}",
+                f"decay ratios still growing at the grid edge; witness {(ray, r_w, s_w)}",
                 witness={"preamble": self.ab.format_word(ray.preamble),
                          "period": self.ab.format_word(ray.period), "r": r_w, "s": s_w})
         return DecayCert(C_G=best, alpha_G=self.alpha, beta_G=self.beta, nu_id=self.nu_id,
@@ -346,10 +285,6 @@ class SpikeLab:
     # One path builds and audits spikes: the centres are rows of a (count, n)
     # letter array and the spikes rows of a (count, cells) array, BUDGET cells
     # at a time.  The per-g methods are batches of one.
-
-    def rn_spike(self, g: Word) -> "SpikeRecord":
-        """The normalized derivative spike of the stream at g (target F = 1)."""
-        return self.unit_spike(g)
 
     def unit_spike(self, g: Word, F: CylinderFunction | None = None) -> "SpikeRecord":
         """Unit derivative spike weighted by a positive target function F.
@@ -367,7 +302,9 @@ class SpikeLab:
         minimal constants C (Holder exponent beta)."""
         words = _shell_words(self.ab, n)
         depth = _spike_depth(self.S, n, F)
-        values, C = np.empty((len(words), StemTable(self.ab, depth).size)), []
+        cells = StemTable(self.ab, depth).size
+        check_dense(len(words) * cells, f"shell {n}'s spike rows")
+        values, C = np.empty((len(words), cells)), []
         for vals, audits in self._spike_chunks(words, F):  # C has one entry per row filled
             values[len(C):len(C) + len(vals)] = vals
             C += [a.minimal_c for a in audits]
@@ -439,13 +376,13 @@ class SpikeLab:
             c1 = top[0][:, 0] / low[j][rows, codes[-1]]
             # condition (2): x outside the ball, grouped by confluence depth
             scale = vals[rows, tab.indices(rays[:, :depth])] * math.exp(self.alpha * s)
-            prefixes = self._integrator.prefixes(ball)[-1]
+            masses = self.nu.stem_masses(ball)
             c2 = np.zeros(count)
             parent = np.zeros(count, dtype=np.int64)
             for c, code in enumerate(codes):
                 kids = top[c + 1].reshape(count, len(top[c][0]), -1)[rows, parent]
                 kids[rows, code - parent * kids.shape[1]] = -np.inf
-                integ = self._integrator.integrals(prefixes, c, s)
+                integ = self._integrator.integrals(ball, masses, c, s)
                 if (integ <= 0).any():
                     raise NotASpikeError(f"kernel integral vanishes at confluence {c}")
                 c2 = np.maximum(c2, kids.max(axis=1) / (scale * integ))
@@ -455,10 +392,6 @@ class SpikeLab:
             dr = holder_rows(vals, tab, j, holder_q, (top, low))
             holder = (dr * r ** holder_q / vals).max(axis=1).tolist()
         return [SpikeAudit(*row) for row in zip(c1.tolist(), c2.tolist(), c3.tolist(), holder)]
-
-    def _profile_audit(self, g: Word) -> SpikeAudit:
-        """Closed-form audit of the depth-1 rn spike at g."""
-        return self._profile_rows(word_rows([g]))[0]
 
     def _profile_rows(self, words: np.ndarray) -> list[SpikeAudit]:
         """Closed-form audits of the depth-1 rn spikes at the centres.
@@ -472,8 +405,7 @@ class SpikeLab:
         v = np.exp(rho[:, n:] - rho)  # spike value on the confluence-c shell
         phi_k = np.array([self.kernel.table[(s,)] for s in self.ab.letters])
         ksuffix = np.concatenate([np.zeros((count, 1)), np.cumsum(phi_k[words], axis=1)], axis=1)
-        integ = self._integrator
-        mass_g = integ.masses(integ.prefixes(words)[-1])
+        mass_g = self.nu.stem_masses(words)
         # math.exp once per distinct exponent, as `_KernelIntegrator.integrals` takes it
         u, at = np.unique(-2.0 * (ksuffix[:, n:] - ksuffix[:, :n]), return_inverse=True)
         kernel = np.array([math.exp(f) for f in u.tolist()])[at].reshape(count, n)
@@ -504,6 +436,11 @@ class SpikeLab:
         """Audit every derivative spike with |g| <= radius; rows (g, minimal C)."""
         return [(g, a.minimal_c) for n in range(1, radius + 1)
                 for g, a in zip(self.ab.reduced_words(n), self.shell_audits(n))]
+
+
+def _ray_length(rs, ss) -> int:
+    """The ray letters `_tail_grid` reads for the radii rs and kernel times ss."""
+    return max([math.ceil(s) + 1 for s in ss] + [scale_depth(r) for r in rs if r > 0])
 
 
 def _chunks(words: np.ndarray, cells: int):

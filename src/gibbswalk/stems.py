@@ -20,6 +20,22 @@ from .words import Alphabet, Word, inverse_letter
 # shares depths up to 10 (787 kB); depth 13 would hold 26 MB for good.
 SHARED_LETTERS_BYTES = 1 << 20
 
+# A dense float64 array with one entry per stem (or a shell's spike rows) is
+# refused above this many bytes, before it is allocated.  Rank 2 at depth 13
+# is 17 MB; rank 3 at depth 12 would be 2.3 GB.
+DENSE_BYTES = 1 << 27
+
+
+class DenseArrayError(ValueError):
+    """A dense array would exceed DENSE_BYTES; the message names it and its bytes."""
+
+
+def check_dense(cells: int, what: str) -> None:
+    """Refuse `what`, `cells` float64 entries, when it would exceed DENSE_BYTES."""
+    if 8 * cells > DENSE_BYTES:
+        raise DenseArrayError(f"{what} would take {8 * cells} bytes, "
+                              f"more than the {DENSE_BYTES} allowed")
+
 
 class StemTable:
     def __init__(self, ab: Alphabet, depth: int):

@@ -9,9 +9,11 @@ import re
 import numpy as np
 import pytest
 
-from gibbswalk import cli
+from gibbswalk import cli, stems
 from gibbswalk.cli import PRESETS, build_objects, config_hash, load_config, main, run_experiment
 from gibbswalk.spikes import CertificationError, SpikeLab
+from gibbswalk.stems import StemTable
+from gibbswalk.words import Alphabet
 
 
 def small_config(**overrides):
@@ -82,6 +84,26 @@ class TestConfig:
             main(["pressure", "--config", str(path), "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
         assert "unknown preset 'nope'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,message", [
+        ({"target": {"entries": {"a": 2.0, "a a": 1.25}}}, "'a' and 'a a' overlap"),
+        ({"potential": {"entries": {"a a": 0.3}}}, "potential entry 'a a'"),
+        ({"target": {"kind": "bump"}}, "unknown target kind 'bump'"),
+        ({"alphabet": {"rank": 1}}, "need free rank >= 2"),
+    ], ids=["overlapping-keys", "window-length", "target-kind", "rank-1"])
+    def test_refused_config_is_a_usage_error(self, tmp_path, capsys, section, message):
+        # before, each ended in a traceback and left an empty report directory
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(section, preset="step-f2")))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["pressure", "--config", str(path), "--out", str(out)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_experiment(load_config(str(path), None, None), str(out))
+        assert not out.exists()
 
     @pytest.mark.parametrize("entries", [{"a": 2.0, "a a": 1.25}, {"a a": 1.25, "a": 2.0}],
                              ids=["short-first", "long-first"])
@@ -192,6 +214,16 @@ class TestRunner:
         code = main(["pressure", "--preset", "uniform-f2", "--out", str(tmp_path)])
         assert code == 0
         assert "PASS pressure" in capsys.readouterr().out
+
+    def test_oversized_audit_fails_its_stage(self, tmp_path, monkeypatch):
+        # a depth-6 budget stands in for rank 3 at shadow radius 12 (2.3 GB per
+        # stem array); radius 8 keeps the run small should the check be lost
+        monkeypatch.setattr(stems, "DENSE_BYTES", 8 * StemTable(Alphabet(3), 6).size)
+        cfg = small_config(alphabet={"rank": 3})
+        cfg["audits"]["shadow_radius"] = 8
+        code, summary = run_experiment(cfg, str(tmp_path), stages=("gibbs",))
+        assert code == 1 and summary["failed_stage"] == "gibbs"
+        assert "DenseArrayError" in summary["error"] and "depth-7" in summary["error"]
 
     def test_failing_stage_nonzero_exit(self, tmp_path):
         cfg = small_config()

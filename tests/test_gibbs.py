@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gibbswalk import gibbs, potentials
+from gibbswalk import gibbs, potentials, stems
 from gibbswalk.gibbs import (
     GibbsStream,
     UnsupportedRankError,
@@ -23,7 +23,7 @@ from gibbswalk.gibbs import (
     transfer_matrix,
 )
 from gibbswalk.potentials import Potential, d_phi, flip_potential, sym_potential, window_graph
-from gibbswalk.stems import StemTable
+from gibbswalk.stems import DenseArrayError, StemTable, check_dense
 from gibbswalk.words import (
     Alphabet,
     Cylinder,
@@ -200,6 +200,21 @@ class TestCylinderMasses:
             with pytest.raises(ValueError):
                 S.cylinder_mass_of_stem((0, 2, 3))
 
+    def test_stem_masses_equal_scalar_walk_and_array(self, uniform_stream, random_stream,
+                                                      stream_m2):
+        # rows shorter than, equal to and longer than the windows (m = 1 and 2)
+        m2_extend = GibbsStream(Potential(AB, 2, stream_m2.potential.table, "extend"))
+        rank3 = _deep_stream(3, 2, "average")
+        for S in (uniform_stream, random_stream, stream_m2, m2_extend, rank3):
+            for n in range(1, 9):
+                tab = StemTable(S.ab, n)
+                rows = tab.letters[np.random.default_rng(n).permutation(tab.size)[:400]]
+                got = S.stem_masses(rows)
+                assert got.tolist() == S.mass_array(n)[tab.indices(rows)].tolist(), n
+                assert got.tolist() == [S.cylinder_mass_of_stem(tuple(r)) for r in rows.tolist()]
+            with pytest.raises(ValueError):
+                S.stem_masses(np.array([[0, 2, 3]]))
+
     def test_total_mass_one(self, uniform_stream, random_stream, stream_m2):
         for S in (uniform_stream, random_stream, stream_m2):
             assert S.mass_array(1).sum() == pytest.approx(1.0, abs=1e-12)
@@ -279,6 +294,22 @@ def deep_streams(stream_m2):
             "m3-extend": _deep_stream(2, 3, "extend"),
             "rank3-m2": _deep_stream(3, 2, "average"),
             "rank3-m3": _deep_stream(3, 3, "extend")}
+
+
+class TestDenseSizeCheck:
+    def test_default_budget(self):
+        check_dense(StemTable(AB, 13).size, "rank 2 at depth 13")  # 17 MB
+        with pytest.raises(DenseArrayError, match="rank 3 at depth 12 would take 2343750000 bytes"):
+            check_dense(StemTable(Alphabet(3), 12).size, "rank 3 at depth 12")
+
+    def test_layers_refused_before_allocation(self, monkeypatch):
+        S = GibbsStream(Potential.zero(Alphabet(3)))
+        monkeypatch.setattr(stems, "DENSE_BYTES", 8 * StemTable(S.ab, 4).size)
+        assert S.mass_array(4).size == 750
+        for read in (S.mass_array, S.dphi_array, lambda n: shadow_lemma_audit(S, n)):
+            with pytest.raises(DenseArrayError, match="depth-5 stem arrays would take 30000 bytes"):
+                read(5)
+        assert max(S._state_arr) == 4
 
 
 class TestRadonNikodymArrays:

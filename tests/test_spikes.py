@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gibbswalk import cli, cylfun, spikes
+from gibbswalk import cli, cylfun, spikes, stems
 from gibbswalk.cylfun import CylinderFunction, scale_depth
 from gibbswalk.decompose import SWEEP_RADIUS, DecomposerConfig, decompose
 from gibbswalk.gibbs import GibbsStream
@@ -22,7 +22,7 @@ from gibbswalk.spikes import (
     _KernelIntegrator,
     g_kernel,
 )
-from gibbswalk.stems import StemTable
+from gibbswalk.stems import DenseArrayError, StemTable
 from gibbswalk.words import (
     Alphabet,
     EventuallyPeriodicWord,
@@ -94,7 +94,10 @@ class TestKernelIntegrals:
             for i in range(lo, hi):
                 ray = ray_word(AB, tab.stem_of(i))
                 brute += math.exp(-2.0 * d_phi_ray(K, ray, c, s)) * mass[i] if s > c else mass[i]
-            assert integ.integral(prefix, c, s) == pytest.approx(brute, rel=1e-12)
+            assert _loop_integral(integ, prefix, c, s) == pytest.approx(brute, rel=1e-12)
+            rows = np.array([prefix])
+            got = integ.integrals(rows, random_stream.stem_masses(rows), c, s)
+            assert got[0] == pytest.approx(brute, rel=1e-12)
 
     def test_brute_force_depth2(self, stream_m2):
         K = sym_potential(stream_m2.potential)
@@ -109,7 +112,10 @@ class TestKernelIntegrals:
             for i in range(lo, hi):
                 ray = ray_word(AB, tab.stem_of(i))
                 brute += math.exp(-2.0 * d_phi_ray(K, ray, c, s)) * mass[i] if s > c else mass[i]
-            assert integ.integral(prefix, c, s) == pytest.approx(brute, rel=1e-11)
+            assert _loop_integral(integ, prefix, c, s) == pytest.approx(brute, rel=1e-11)
+            rows = np.array([prefix])
+            got = integ.integrals(rows, stream_m2.stem_masses(rows), c, s)
+            assert got[0] == pytest.approx(brute, rel=1e-11)
 
 
 class TestDecayCert:
@@ -177,7 +183,7 @@ class TestDecayCert:
 
 
 def _scalar_tail(lab, x, r, s):
-    """The per-(x, r, s) tail integral, one `integral` call per term."""
+    """The per-(x, r, s) tail integral, one `_loop_integral` call per term."""
     j = scale_depth(r) if r > 0 else None
     if j == 0:
         return 0.0
@@ -188,7 +194,7 @@ def _scalar_tail(lab, x, r, s):
         banned = {px[-1]} | ({inverse_letter(px[-2])} if c >= 1 else set())
         for t in lab.ab.letters:
             if t not in banned:
-                total += lab._integrator.integral(px[:c] + (t,), c, s)
+                total += _loop_integral(lab._integrator, px[:c] + (t,), c, s)
     if j is None or j > top:
         total += lab.nu.cylinder_mass_of_stem(x.prefix(top))
         if j is not None:
@@ -236,8 +242,9 @@ class TestBatchedDecayGrid:
     def test_grid_and_certificate_equal(self, labs, name):
         lab = labs[name]
         grid, best, grows = _scalar_audit(lab)
-        xs = [ray_word(lab.ab, stem) for stem in StemTable(lab.ab, X_DEPTH).stems()]
-        batched = lab._tail_grid(xs, R_GRID, [float(s) for s in S_GRID])
+        rays = spikes.ray_rows(StemTable(lab.ab, X_DEPTH).letters,
+                               spikes._ray_length(R_GRID, S_GRID))
+        batched = lab._tail_grid(rays, R_GRID, [float(s) for s in S_GRID])
         assert batched.tolist() == grid.tolist()
         if grows is None:
             assert lab.decay_audit().C_G.hex() == best.hex()
@@ -269,20 +276,27 @@ class TestBatchedDecayGrid:
             for n in range(1, 6):
                 words = list(AB.reduced_words(n))
                 rows = [words[i] for i in rng.sample(range(len(words)), min(9, len(words)))]
-                batch = integ.prefixes(rows)[-1]
+                batch = np.array(rows)
+                masses = integ.nu.stem_masses(batch)
                 for c in range(n + 1):
                     for s in (0.0, 1.5, 3.0, 6.25):
-                        vals = integ.integrals(batch, c, s).tolist()
-                        assert vals == [integ.integral(w, c, s) for w in rows], (name, n, c, s)
+                        vals = integ.integrals(batch, masses, c, s).tolist()
+                        want = [_loop_integral(integ, w, c, s) for w in rows]
+                        assert vals == want, (name, n, c, s)
 
     def test_each_term_batch_and_backward_vector_once(self, monkeypatch, stream_m2):
         # depth-2 kernel: the c = 0 terms are block sums over their children
         batches, reads, misses = Counter(), Counter(), Counter()
         integrals, continuation = _KernelIntegrator.integrals, _KernelIntegrator._continuation
+        stem_masses, walked = GibbsStream.stem_masses, Counter()
 
-        def counted_integrals(self, rows, c, s):
-            batches[rows.letters.shape[1], c, s] += 1
-            return integrals(self, rows, c, s)
+        def counted_integrals(self, rows, masses, c, s):
+            batches[rows.shape[1], c, s] += 1
+            return integrals(self, rows, masses, c, s)
+
+        def counted_masses(self, rows):
+            walked[rows.tobytes(), rows.shape] += 1
+            return stem_masses(self, rows)
 
         def counted_continuation(self, n, c, s):
             reads[n, c, s] += 1
@@ -294,6 +308,7 @@ class TestBatchedDecayGrid:
 
         monkeypatch.setattr(_KernelIntegrator, "integrals", counted_integrals)
         monkeypatch.setattr(_KernelIntegrator, "_continuation", counted_continuation)
+        monkeypatch.setattr(GibbsStream, "stem_masses", counted_masses)
         monkeypatch.setattr(SpikeLab, "tail_integral", refused)
         monkeypatch.setattr(GibbsStream, "cylinder_mass_of_stem", refused)
         SpikeLab(stream_m2).decay_audit()
@@ -302,16 +317,23 @@ class TestBatchedDecayGrid:
         assert set(batches) == shells | children
         assert set(batches.values()) == {1}
         assert reads and set(reads.values()) == {1} and misses == reads
+        # each off-ray row set's masses are read once, not once per kernel time
+        rays = spikes.ray_rows(StemTable(AB, X_DEPTH).letters, 13)
+        for c in range(13):
+            off = [list(x[:c]) + [t] for x in rays.tolist() for t in AB.letters
+                   if t != x[c] and (c == 0 or t != inverse_letter(x[c - 1]))]
+            rows = np.array(off, dtype=np.int64)
+            assert walked[rows.tobytes(), rows.shape] == 1, c
 
 
 class TestUnitSpikes:
     def test_identity_spike(self, lab_uniform):
-        rec = lab_uniform.rn_spike(())
+        rec = lab_uniform.unit_spike(())
         assert rec.r == 1.0 and rec.s == 0.0
         assert rec.h.sup == rec.h.inf == 1.0
 
     def test_uniform_letter_spike(self, lab_uniform):
-        rec = lab_uniform.rn_spike((0,))
+        rec = lab_uniform.unit_spike((0,))
         vals = sorted(set(np.round(rec.h.values, 12)))
         assert vals == [pytest.approx(1 / 9), pytest.approx(1.0)]
         assert rec.h(rec.a) == 1.0
@@ -345,23 +367,23 @@ class TestUnitSpikes:
 
 class TestSpikeAudit:
     def test_identity_minimal(self, lab_uniform):
-        aud = lab_uniform.spike_audit(lab_uniform.rn_spike(()))
+        aud = lab_uniform.spike_audit(lab_uniform.unit_spike(()))
         assert aud.minimal_c == 1.0
 
     def test_uniform_letter_constant(self, lab_uniform):
-        aud = lab_uniform.spike_audit(lab_uniform.rn_spike((0,)), holder_q=lab_uniform.beta)
+        aud = lab_uniform.spike_audit(lab_uniform.unit_spike((0,)), holder_q=lab_uniform.beta)
         assert aud.minimal_c == pytest.approx(4.0 / 3.0, abs=1e-12)
         assert aud.c_holder == 0.0
 
     def test_profile_equals_generic(self, lab_random):
         for g in [(0,), (2, 0), (0, 2, 1), (3, 1, 1)]:
-            fast = lab_random._profile_audit(g)
-            slow = lab_random.spike_audit(lab_random.rn_spike(g), holder_q=lab_random.beta)
+            fast = lab_random.rn_spike_audit(g)
+            slow = lab_random.spike_audit(lab_random.unit_spike(g), holder_q=lab_random.beta)
             assert fast.minimal_c == pytest.approx(slow.minimal_c, abs=1e-10)
             assert fast.c2 == pytest.approx(slow.c2, abs=1e-10)
 
     def test_positive_multiple_same_constant(self, lab_random):
-        rec = lab_random.rn_spike((0, 2))
+        rec = lab_random.unit_spike((0, 2))
         base = lab_random.spike_audit(rec, holder_q=lab_random.beta)
         for alpha in (0.25, 3.0, 17.5):
             scaled = lab_random.spike_audit(rec.scaled(alpha), holder_q=lab_random.beta)
@@ -369,7 +391,7 @@ class TestSpikeAudit:
 
     def test_sandwich_lemma(self, lab_uniform):
         rng = np.random.default_rng(11)
-        rec = lab_uniform.rn_spike((0, 2))
+        rec = lab_uniform.unit_spike((0, 2))
         base_c = lab_uniform.spike_audit(rec).minimal_c
         a1, a2 = 0.8, 1.3
         factor = CylinderFunction(AB, rec.h.depth,
@@ -436,8 +458,9 @@ def _loop_rho(S, q, depth):
     from_q = np.empty(tab.size)
     for c in range(len(q) + 1):
         rows = np.flatnonzero(conf == c)
-        from_q[rows] = window_sums(P, S.ab.inv(q[c:]), letters[rows, c:])
-    return from_q - window_sums(P, (), letters)
+        head = np.tile(np.array(S.ab.inv(q[c:]), dtype=letters.dtype), (len(rows), 1))
+        from_q[rows] = window_sums(P, np.concatenate([head, letters[rows, c:]], axis=1))
+    return from_q - window_sums(P, letters)
 
 
 def _loop_translate(f, g):
@@ -461,6 +484,29 @@ def _loop_unit_spike(lab, g, F):
         return h
     h = h * CylinderFunction(ab, n + F.depth, _loop_translate(F, g))
     return h * (1.0 / h(a))
+
+
+def _loop_integral(integ, prefix, c, s):
+    """The kernel integral over one prefix's cylinder, by recursion over its children."""
+    prefix = tuple(prefix)
+    n = len(prefix)
+    if c > n:
+        raise ValueError("kernel start beyond the prefix")
+    if s <= c:
+        return integ.nu.cylinder_mass_of_stem(prefix)
+    mK = integ.K.depth
+    if n < mK:
+        return sum(_loop_integral(integ, prefix + (t,), c, s)
+                   for t in integ.K.ab.letters if t != inverse_letter(prefix[-1]))
+    # edge p covers letters p+1 .. p+mK (1-indexed); fractional last edge
+    last_edge = math.ceil(s) - 1
+    fixed = 0.0
+    for p in range(c, min(last_edge, n - mK) + 1):
+        fixed += (min(s, p + 1.0) - p) * integ.K.table[prefix[p : p + mK]]
+    out = math.exp(-2.0 * fixed) * integ.nu.cylinder_mass_of_stem(prefix)
+    if last_edge + mK <= n:  # no edge reaches past the prefix
+        return out
+    return out * integ._continuation(n, c, s)[integ._tab.index_of(prefix[-mK:])]
 
 
 def _loop_holder(h, r, q):
@@ -487,7 +533,7 @@ def _loop_spike_audit(lab, h, g, holder_q):
     c2 = 0.0
     for c in range(j):
         sel = cdep == c
-        bound = h_a * math.exp(lab.alpha * s) * lab._integrator.integral(a.prefix(j), c, s)
+        bound = h_a * math.exp(lab.alpha * s) * _loop_integral(lab._integrator, a.prefix(j), c, s)
         c2 = max(c2, float(hv[sel].max()) / bound)
     c_holder = float((_loop_holder(h, r, holder_q) * r ** holder_q / hv).max())
     return c1, c2, c3, c_holder
@@ -570,6 +616,13 @@ class TestShellBatch:
                     assert aud.minimal_c == C, (name, g)
             assert len(audits) == len(words)
 
+    def test_shell_rows_refused_before_allocation(self, cases, monkeypatch):
+        lab = cases["uniform"][0]
+        monkeypatch.setattr(stems, "DENSE_BYTES", 8 * 12 * 36)  # shell 2: 12 rows of 36 cells
+        assert lab.shell(2).values.shape == (12, 36)
+        with pytest.raises(DenseArrayError, match="shell 3's spike rows would take 31104 bytes"):
+            lab.shell(3)
+
     def test_per_g_entry_points_are_batches_of_one(self, cases):
         lab, F, _ = cases["depth3-target"]
         g = (0, 2, 1)
@@ -577,7 +630,6 @@ class TestShellBatch:
         assert rec.h.values.tobytes() == _loop_unit_spike(lab, g, F).values.tobytes()
         assert rec.r == math.exp(-3) and rec.s == 3.0 and rec.center == g
         lab, _, _ = cases["random-hausdorff"]
-        assert _audit_tuple(lab._profile_audit(g)) == _loop_profile_audit(lab, g)
         assert _audit_tuple(lab.rn_spike_audit(g)) == _loop_profile_audit(lab, g)
 
     def test_decompose_and_sweep_build_whole_shells_once(self, monkeypatch, uniform_stream,
@@ -585,7 +637,7 @@ class TestShellBatch:
         def refuse(*args, **kwargs):
             raise AssertionError("per-g spike entry point reached")
 
-        for name in ("rn_spike", "unit_spike", "spike_audit", "rn_spike_audit", "_profile_audit"):
+        for name in ("unit_spike", "spike_audit", "rn_spike_audit"):
             monkeypatch.setattr(SpikeLab, name, refuse)
         monkeypatch.setattr(GibbsStream, "rho_phi_array", refuse)
         monkeypatch.setattr(spikes, "translate_function", refuse)
