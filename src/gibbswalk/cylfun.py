@@ -200,13 +200,13 @@ def translate_rows(f: CylinderFunction, words: np.ndarray) -> np.ndarray:
     count, n = words.shape
     d = f.depth
     tab = StemTable(f.ab, n + d)
+    c = tab.confluences(words)  # first: its size check also covers `out`
     # g^{-1}, padded to d letters
     head = np.zeros((count, max(n, d)), dtype=np.int64)
     head[:, :n] = inverse_letter(words[:, ::-1])
     out = np.empty((count, tab.size))
     if n >= d:
         out[:] = f.values[f.table.indices(head[:, :d])][:, None]
-    c = tab.confluences(words)
     row, stem = np.nonzero(c > n - d)
     c, col = c[row, stem][:, None], np.arange(d)
     tail = tab.letters[stem[:, None], np.maximum(col + 2 * c - n, 0)]

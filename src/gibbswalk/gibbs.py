@@ -136,8 +136,7 @@ class GibbsStream:
         self._tab_m = StemTable(self.ab, self.potential.depth)
         self._Z = float(np.exp(-window_graph(self.potential).weights) @ self.h_right)
         self._mass: dict[int, np.ndarray] = {}
-        self._state_arr: dict[int, np.ndarray] = {}
-        self._wsum: dict[int, np.ndarray] = {}
+        self._deepest: tuple[int, np.ndarray, np.ndarray] | None = None  # depth, st, ws
 
     # -- layered Markov arrays ------------------------------------------------
 
@@ -146,22 +145,25 @@ class GibbsStream:
         return self.potential.depth
 
     def _layers(self, depth: int):
-        """State index and full-window weight sum per stem, cached per depth."""
+        """State index and full-window weight sum per stem.
+
+        Only the deepest pair built so far is kept: a deeper one extends it
+        a depth at a time, a shallower one is rebuilt from depth m."""
         m = self.depth_m
         if depth < m:
             raise ValueError("layers exist from depth m upward")
-        if depth in self._state_arr:
-            return self._state_arr[depth], self._wsum[depth]
         _, succ, wts, _ = window_graph(self.potential)
-        if depth == m:
-            st = np.arange(len(wts), dtype=np.int64)
-            ws = wts.copy()
+        if self._deepest is not None and self._deepest[0] <= depth:
+            n, st, ws = self._deepest
         else:
-            st_prev, ws_prev = self._layers(depth - 1)
-            check_dense(len(st_prev) * succ.shape[1], f"the depth-{depth} stem arrays")
-            st = succ[st_prev].ravel()
-            ws = (ws_prev[:, None] + wts[st.reshape(len(st_prev), -1)]).ravel()
-        self._state_arr[depth], self._wsum[depth] = st, ws
+            n, st, ws = m, np.arange(len(wts), dtype=np.int64), wts.copy()
+        while n < depth:
+            n += 1
+            check_dense(len(st) * succ.shape[1], f"the depth-{n} stem arrays")
+            st = succ[st].ravel()
+            ws = (ws[:, None] + wts[st.reshape(len(ws), -1)]).ravel()
+            if self._deepest is None or n > self._deepest[0]:
+                self._deepest = (n, st, ws)
         return st, ws
 
     def mass_array(self, depth: int) -> np.ndarray:

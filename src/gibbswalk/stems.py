@@ -147,6 +147,7 @@ class StemTable:
         stems counts the ranges that hold a stem."""
         words = np.asarray(words)
         count, n = words.shape
+        check_dense(count * self.size, f"the depth-{self.depth} confluences of {count} words")
         marks = np.zeros((count, self.size + 1), dtype=np.int64)
         rows = np.arange(count)
         if n:

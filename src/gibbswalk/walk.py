@@ -209,10 +209,12 @@ class HittingReport:
 
 # Paths advance together in chunks of HIT_CHUNK; each path's steps are
 # drawn HIT_BLOCK at a time, a later block holding only the draws past the
-# last one.  A chunk's first block of draws, as doubles, is its largest
-# array: 512 kB at these sizes.
-HIT_CHUNK = 1024
+# last one.  A block's uniforms are made and drawn HIT_SLAB at a time, and
+# only its step indices and summed drawn lengths are kept, small integers:
+# 1 MB for a chunk's first block of an int16 step law at these sizes.
+HIT_CHUNK = 4096
 HIT_BLOCK = 64
+HIT_SLAB = 1 << 14
 # Letters of a step applied in one pass: a piece of the step's inverse and
 # its end marker fit one 8-byte word, one byte a letter.
 PIECE = 7
@@ -299,14 +301,35 @@ class _StepLaw:
 
     def draw(self, u: np.ndarray) -> np.ndarray:
         """Step indices for an array of uniforms, as `bisect_left` on `cum`
-        gives them, transposed: one row per step of the block."""
+        gives them."""
         nb = len(self.bucket)
         u *= nb  # exact: nb is a power of two
         steps = self.bucket.take(u.astype(np.int32))
         split = np.flatnonzero(steps < 0)
         steps.reshape(-1)[split] = np.searchsorted(self.cum * nb, u.reshape(-1)[split],
                                                    side="left")
-        return np.ascontiguousarray(steps.T)
+        return steps
+
+
+def _draw_block(seed: int, paths: np.ndarray, law: _StepLaw, t0: int,
+                t1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Steps t0..t1-1 of each of `paths`, one row per step, and `drawn_to`,
+    whose row k sums the drawn lengths of each path's steps t0..t0+k-1.
+
+    The uniforms of about HIT_SLAB draws at a time are made and drawn, so
+    that no array of doubles the size of the block exists."""
+    span = t1 - t0
+    steps = np.empty((span, len(paths)), dtype=law.bucket.dtype)
+    drawn_to = np.zeros((span + 1, len(paths)),
+                        dtype=np.min_scalar_type(-int(law.step_len.max(initial=0)) * span))
+    per = max(1, HIT_SLAB // span)
+    for lo in range(0, len(paths), per):
+        slab = law.draw(_uniform_rows(seed, paths[lo:lo + per], t0, t1)).T
+        steps[:, lo:lo + per] = slab
+        drawn_to[1:, lo:lo + per] = law.step_len.take(slab)
+    for k in range(1, span + 1):  # row by row: cumsum along axis 0 is slower
+        drawn_to[k] += drawn_to[k - 1]
+    return steps, drawn_to
 
 
 class _Words:
@@ -426,10 +449,8 @@ def _hit_chunk(seed: int, paths: np.ndarray, law: _StepLaw, n_letters: int, dept
             if finished:
                 drop_finished()
             t0, t1 = t1, min(max(2 * t1, HIT_BLOCK), step_cap)
-            steps = law.draw(_uniform_rows(seed, paths[live], t0, t1))
-            drawn_to = np.zeros((t1 - t0 + 1, len(live)),
-                                dtype=np.min_scalar_type(-reach * (t1 - t0)))
-            np.cumsum(law.step_len.take(steps), axis=0, out=drawn_to[1:])
+            steps = drawn_to = None  # freed before the next block is drawn
+            steps, drawn_to = _draw_block(seed, paths[live], law, t0, t1)
             row = np.arange(len(live))
             start = words.lengths()
             grown[:] = 0

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gibbswalk import gibbs, potentials, stems
+from gibbswalk.cylfun import CylinderFunction, translate_rows
 from gibbswalk.gibbs import (
     GibbsStream,
     UnsupportedRankError,
@@ -23,7 +24,7 @@ from gibbswalk.gibbs import (
     transfer_matrix,
 )
 from gibbswalk.potentials import Potential, d_phi, flip_potential, sym_potential, window_graph
-from gibbswalk.stems import DenseArrayError, StemTable, check_dense
+from gibbswalk.stems import DenseArrayError, StemTable, check_dense, word_rows
 from gibbswalk.words import (
     Alphabet,
     Cylinder,
@@ -233,6 +234,32 @@ class TestCylinderMasses:
                 oracle = wts[lo:hi].sum() / total
                 assert abs(oracle - S.cylinder_mass((), Cylinder(w))) <= tol
 
+    def test_only_the_deepest_layers_are_held(self):
+        # after mass_array(10) a stream holds the depth-10 masses and the
+        # depth-10 state and weight-sum arrays, 24 bytes a stem; every
+        # shallower depth's pair, kept too, would add 8 more (half the stems)
+        S = GibbsStream(Potential.zero(AB))
+        size = StemTable(AB, 10).size
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            S.mass_array(10)
+            held = tracemalloc.get_traced_memory()[0] - held
+        finally:
+            tracemalloc.stop()
+        assert held < 3 * 8 * size + 2**16, held
+
+    def test_shallower_layers_rebuilt_bit_for_bit(self, stream_m2):
+        # the arrays do not depend on the order in which depths are asked for
+        P = Potential(AB, 2, {w: v + 0.01 for w, v in stream_m2.potential.table.items()})
+        rising, mixed = GibbsStream(P), GibbsStream(P)
+        want = {n: (rising.mass_array(n).tobytes(), rising.dphi_array(n).tobytes())
+                for n in range(2, 10)}
+        mixed.mass_array(9)
+        for n in (9, 3, 7, 2, 8, 5, 4, 6):
+            assert (mixed.mass_array(n).tobytes(), mixed.dphi_array(n).tobytes()) == want[n], n
+        assert mixed._deepest[0] == 9
+
     def test_mass_from_other_point(self, uniform_stream):
         # mu_a of the full boundary: 3 * 1/4 + (1/3) * 3/4 = 1
         assert uniform_stream.total_mass_from((0,)) == pytest.approx(1.0, abs=1e-12)
@@ -309,7 +336,29 @@ class TestDenseSizeCheck:
         for read in (S.mass_array, S.dphi_array, lambda n: shadow_lemma_audit(S, n)):
             with pytest.raises(DenseArrayError, match="depth-5 stem arrays would take 30000 bytes"):
                 read(5)
-        assert max(S._state_arr) == 4
+        assert S._deepest[0] == 4
+
+    def test_confluences_refused_before_allocation(self, monkeypatch):
+        # 8,748 stems at depth 8: the confluences of 4 words fit the patched
+        # budget; those of the 12 words of length 2 (840 kB), read by
+        # rho_phi_rows and translate_rows, are refused before a row exists
+        S = GibbsStream(Potential.zero(AB))
+        tab = StemTable(AB, 8)
+        words = word_rows(AB.reduced_words(2))
+        f = CylinderFunction.constant(AB, 1.0).refine(6)
+        monkeypatch.setattr(stems, "DENSE_BYTES", 8 * 4 * tab.size)
+        assert tab.confluences(words[:4]).shape == (4, tab.size)
+        for read in (tab.confluences, lambda w: S.rho_phi_rows(w, 8),
+                     lambda w: translate_rows(f, w)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(DenseArrayError,
+                                   match="depth-8 confluences of 12 words would take 839808 bytes"):
+                    read(words)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * tab.size, peak
 
 
 class TestRadonNikodymArrays:

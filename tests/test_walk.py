@@ -21,7 +21,6 @@ from gibbswalk.potentials import d_phi
 from gibbswalk import walk
 from gibbswalk.stems import StemTable
 from gibbswalk.walk import (
-    HIT_CHUNK,
     HittingReport,
     SimulationError,
     WalkMeasure,
@@ -482,6 +481,11 @@ def _same_report(rep, mu, n_paths, depth, seed, stabilize=50, step_cap=2000):
     return failures
 
 
+# the chunk size the path counts of the reference comparisons were chosen
+# for: 1,061 and 2,049 paths cross a chunk edge
+_CHUNK = 1024
+
+
 def _same_codes_at_every_step_cap(mu, depth):
     place = [mu.ab.n_letters ** (depth - 1 - j) for j in range(depth)]
     # the loop runs the same steps under every cap: a path records under cap c
@@ -497,9 +501,10 @@ def _same_codes_at_every_step_cap(mu, depth):
 class TestBatchedHitting:
     @pytest.mark.parametrize("name", ["uniform", "long_steps", "rank3"])
     @pytest.mark.parametrize("depth", [1, 2, 3])
-    def test_equals_per_path_loop(self, hitting_walks, name, depth):
+    def test_equals_per_path_loop(self, hitting_walks, monkeypatch, name, depth):
+        monkeypatch.setattr(walk, "HIT_CHUNK", _CHUNK)
         mu = hitting_walks[name]
-        for seed, n_paths in ((0, 1), (7, 301), (20260810, HIT_CHUNK + 37), (-3, 301)):
+        for seed, n_paths in ((0, 1), (7, 301), (20260810, _CHUNK + 37), (-3, 301)):
             rep = simulate_hitting(mu, n_paths, depth, seed)
             _same_report(rep, mu, n_paths, depth, seed)
 
@@ -512,21 +517,24 @@ class TestBatchedHitting:
 
     @pytest.mark.parametrize("depth,stabilize,step_cap,failed",
                              [(1, 20, 40, 2), (2, 50, 80, 1), (3, 50, 84, 1)])
-    def test_failures_within_allowance(self, hitting_walks, depth, stabilize, step_cap, failed):
+    def test_failures_within_allowance(self, hitting_walks, monkeypatch, depth, stabilize,
+                                       step_cap, failed):
         # seed 25 leaves some failed paths in every case, each count under the
         # allowance of 0.001 * 2049 paths
+        monkeypatch.setattr(walk, "HIT_CHUNK", _CHUNK)
         mu = hitting_walks["uniform"]
-        rep = simulate_hitting(mu, HIT_CHUNK * 2 + 1, depth, 25, stabilize, step_cap)
+        rep = simulate_hitting(mu, _CHUNK * 2 + 1, depth, 25, stabilize, step_cap)
         assert rep.failures == failed
-        _same_report(rep, mu, HIT_CHUNK * 2 + 1, depth, 25, stabilize, step_cap)
+        _same_report(rep, mu, _CHUNK * 2 + 1, depth, 25, stabilize, step_cap)
 
-    def test_failures_raise_with_the_same_count(self, hitting_walks):
+    def test_failures_raise_with_the_same_count(self, hitting_walks, monkeypatch):
+        monkeypatch.setattr(walk, "HIT_CHUNK", _CHUNK)
         mu = hitting_walks["uniform"]
         for depth, stabilize, step_cap in ((1, 20, 40), (2, 50, 80), (3, 50, 80)):
             with pytest.raises(SimulationError) as ref:
-                _hitting_reference(mu, HIT_CHUNK * 2 + 1, depth, 7, stabilize, step_cap)
+                _hitting_reference(mu, _CHUNK * 2 + 1, depth, 7, stabilize, step_cap)
             with pytest.raises(SimulationError) as got:
-                simulate_hitting(mu, HIT_CHUNK * 2 + 1, depth, 7, stabilize, step_cap)
+                simulate_hitting(mu, _CHUNK * 2 + 1, depth, 7, stabilize, step_cap)
             assert str(got.value) == str(ref.value) == "3 paths failed to stabilize", depth
 
     def test_oracle_is_splitmix64(self):
@@ -646,8 +654,13 @@ class TestBatchedHitting:
                 reads.append(key)
                 return np.asarray(self)[key]
 
-        draw = walk._StepLaw.draw
-        monkeypatch.setattr(walk._StepLaw, "draw", lambda law, u: draw(law, u).view(Block))
+        draw_block = walk._draw_block
+
+        def counted(*args):
+            steps, drawn_to = draw_block(*args)
+            return steps.view(Block), drawn_to
+
+        monkeypatch.setattr(walk, "_draw_block", counted)
         taken = []
         for seed in range(60):
             reads.clear()
@@ -667,3 +680,25 @@ class TestBatchedHitting:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20, peak
+
+    @pytest.mark.parametrize("seed", [601, 602])
+    def test_codes_do_not_depend_on_the_chunk_size(self, step_decomposition, uniform_stream,
+                                                   monkeypatch, seed):
+        # the step-f2 walk at full scale: 20,000 paths in chunks of HIT_CHUNK,
+        # the last one short, and in chunks of 1,024
+        mu = assemble_walk(step_decomposition, uniform_stream)
+        codes = walk._hitting_codes(mu, 20_000, 2, seed, 50, 2000)
+        assert walk.HIT_CHUNK != _CHUNK and 20_000 % walk.HIT_CHUNK
+        monkeypatch.setattr(walk, "HIT_CHUNK", _CHUNK)
+        assert (walk._hitting_codes(mu, 20_000, 2, seed, 50, 2000) == codes).all()
+        assert (codes >= 0).all()
+
+    def test_slabs_that_do_not_divide_the_rows(self, hitting_walks, monkeypatch):
+        # blocks of 3, 3, 6, 12 ... draws in slabs of 20: 6, 6, 3, 1 ... rows a
+        # slab, and chunks of 50 rows leave a short last slab
+        monkeypatch.setattr(walk, "HIT_CHUNK", 50)
+        monkeypatch.setattr(walk, "HIT_BLOCK", 3)
+        monkeypatch.setattr(walk, "HIT_SLAB", 20)
+        for name, depth in (("long_steps", 2), ("rank3", 1), ("long_step", 3)):
+            mu = hitting_walks[name]
+            _same_report(simulate_hitting(mu, 301, depth, 7), mu, 301, depth, 7)
