@@ -219,10 +219,16 @@ def sh_distance_numeric(g1: H2Geodesic, g2: H2Geodesic, window: float = 40.0,
 
 
 # Largest quadrature node array the audits build, and the number of samples
-# the per-sample quadratures integrate at a time (`_integral_dist_beta` puts
-# 48 x 96 nodes on each sample).
+# the per-sample quadratures integrate at a time (`_integral_dist_beta`'s gap
+# panels put 48 x 24 nodes on each sample).
 H2_NODE_BYTES = 1 << 26
 H2_CHUNK = 64
+# Gauss nodes per gap between times, per window panel and per outer panel;
+# the window panels' length
+H2_GAP_NODES = 24
+H2_NODES = 96
+H2_OUTER_NODES = 48
+H2_WINDOW = 45.0
 
 
 @lru_cache(maxsize=None)
@@ -262,42 +268,51 @@ def _sep_common_st(theta, s, t):
     return np.arccosh(np.maximum(ch, 1.0))
 
 
-def _dist_flow_common(theta, s, n_nodes: int = 96, window: float = 45.0):
-    """dist(g^s gamma1, g^s gamma2) for common-point pairs, vectorized over
-    (theta, s) arrays: (1/2) int d(t) (e^{-|t-s|} + e^{-(t+s)}) dt, t >= 0."""
-    theta = np.asarray(theta, dtype=float)
-    s = np.asarray(s, dtype=float)
-    out = np.zeros(np.broadcast(theta, s).shape)
-    th, ss = np.broadcast_arrays(theta, s)
-    # panels [0, s] and [s, s + window]
-    for lo, hi in ((np.zeros_like(ss), ss), (ss, ss + window)):
-        nodes, weights = _gl_panel(lo, hi, n_nodes)
-        sep = _sep_common(th[..., None], nodes)
-        ker = np.exp(-np.abs(nodes - ss[..., None])) + np.exp(-(nodes + ss[..., None]))
-        out = out + 0.5 * (sep * ker * weights).sum(axis=-1)
-    # tail beyond s + window: d(t) <= 2(t - c) + 2 e^{-t} sinh(c)
-    cp = -np.log(np.sin(th / 2.0))
-    W = ss + window
-    tail = (2.0 * (W - cp) + 2.0 + 2.0 * np.exp(-W) * np.sinh(np.minimum(cp, 30.0))) \
-        * (np.exp(-(W - ss)) + np.exp(-(W + ss)))
-    return out, tail
+def _common_terms(theta, s) -> np.ndarray:
+    """The terms e^{-s} int_0^s d e^t, e^s int_s^inf d e^{-t} and
+    e^{-s} int_0^inf d e^{-t} (dt; d = `_sep_common`) of 2 dist(g^s g1, g^s g2),
+    stacked, at rows of ascending times s, one row per theta.  A row's times
+    share one H2_GAP_NODES panel per gap from 0, one H2_NODES panel out to
+    H2_WINDOW past the last time, and the tail bound beyond."""
+    theta = theta[:, None]
+    nodes, weights = _gl_panel(np.concatenate([np.zeros_like(s[:, :1]), s[:, :-1]], axis=1),
+                               s, H2_GAP_NODES)
+    sep = _sep_common(theta[..., None], nodes) * weights
+    rising = np.cumsum((sep * np.exp(nodes)).sum(axis=-1), axis=1)
+    falling = (sep * np.exp(-nodes)).sum(axis=-1)
+    W = s[:, -1:] + H2_WINDOW
+    nodes, weights = _gl_panel(s[:, -1], W[:, 0], H2_NODES)
+    # tail beyond W: d(t) <= 2(t - c) + 2 e^{-t} sinh(c)
+    cp = -np.log(np.sin(theta / 2.0))
+    end = (_sep_common(theta, nodes) * np.exp(-nodes) * weights).sum(axis=-1, keepdims=True) \
+        + (2.0 * (W - cp) + 2.0 + 2.0 * np.exp(-W) * np.sinh(np.minimum(cp, 30.0))) * np.exp(-W)
+    # int_{s_k}^inf d e^{-t} dt: the end plus the later gaps, smallest first
+    after = np.cumsum(np.concatenate([end, falling[:, :0:-1]], axis=1), axis=1)[:, ::-1]
+    return np.stack([np.exp(-s) * rising, np.exp(s) * after,
+                     np.exp(-s) * (after[:, :1] + falling[:, :1])])
 
 
-def _dist_flow_profile(coeffs, s, n_nodes: int = 96, window: float = 45.0) -> np.ndarray:
+def _dist_flow_common(theta, s) -> np.ndarray:
+    """dist(g^s gamma1, g^s gamma2) = (1/2) int_0^inf d(t) (e^{-|t-s|} + e^{-(t+s)}) dt
+    for common-point pairs at rows of ascending times s; see `_common_terms`."""
+    return 0.5 * _common_terms(theta, s).sum(axis=0)
+
+
+def _dist_flow_profile(coeffs, s) -> np.ndarray:
     """dist(g^s g1, g^s g2) per sample from the stable separation coefficients
     of `_profile_coeffs`, H2_CHUNK samples at a time."""
 
     def chunk(k):
         sep_coeffs = [c[k, None] for c in coeffs]
         total = 0.0
-        for lo, hi in ((s[k] - window, s[k]), (s[k], s[k] + window)):
-            nodes, weights = _gl_panel(lo, hi, n_nodes)
+        for lo, hi in ((s[k] - H2_WINDOW, s[k]), (s[k], s[k] + H2_WINDOW)):
+            nodes, weights = _gl_panel(lo, hi, H2_NODES)
             sep = np.arccosh(np.maximum(_cosh_profile(sep_coeffs, nodes), 1.0))
             total = total + 0.5 * (sep * np.exp(-np.abs(nodes - s[k, None])) * weights).sum(axis=-1)
         return total
 
     # both tails: separation grows at most like 2|t| + O(1)
-    return _chunked(len(s), chunk) + (2.0 * (np.abs(s) + window) + 60.0) * math.exp(-window)
+    return _chunked(len(s), chunk) + (2.0 * (np.abs(s) + H2_WINDOW) + 60.0) * math.exp(-H2_WINDOW)
 
 
 def _phi_gap(g1: H2Geodesic, g2: H2Geodesic, lo, hi, n_nodes: int) -> np.ndarray:
@@ -408,26 +423,14 @@ def comparison_audit(n_samples: int, seed: int, tol: float = 1e-7) -> dict:
     # exponentially weighted one-sided integral
     s4 = rng.uniform(0.0, 7.0, n)
 
-    def exp_chunk(k):
-        sk = s4[k]
-        total = np.zeros_like(sk)
-        for lo, hi in ((np.zeros_like(sk), sk), (sk, sk + 45.0)):
-            nodes, weights = _gl_panel(lo, hi, 96)
-            sep = _sep_common(theta[k, None], nodes)
-            total += (sep * np.exp(-np.abs(nodes - sk[:, None])) * weights).sum(axis=1)
-        return total
-
-    lhs4 = _chunked(n, exp_chunk)
-    W4 = s4 + 45.0
-    lhs4 += (2.0 * (W4 - cp) + 2.0 + 2.0 * np.exp(-W4) * np.sinh(np.minimum(cp, 30.0))) \
-        * np.exp(-(W4 - s4))
+    lhs4 = _chunked(n, lambda k: _common_terms(theta[k], s4[k, None])[:2].sum(axis=0)[:, 0])
     rhs4 = 4.0 * np.maximum(s4 - cp, 0.0) + np.exp(-np.abs(cp - s4)) * (np.abs(cp - s4) + 3.0) \
         - (s4 + 1.0) * np.exp(-cp - s4)
     report["exp_integral"] = _report(lhs4 - rhs4, {"theta": theta, "s": s4})
 
     # flowed distance bound (backward confluence equals the forward one here)
     s5 = rng.uniform(0.0, 7.0, n)
-    lhs5 = _chunked(n, lambda k: np.add(*_dist_flow_common(theta[k], s5[k])))
+    lhs5 = _chunked(n, lambda k: _dist_flow_common(theta[k], s5[k, None])[:, 0])
     rhs5 = 2.0 * np.maximum(s5 - cp, 0.0) + (np.abs(cp - s5) + 3.0) / (2.0 * np.exp(np.abs(cp - s5))) \
         - (s5 + 1.0) / (2.0 * np.exp(s5 + cp)) + (cp + 2.0) / (2.0 * np.exp(s5 + cp))
     report["flow_distance"] = _report(lhs5 - rhs5, {"theta": theta, "s": s5})
@@ -481,17 +484,14 @@ def _partner_at(p, zeta, dd, rho, sign=1.0):
     return geodesic_from(p, phi0 + sign * np.arccos(cosoff)).flow(dd).p
 
 
-def _integral_dist_beta(theta, T0, T1, beta, outer_nodes: int = 48):
+def _integral_dist_beta(theta, T0, T1, beta):
     """int_{T0}^{T1} dist(g^s g1, g^s g2)^beta ds for common-point pairs,
     H2_CHUNK samples at a time."""
     theta, T0, T1, beta = (np.asarray(v, dtype=float) for v in (theta, T0, T1, beta))
 
     def chunk(k):
-        nodes, weights = _gl_panel(T0[k], T1[k], outer_nodes)
-        flat_theta = np.repeat(theta[k, None], outer_nodes, axis=1)
-        dist, tail = _dist_flow_common(flat_theta.ravel(), nodes.ravel())
-        vals = (dist + tail) ** np.repeat(beta[k, None], outer_nodes, axis=1).ravel()
-        return (vals.reshape(nodes.shape) * weights).sum(axis=1)
+        nodes, weights = _gl_panel(T0[k], T1[k], H2_OUTER_NODES)
+        return (_dist_flow_common(theta[k], nodes) ** beta[k, None] * weights).sum(axis=1)
 
     return _chunked(len(theta), chunk)
 

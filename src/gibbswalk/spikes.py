@@ -451,7 +451,9 @@ def _chunks(words: np.ndarray, cells: int):
 
 def _shell_words(ab, n: int) -> np.ndarray:
     """The reduced words of length n as letter rows, in stem (= lexicographic) order."""
-    return StemTable(ab, n).letters.astype(np.int64)
+    tab = StemTable(ab, n)
+    check_dense(tab.size * n, f"shell {n}'s centre words")
+    return tab.letters.astype(np.int64)
 
 
 def _spike_depth(S: GibbsStream, n: int, F: CylinderFunction | None) -> int:

@@ -225,6 +225,15 @@ class TestRunner:
         assert code == 1 and summary["failed_stage"] == "gibbs"
         assert "DenseArrayError" in summary["error"] and "depth-7" in summary["error"]
 
+    def test_oversized_shell_fails_its_stage(self, tmp_path, monkeypatch):
+        # shell 5's centre words take 12,960 bytes; shells 1-4 fit
+        monkeypatch.setattr(stems, "DENSE_BYTES", 8000)
+        cfg = small_config()
+        cfg["audits"]["spike_radius"] = 5
+        code, summary = run_experiment(cfg, str(tmp_path), stages=("audit-spikes",))
+        assert code == 1 and summary["failed_stage"] == "audit-spikes"
+        assert "DenseArrayError" in summary["error"] and "shell 5's centre words" in summary["error"]
+
     def test_failing_stage_nonzero_exit(self, tmp_path):
         cfg = small_config()
         cfg["decomposer"]["ell"] = 1.0  # invalid: the config constructor rejects it

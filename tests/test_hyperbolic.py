@@ -188,6 +188,64 @@ def _ref_dist_flow(coeffs, s, n_nodes=96, window=45.0):
     return total + (2.0 * (abs(s) + window) + 60.0) * math.exp(-window)
 
 
+def _ref_flow_common(theta, s, two_sided):
+    """Per time, 96-node panels on [0, s] and [s, s + 45] plus the tail bound
+    past s + 45: dist(g^s g1, g^s g2) of a common-point pair when two_sided,
+    else int_0^inf d(t) e^{-|t-s|} dt."""
+    ec = math.sin(theta / 2.0)
+    cp = -math.log(ec)
+    W = s + 45.0
+    total = 0.0
+    for lo, hi in ((0.0, s), (s, W)):
+        nodes, weights = hyperbolic._gl_panel(lo, hi, 96)
+        ker = np.exp(-np.abs(nodes - s)) + (np.exp(-(nodes + s)) if two_sided else 0.0)
+        total += float((2.0 * np.arcsinh(ec * np.sinh(nodes)) * ker * weights).sum())
+    tail = (2.0 * (W - cp) + 2.0 + 2.0 * math.exp(-W) * math.sinh(min(cp, 30.0))) \
+        * (math.exp(-(W - s)) + (math.exp(-(W + s)) if two_sided else 0.0))
+    return (0.5 * total if two_sided else total) + tail
+
+
+def _ref_integral_dist_beta(theta, T0, T1, beta):
+    nodes, weights = hyperbolic._gl_panel(T0, T1, 48)
+    return sum(_ref_flow_common(theta, float(s), True) ** beta * float(w)
+               for s, w in zip(nodes, weights))
+
+
+def _ref_common_point(n, seed):
+    """Per sample, (reference integral, violation against the audit's own
+    right-hand side) of the four common-point flow integrals."""
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.05, math.pi - 0.05, n)
+    rng.uniform(size=8 * n)  # the distance-form and horodistance arrays
+    rng.choice([-1.0, 1.0], n)
+    rng.uniform(size=5 * n)  # the horodistance frames; confluence s and t
+    cp = -np.log(np.sin(theta / 2.0))
+    s4 = rng.uniform(0.0, 7.0, n)
+    lhs4 = np.array([_ref_flow_common(th, s, False) for th, s in zip(theta, s4)])
+    rhs4 = 4.0 * np.maximum(s4 - cp, 0.0) + np.exp(-np.abs(cp - s4)) * (np.abs(cp - s4) + 3.0) \
+        - (s4 + 1.0) * np.exp(-cp - s4)
+    s5 = rng.uniform(0.0, 7.0, n)
+    lhs5 = np.array([_ref_flow_common(th, s, True) for th, s in zip(theta, s5)])
+    rhs5 = 2.0 * np.maximum(s5 - cp, 0.0) + (np.abs(cp - s5) + 3.0) / (2.0 * np.exp(np.abs(cp - s5))) \
+        - (s5 + 1.0) / (2.0 * np.exp(s5 + cp)) + (cp + 2.0) / (2.0 * np.exp(s5 + cp))
+    T6 = rng.uniform(0.3, 6.0, n)
+    beta6 = rng.uniform(0.3, 1.0, n)
+    lhs6 = np.array([_ref_integral_dist_beta(*args) for args in zip(theta, np.zeros(n), T6, beta6)])
+    rhs6 = 5.0 / beta6 + np.maximum(T6 - cp, 0.0) ** (1.0 + beta6)
+    alpha7 = rng.uniform(0.05, 1.0, n)
+    beta7 = rng.uniform(0.3, 1.0, n)
+    T7 = alpha7 * cp
+    lhs7 = np.array([_ref_integral_dist_beta(*args) for args in zip(theta, np.zeros(n), T7, beta7)])
+    first = np.minimum(1.0 / beta7, T7) * ((1.0 + beta7 * cp / 2.0) * np.exp(-beta7 * cp)
+                                           + 2.0 * np.exp(-beta7 * (1 - alpha7) * cp)) \
+        - (cp / 2.0) * np.exp(-beta7 * cp) \
+        + ((1 - alpha7) * cp / 2.0) * np.exp(-beta7 * (1 - alpha7) * cp)
+    second = np.exp(-beta7 * (1 - alpha7) * cp) * (3.0 / beta7 + (1 - alpha7) * cp)
+    return {"exp_integral": (lhs4, lhs4 - rhs4), "flow_distance": (lhs5, lhs5 - rhs5),
+            "integral_estimate": (lhs6, lhs6 - rhs6),
+            "partial_integral": (lhs7, np.maximum(lhs7 - first, lhs7 - second))}
+
+
 def _ref_phi_integral(geo, lo, hi, n_nodes):
     nodes, weights = hyperbolic._gl_panel(lo, hi, n_nodes)
     return float((hyperbolic._phi_sample(geo.point(nodes)) * weights).sum())
@@ -308,6 +366,21 @@ class TestBatchAudits:
             assert rep[name]["samples"] == len(ref) == self.N
             assert np.abs(viols[name] - ref).max() <= 1e-9, name
 
+    @pytest.mark.parametrize("seed", [7, 20260812])
+    def test_common_point_integrals_match_loop(self, monkeypatch, seed):
+        # one set of panels per sample against two fresh panels per time
+        rep, viols = _per_sample(monkeypatch, comparison_audit, self.N, seed)
+        for name, (lhs, ref) in _ref_common_point(self.N, seed).items():
+            assert rep[name]["samples"] == len(ref) == self.N
+            assert np.all(np.abs(viols[name] - ref) <= 1e-11 * np.abs(lhs)), name
+
+    def test_integral_from_a_positive_start_matches_loop(self):
+        rng = np.random.default_rng(8)
+        theta, T0, beta = rng.uniform([0.05, 0.0, 0.3], [math.pi - 0.05, 3.0, 1.0], (self.N, 3)).T
+        T1 = T0 + rng.uniform(0.1, 4.0, self.N)
+        ref = [_ref_integral_dist_beta(*args) for args in zip(theta, T0, T1, beta)]
+        assert np.allclose(_integral_dist_beta(theta, T0, T1, beta), ref, rtol=1e-11, atol=0.0)
+
 
 class TestNodeBudget:
     def test_chunked_integral_equals_one_pass(self, monkeypatch):
@@ -320,11 +393,11 @@ class TestNodeBudget:
         assert chunked.tolist() == _integral_dist_beta(*args).tolist()
 
     def test_oversized_node_array_refused(self, monkeypatch):
-        # 2 samples x 48 outer x 96 inner nodes per chunk fit the budget; a
-        # 3-sample chunk of _integral_dist_beta does not
+        # 2 samples x 48 outer times x 24 gap nodes per chunk fit the budget;
+        # a 3-sample chunk of _integral_dist_beta does not
         unchunked = holder_chain_audit(100, 3)
         monkeypatch.setattr(hyperbolic, "H2_CHUNK", 2)
-        monkeypatch.setattr(hyperbolic, "H2_NODE_BYTES", 2 * 48 * 96 * 8)
+        monkeypatch.setattr(hyperbolic, "H2_NODE_BYTES", 2 * 48 * 24 * 8)
         assert all(v["pass"] for v in comparison_audit(96, 1).values())
         assert holder_chain_audit(100, 3) == unchunked
         monkeypatch.setattr(hyperbolic, "H2_CHUNK", 3)
@@ -332,8 +405,8 @@ class TestNodeBudget:
             comparison_audit(97, 1)
 
     def test_every_node_panel_is_chunked(self, monkeypatch):
-        # 97 samples x 96 nodes in one pass exceed this budget; chunks do not
+        # 97 samples x 24 nodes in one pass exceed this budget; chunks do not
         unpatched = comparison_audit(97, 1)
         monkeypatch.setattr(hyperbolic, "H2_CHUNK", 2)
-        monkeypatch.setattr(hyperbolic, "H2_NODE_BYTES", 2 * 48 * 96 * 8)
+        monkeypatch.setattr(hyperbolic, "H2_NODE_BYTES", 2 * 48 * 24 * 8)
         assert comparison_audit(97, 1) == unpatched

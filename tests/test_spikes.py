@@ -623,6 +623,15 @@ class TestShellBatch:
         with pytest.raises(DenseArrayError, match="shell 3's spike rows would take 31104 bytes"):
             lab.shell(3)
 
+    def test_oversized_centre_words_refused(self, cases, monkeypatch):
+        lab = cases["uniform"][0]  # depth-1 kernel: shell_audits takes the profile path
+        monkeypatch.setattr(stems, "DENSE_BYTES", 8 * 108 * 4)  # shell 4: 108 words of 4 letters
+        assert len(lab.shell_audits(4)) == 108
+        for build in (lab.shell_audits, lab.shell):
+            with pytest.raises(DenseArrayError,
+                               match="shell 5's centre words would take 12960 bytes"):
+                build(5)
+
     def test_per_g_entry_points_are_batches_of_one(self, cases):
         lab, F, _ = cases["depth3-target"]
         g = (0, 2, 1)
