@@ -148,15 +148,18 @@ class GibbsStream:
         """State index and full-window weight sum per stem.
 
         Only the deepest pair built so far is kept: a deeper one extends it
-        a depth at a time, a shallower one is rebuilt from depth m."""
+        a depth at a time, a shallower one is rebuilt from depth m.  The
+        state indices are kept in the smallest integer type that holds
+        them."""
         m = self.depth_m
         if depth < m:
             raise ValueError("layers exist from depth m upward")
         _, succ, wts, _ = window_graph(self.potential)
+        succ = succ.astype(np.min_scalar_type(len(wts) - 1))
         if self._deepest is not None and self._deepest[0] <= depth:
             n, st, ws = self._deepest
         else:
-            n, st, ws = m, np.arange(len(wts), dtype=np.int64), wts.copy()
+            n, st, ws = m, np.arange(len(wts), dtype=succ.dtype), wts.copy()
         while n < depth:
             n += 1
             check_dense(len(st) * succ.shape[1], f"the depth-{n} stem arrays")

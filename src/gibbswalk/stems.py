@@ -30,10 +30,11 @@ class DenseArrayError(ValueError):
     """A dense array would exceed DENSE_BYTES; the message names it and its bytes."""
 
 
-def check_dense(cells: int, what: str) -> None:
-    """Refuse `what`, `cells` float64 entries, when it would exceed DENSE_BYTES."""
-    if 8 * cells > DENSE_BYTES:
-        raise DenseArrayError(f"{what} would take {8 * cells} bytes, "
+def check_dense(cells: int, what: str, itemsize: int = 8) -> None:
+    """Refuse `what`, `cells` entries of `itemsize` bytes (float64 unless
+    given), when it would exceed DENSE_BYTES."""
+    if itemsize * cells > DENSE_BYTES:
+        raise DenseArrayError(f"{what} would take {itemsize * cells} bytes, "
                               f"more than the {DENSE_BYTES} allowed")
 
 
@@ -105,9 +106,12 @@ class StemTable:
 
     @cached_property
     def letters(self) -> np.ndarray:
-        """(size, depth) read-only array of stem letters."""
+        """(size, depth) read-only array of stem letters; one that is not
+        shared is size-checked before it is built."""
         if self.size * self.depth <= SHARED_LETTERS_BYTES:
             return _shared_letters(self.ab.rank, self.depth)
+        check_dense(self.size * self.depth,
+                    f"the depth-{self.depth} stem letters of rank {self.ab.rank}", 1)
         return _letters_array(self)
 
     def indices(self, letters: np.ndarray) -> np.ndarray:

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .cylfun import CylinderFunction
 from .decompose import Decomposition
@@ -121,7 +120,7 @@ def convolved_density_masses(mu: WalkMeasure, F: CylinderFunction, S: GibbsStrea
     flat = [piece for pieces in whole for piece in pieces]
     lengths = np.array([len(piece) for piece in flat], dtype=np.int64)
     dots = np.empty(len(flat))
-    for n in np.unique(lengths).tolist():
+    for n in sorted(set(lengths.tolist())):  # np.unique would load numpy.ma
         rows = np.flatnonzero(lengths == n)
         dots[rows] = integrals(np.array([flat[r] for r in rows.tolist()], dtype=np.int64))
     start = 0
@@ -557,5 +556,46 @@ def chi2_compatibility(r1: HittingReport, r2: HittingReport) -> float:
         stat += (c1 - n1 * pooled) ** 2 / (n1 * pooled)
         stat += (c2 - n2 * pooled) ** 2 / (n2 * pooled)
         dof += 1
-    dof = max(dof - 1, 1)
-    return float(chdtrc(dof, stat))  # the chi-square survival function
+    return chi2_sf(max(dof - 1, 1), stat)
+
+
+def chi2_sf(dof: int, x: float) -> float:
+    """P(X > x) for X chi-square with `dof` degrees of freedom, an integer.
+
+    This is the regularized upper gamma Q(a, y) with a = dof/2, y = x/2.
+    For y >= a it is the closed form: for even dof,
+    e^-y * sum_{j < a} y^j / j!, and for odd dof, erfc(sqrt y) plus
+    e^-y * sum_{j=1}^{a-1/2} y^(j-1/2) / Gamma(j+1/2).  For y < a it is
+    1 - P(a, y), P by its series e^-y y^a / Gamma(a+1) *
+    sum_n y^n / ((a+1)...(a+n)), so that results near 1 do not carry the
+    closed form's rounding and Q does not increase with x.  Each term is
+    one exp of a log-space sum, so no term overflows at any dof or x.
+
+    Relative error: below 1e-12 for dof <= 400 wherever Q is a normal
+    float.  A term's exponent has parts of size at most
+    B = y + a |ln y| + ln Gamma(a + 1), so rounding costs the term about
+    B * 2^-53 relative, and a sum of positive terms no more; for y < a,
+    Q >= 0.3, so 1 - P loses little to cancellation.
+    """
+    if dof < 1 or dof != int(dof):
+        raise ValueError(f"degrees of freedom must be a positive integer, not {dof!r}")
+    a, y = 0.5 * dof, 0.5 * x
+    if not y > 0:  # x <= 0, or x/2 underflows to 0
+        return 1.0
+    if y == math.inf:
+        return 0.0
+    ly = math.log(y)
+    if y < a:
+        term = total = 1.0
+        n = 0
+        while term > total * 2.0 ** -53:
+            n += 1
+            term *= y / (a + n)
+            total += term
+        return 1.0 - math.exp(a * ly - y - math.lgamma(a + 1.0)) * total
+    h = 0.5 * (dof % 2)  # the half in the odd dof's half-integer powers
+    terms = [math.exp((j - h) * ly - y - math.lgamma(j + 1.0 - h))
+             for j in range(dof % 2, (dof + 1) // 2)]
+    if dof % 2:
+        terms.append(math.erfc(math.sqrt(y)))
+    return math.fsum(terms)

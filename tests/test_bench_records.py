@@ -41,18 +41,23 @@ class TestRecord:
     def test_pairs(self, path):
         record = _load(path)
         # a change that moves Monte Carlo reports by design names them and why;
-        # its fingerprints then differ, and the certified residual may not move
+        # its fingerprints then differ, except in the pairs it names as
+        # unchanged, and the certified residual may not move
         changes = record.get("report_changes")
+        unchanged = {}
         if changes is not None:
             assert changes["files"] and changes["reason"], changes
+            unchanged = changes.get("unchanged_pairs", {})
         for name, w in record["workloads"].items():
             assert w["seeds"] == [p["seed"] for p in w["pairs"]], name
+            assert set(unchanged.get(name, [])) <= set(w["seeds"]), name
             for k, pair in enumerate(w["pairs"]):
                 assert pair["first"] == ("parent" if k % 2 == 0 else "change"), (name, k)
                 parent, change = pair["parent"], pair["change"]
                 same = parent["fingerprints"] == change["fingerprints"]
                 assert pair["same_fingerprint"] is same, (name, pair["seed"])
-                assert same is (changes is None), (name, pair["seed"])
+                kept = changes is None or pair["seed"] in unchanged.get(name, [])
+                assert same is kept, (name, pair["seed"])
                 if changes is not None:
                     assert parent["residual_l1"] == change["residual_l1"], (name, pair["seed"])
                 wins = pair["change"]["pipeline_ref"] < pair["parent"]["pipeline_ref"]

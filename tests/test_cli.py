@@ -5,6 +5,9 @@ import filecmp
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +123,29 @@ class TestConfig:
         cfg["target"] = {"kind": "step", "depth": 2, "entries": {"a a": 1.25, key: 1.5}}
         with pytest.raises(ValueError, match=re.escape(repr(key))):
             build_objects(cfg)
+
+
+class TestModules:
+    def test_a_run_loads_no_module(self):
+        # every module a run needs is loaded by import and config load, and
+        # no stage, validate-h2 included, loads scipy
+        code = ("import sys, tempfile\n"
+                "import gibbswalk.cli as cli\n"
+                "cfg = cli.load_config(None, 'step-f2', None)\n"
+                "with tempfile.TemporaryDirectory() as out:\n"
+                "    before = set(sys.modules)\n"
+                "    code, summary = cli.run_experiment(cfg, out, stages=cli.ALL_STAGES[:5])\n"
+                "    assert code == 0, summary\n"
+                "    new = sorted(set(sys.modules) - before)\n"
+                "    assert not new, f'modules loaded by the run: {new}'\n"
+                "    code, summary = cli.run_experiment(cfg, out, stages=('validate-h2',))\n"
+                "    assert code == 0, summary\n"
+                "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+                "assert not scipy, f'scipy modules loaded: {scipy}'\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestRunner:

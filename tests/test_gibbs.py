@@ -249,6 +249,22 @@ class TestCylinderMasses:
             tracemalloc.stop()
         assert held < 3 * 8 * size + 2**16, held
 
+    def test_state_array_in_the_smallest_integer_type(self):
+        # rank 3 at depth 9 has 2,343,750 stems over 6 window states; as
+        # int64 their state array took 18.75 MB of what the stream holds
+        S = GibbsStream(Potential.zero(Alphabet(3)))
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            shadow_lemma_audit(S, 9)
+            held = tracemalloc.get_traced_memory()[0] - held
+        finally:
+            tracemalloc.stop()
+        depth, st, ws = S._deepest
+        assert (depth, st.size, st.dtype) == (9, 2_343_750, np.uint8)
+        states = held - sum(a.nbytes for a in S._mass.values()) - ws.nbytes
+        assert states <= 18_750_000 // 2, states
+
     def test_shallower_layers_rebuilt_bit_for_bit(self, stream_m2):
         # the arrays do not depend on the order in which depths are asked for
         P = Potential(AB, 2, {w: v + 0.01 for w, v in stream_m2.potential.table.items()})
@@ -359,6 +375,23 @@ class TestDenseSizeCheck:
             finally:
                 tracemalloc.stop()
             assert peak < 8 * tab.size, peak
+
+    def test_letters_refused_before_allocation(self, monkeypatch):
+        # the rank-2 depth-12 letters (8.5 MB) are too large to share, so
+        # each table builds its own, after the size check
+        tab = StemTable(AB, 12)
+        assert tab.size * tab.depth == 8_503_056
+        monkeypatch.setattr(stems, "DENSE_BYTES", 1 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DenseArrayError,
+                               match="depth-12 stem letters of rank 2 would take 8503056 bytes"):
+                tab.letters
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tab.size, peak
+        assert StemTable(AB, 10).letters.shape == (78_732, 10)  # shared tables are not refused
 
 
 class TestRadonNikodymArrays:

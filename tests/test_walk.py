@@ -26,6 +26,7 @@ from gibbswalk.walk import (
     WalkMeasure,
     assemble_walk,
     chi2_compatibility,
+    chi2_sf,
     convolved_density_masses,
     entropy_decomposition,
     nondegenerate_support,
@@ -253,6 +254,19 @@ def _report(counts, n_paths):
     return HittingReport(depth=1, n_paths=n_paths, empirical=emp, stderr={}, failures=0)
 
 
+# chi2_sf's stated relative error bound, which holds where Q is a normal float
+CHI2_REL = 1e-12
+
+
+def _assert_chi2_close(got, want):
+    """Within CHI2_REL of a normal reference; below the normal floats with
+    a reference there (scipy flushes some of those to 0.0)."""
+    if want >= sys.float_info.min:
+        assert abs(got - want) <= CHI2_REL * want, (got, want)
+    else:
+        assert 0.0 <= got < sys.float_info.min, (got, want)
+
+
 class TestChi2:
     def test_p_value_is_the_chi2_survival_function(self):
         from scipy.stats import chi2
@@ -271,14 +285,41 @@ class TestChi2:
                 stat += (a - n1 * pooled) ** 2 / (n1 * pooled)
                 stat += (b - n2 * pooled) ** 2 / (n2 * pooled)
                 dof += 1
-            assert chi2_compatibility(r1, r2) == float(chi2.sf(stat, max(dof - 1, 1)))
+            _assert_chi2_close(chi2_compatibility(r1, r2), float(chi2.sf(stat, max(dof - 1, 1))))
 
     def test_survival_function_on_a_grid(self):
         from scipy.stats import chi2
 
         for dof in (1, 2, 3, 7, 35, 143, 400):
             for stat in np.linspace(0.0, 4.0 * dof + 20.0, 60):
-                assert float(walk.chdtrc(dof, stat)) == float(chi2.sf(stat, dof))
+                _assert_chi2_close(chi2_sf(dof, float(stat)), float(chi2.sf(stat, dof)))
+
+    def test_survival_function_against_mpmath(self):
+        # the regularized upper gamma Q(dof/2, x/2) at 50 digits
+        import mpmath
+
+        with mpmath.workdps(50):
+            for dof in [*range(1, 61), 143, 400]:
+                grid = np.concatenate([np.linspace(0.0, 4.0 * dof + 20.0, 60),
+                                       np.geomspace(0.01, 150.0, 25)])
+                for x in grid.tolist():
+                    want = mpmath.gammainc(mpmath.mpf(dof) / 2, mpmath.mpf(x) / 2, mpmath.inf,
+                                           regularized=True)
+                    err = abs(mpmath.mpf(chi2_sf(dof, x)) - want) / want
+                    assert err <= CHI2_REL, (dof, x, float(err))
+
+    @pytest.mark.parametrize("dof", [1, 2, 3, 4, 7, 35, 60, 143, 400])
+    def test_survival_function_shape(self, dof):
+        assert chi2_sf(dof, 0.0) == 1.0
+        values = [chi2_sf(dof, x) for x in np.linspace(0.0, 4.0 * dof + 200.0, 4000).tolist()]
+        assert all(b <= a for a, b in zip(values, values[1:]))
+        for huge in (1e4 * dof, 1e300, math.inf):
+            assert chi2_sf(dof, huge) == 0.0
+
+    def test_survival_function_refuses_other_dof(self):
+        for dof in (0, -1, 2.5):
+            with pytest.raises(ValueError, match="degrees of freedom"):
+                chi2_sf(dof, 1.0)
 
     def test_no_scipy_stats_import(self):
         code = ("import sys\n"
