@@ -195,21 +195,35 @@ def translate_rows(f: CylinderFunction, words: np.ndarray) -> np.ndarray:
     g^{-1} cancels the first c letters of a stem x, c being its confluence
     length with g, so f is read at the first d = depth(f) letters of
     g^{-1}[: n - c] + x[c:].  Where c <= n - d that is g^{-1}[:d], one value
-    per row; the stems meeting g deeper are gathered one by one.
+    per row; the stems meeting g deeper are gathered one by one
+    (`translate_at`).
     """
     count, n = words.shape
     d = f.depth
     tab = StemTable(f.ab, n + d)
     c = tab.confluences(words)  # first: its size check also covers `out`
-    # g^{-1}, padded to d letters
-    head = np.zeros((count, max(n, d)), dtype=np.int64)
-    head[:, :n] = inverse_letter(words[:, ::-1])
+    head = inverse_head(words, d)
     out = np.empty((count, tab.size))
     if n >= d:
-        out[:] = f.values[f.table.indices(head[:, :d])][:, None]
+        out[:] = f.values[f.table.indices(head)][:, None]
     row, stem = np.nonzero(c > n - d)
-    c, col = c[row, stem][:, None], np.arange(d)
-    tail = tab.letters[stem[:, None], np.maximum(col + 2 * c - n, 0)]
-    src = np.where(col < n - c, head[row, :d], tail)
-    out[row, stem] = f.values[f.table.indices(src)]
+    out[row, stem] = translate_at(f, head[row], tab.letters[stem], c[row, stem], n)
     return out
+
+
+def inverse_head(words: np.ndarray, d: int) -> np.ndarray:
+    """The first d letters of g^{-1}, padded with letter 0, per row g of a
+    (count, n) letter array."""
+    count, n = words.shape
+    head = np.zeros((count, max(n, d)), dtype=np.int64)
+    head[:, :n] = inverse_letter(words[:, ::-1])
+    return head[:, :d]
+
+
+def translate_at(f: CylinderFunction, head: np.ndarray, letters: np.ndarray, c: np.ndarray,
+                 n: int) -> np.ndarray:
+    """g_* f at one depth-(n + d) stem per row: its letters, its confluence
+    c > n - d with the length-n centre g, and g's `inverse_head`."""
+    c, col = c[:, None], np.arange(f.depth)
+    tail = np.take_along_axis(letters, np.maximum(col + 2 * c - n, 0), axis=1)
+    return f.values[f.table.indices(np.where(col < n - c, head, tail))]

@@ -215,11 +215,11 @@ def decompose(F: CylinderFunction, S: GibbsStream, cfg: DecomposerConfig,
             raise CertificationError(f"residual positivity lost at stage {n}")
         bound_l1 *= contraction
         bound_sup *= contraction
-        m = mass(spikes.depth)
-        for row, (g, lam) in zip(spikes.values, lams.items()):  # the shell's stem order
+        for g, lam in lams.items():  # the shell's stem order
             entries[g] = entries.get(g, 0.0) + cfg_run.gamma * lam
-            if g not in spike_l1:
-                spike_l1[g] = float(row @ m)
+        if any(g not in spike_l1 for g in lams):
+            for g, l1 in zip(lams, spikes.integrals(mass(spikes.depth))):
+                spike_l1.setdefault(g, l1)
         R = new_R
         new_l1 = R.l1(mass(R.depth))
         if new_l1 >= prev_l1:

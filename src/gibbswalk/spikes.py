@@ -17,12 +17,12 @@ from functools import cached_property
 import numpy as np
 
 # translate_function stays a module attribute here: tracing wraps it by this name
-from .cylfun import (CylinderFunction, block_extrema, holder_rows, scale_depth,
-                     translate_function, translate_rows)
+from .cylfun import (CylinderFunction, block_extrema, holder_rows, inverse_head, scale_depth,
+                     translate_at, translate_function, translate_rows)
 from .gibbs import GibbsStream, critical_exponent, hausdorff_stream
 from .potentials import Potential, d_phi_ray, min_cycle_mean, sym_potential, window_graph
 from .stems import StemTable, check_dense, word_rows
-from .words import BoundaryWord, Word, gromov_product, ray_word
+from .words import Alphabet, BoundaryWord, Word, gromov_product, ray_word
 
 
 # the audited grid of the decay certificate: ball radii (ascending), kernel
@@ -84,7 +84,9 @@ class _KernelIntegrator:
     so the expected factor over continuations depends on the prefix only
     through its last window: one backward vector per (|prefix|, c, s) serves
     every prefix.  `integrals` takes prefixes as letter rows of one length
-    with their nu masses (`GibbsStream.stem_masses`).
+    with their nu masses (`GibbsStream.stem_masses`); rows shorter than the
+    kernel's windows are summed over their children, whose masses are read
+    once per row set.
     """
 
     def __init__(self, nu: GibbsStream, kernel: Potential):
@@ -99,6 +101,7 @@ class _KernelIntegrator:
         kids = StemTable(kernel.ab, mnu + 1).blocks(nu.mass_array(mnu + 1), mnu)
         self._next_prob = kids[u] / nu.mass_array(mnu)[u][:, None]
         self._backward: dict = {}
+        self._children: dict = {}
 
     def _continuation(self, n: int, c: int, s: float) -> np.ndarray:
         """Expected kernel factor over letters n+1..ceil(s)-1+mK, per window at letter n."""
@@ -127,10 +130,14 @@ class _KernelIntegrator:
             return masses
         mK = self.K.depth
         if n < mK:  # a block sum over the children, in letter order
-            kids = self._tab.child_letters[rows[:, -1]]
-            grown = np.column_stack([np.repeat(rows, kids.shape[1], axis=0), kids.ravel()])
-            vals = self.integrals(grown, self.nu.stem_masses(grown), c, s)
-            return _add_columns(np.zeros(len(kids)), vals.reshape(kids.shape))
+            key = (rows.dtype.str, rows.shape, rows.tobytes())
+            if key not in self._children:
+                kids = self._tab.child_letters[rows[:, -1]]
+                grown = np.column_stack([np.repeat(rows, kids.shape[1], axis=0), kids.ravel()])
+                self._children[key] = grown, self.nu.stem_masses(grown)
+            grown, kid_masses = self._children[key]
+            vals = self.integrals(grown, kid_masses, c, s)
+            return _add_columns(np.zeros(len(rows)), vals.reshape(len(rows), self._tab.branching))
         last_edge = math.ceil(s) - 1  # edge p covers letters p+1 .. p+mK (1-indexed)
         out = masses
         edges = range(c, min(last_edge, n - mK) + 1)
@@ -283,8 +290,9 @@ class SpikeLab:
     # -- spikes ------------------------------------------------------------------
     #
     # One path builds and audits spikes: the centres are rows of a (count, n)
-    # letter array and the spikes rows of a (count, cells) array, BUDGET cells
-    # at a time.  The per-g methods are batches of one.
+    # letter array and the spikes rows of a `SpikeShell`, held as profiles and
+    # expanded to dense (count, cells) rows BUDGET cells at a time.  The
+    # per-g methods are batches of one.
 
     def unit_spike(self, g: Word, F: CylinderFunction | None = None) -> "SpikeRecord":
         """Unit derivative spike weighted by a positive target function F.
@@ -292,7 +300,8 @@ class SpikeLab:
         h = (g_* F) * d(g_* nu)/d nu, normalized to 1 at the ray through g.
         """
         words = word_rows([g])
-        vals, depth = self._spike_rows(words, F)
+        profile, block, depth = self._spike_rows(words, F)
+        vals = _expand(self.ab, depth, words, profile, block)
         g = tuple(words[0].tolist())
         return SpikeRecord(h=CylinderFunction(self.ab, depth, vals[0]), r=math.exp(-len(g)),
                            a=ray_word(self.ab, g), s=float(len(g)), center=g)
@@ -301,44 +310,71 @@ class SpikeLab:
         """The unit spikes of every g with |g| = n, in stem order, with their
         minimal constants C (Holder exponent beta)."""
         words = _shell_words(self.ab, n)
-        depth = _spike_depth(self.S, n, F)
-        cells = StemTable(self.ab, depth).size
-        check_dense(len(words) * cells, f"shell {n}'s spike rows")
-        values, C = np.empty((len(words), cells)), []
-        for vals, audits in self._spike_chunks(words, F):  # C has one entry per row filled
-            values[len(C):len(C) + len(vals)] = vals
+        tab = StemTable(self.ab, _spike_depth(self.S, n, F))
+        check_dense(len(words) * tab.size, f"shell {n}'s spike rows")
+        level = _profile_level(self.S, n, F)
+        profile, block = np.empty((len(words), level)), np.empty((len(words), tab.span(level)))
+        C = []
+        for prof, blk, audits in self._spike_chunks(words, F):  # C has one entry per row filled
+            profile[len(C):len(C) + len(prof)] = prof
+            block[len(C):len(C) + len(blk)] = blk
             C += [a.minimal_c for a in audits]
-        values.flags.writeable = False
-        return SpikeShell(words, depth, values, np.array(C))
+        profile.flags.writeable = block.flags.writeable = False
+        return SpikeShell(words, tab.depth, block, np.array(C), profile, self.ab)
 
     def _spike_chunks(self, words: np.ndarray, F: CylinderFunction | None):
-        """(spike rows, audits at Holder exponent beta) of the centres' unit
-        spikes, BUDGET cells a chunk."""
+        """(profiles, blocks, audits at Holder exponent beta) of the centres'
+        unit spikes, BUDGET cells a chunk; the audits read the chunk's dense rows."""
         n = words.shape[1]
         for chunk in _chunks(words, StemTable(self.ab, _spike_depth(self.S, n, F)).size):
-            vals, depth = self._spike_rows(chunk, F)
-            yield vals, self._audit_rows(vals, depth, ray_rows(chunk, depth),
-                                         math.exp(-n), float(n), self.beta)
+            profile, block, depth = self._spike_rows(chunk, F)
+            vals = _expand(self.ab, depth, chunk, profile, block)
+            yield profile, block, self._audit_rows(vals, depth, ray_rows(chunk, depth),
+                                                   math.exp(-n), float(n), self.beta)
 
-    def _spike_rows(self, words: np.ndarray,
-                    F: CylinderFunction | None) -> tuple[np.ndarray, int]:
-        """Each centre's unit spike values as a row, and their depth."""
+    def _spike_rows(self, words: np.ndarray, F: CylinderFunction | None):
+        """Each centre's unit spike in profile form (see `SpikeShell`): the
+        (count, L) profile, the (count, span(L)) block, and their depth.
+
+        For a depth-1 stream the Radon-Nikodym factor takes one value per
+        confluence class c <= n with the centre g, and g_* F one value per
+        row on the classes c <= n - depth(F), so L = n - depth(F) + 1 (n
+        with no F); otherwise L = 0 and the block is the dense row."""
         if F is not None and F.inf <= 0:
             raise ValueError("target function must be positive")
-        n = words.shape[1]
+        count, n = words.shape
+        level = _profile_level(self.S, n, F)
         depth = n + self.S.depth_m
-        rows = np.arange(len(words))
+        rows = np.arange(count)
+        if level:
+            prof = np.exp(-self.S.rho_profiles(words))
+            prof = prof / prof[:, n:]  # the ray meets g at class n
+            if F is None:
+                return prof[:, :n], np.repeat(prof[:, n:], StemTable(self.ab, depth).span(n),
+                                              axis=1), depth
+            full = n + F.depth
+            tab = StemTable(self.ab, full)
+            letters, conf = tab.extensions(words, level)
+            span = tab.span(level)
+            head = inverse_head(words, F.depth)
+            vals = prof[rows[:, None], conf] * translate_at(
+                F, np.repeat(head, span, axis=0), letters.reshape(-1, full), conf.ravel(),
+                n).reshape(count, span)
+            at_ray = vals[rows, tab.indices(ray_rows(words, full)) % span]
+            single = F.values[F.table.indices(head)]
+            scale = (1.0 / at_ray)[:, None]
+            return prof[:, :level] * single[:, None] * scale, vals * scale, full
         vals = np.exp(-self.S.rho_phi_rows(words, depth))
         at_ray = vals[rows, StemTable(self.ab, depth).indices(ray_rows(words, depth))]
         vals = vals / at_ray[:, None]
-        if F is None:
-            return vals, depth
-        full = max(depth, n + F.depth)
-        tab = StemTable(self.ab, full)
-        vals = (np.repeat(vals, tab.span(depth), axis=1)
-                * np.repeat(translate_rows(F, words), tab.span(n + F.depth), axis=1))
-        at_ray = vals[rows, tab.indices(ray_rows(words, full))]
-        return vals * (1.0 / at_ray)[:, None], full
+        if F is not None:
+            full = max(depth, n + F.depth)
+            tab = StemTable(self.ab, full)
+            vals = (np.repeat(vals, tab.span(depth), axis=1)
+                    * np.repeat(translate_rows(F, words), tab.span(n + F.depth), axis=1))
+            at_ray = vals[rows, tab.indices(ray_rows(words, full))]
+            vals, depth = vals * (1.0 / at_ray)[:, None], full
+        return np.empty((count, 0)), vals, depth
 
     # -- certification -------------------------------------------------------------
 
@@ -430,7 +466,7 @@ class SpikeLab:
         if self.S.depth_m == 1:  # the kernel has the stream's depth
             return [a for chunk in _chunks(words, words.shape[1] + 1)
                     for a in self._profile_rows(chunk)]
-        return [a for _, audits in self._spike_chunks(words, None) for a in audits]
+        return [a for *_, audits in self._spike_chunks(words, None) for a in audits]
 
     def sweep(self, radius: int) -> list[tuple[Word, float]]:
         """Audit every derivative spike with |g| <= radius; rows (g, minimal C)."""
@@ -461,6 +497,33 @@ def _spike_depth(S: GibbsStream, n: int, F: CylinderFunction | None) -> int:
     return n + max(S.depth_m, F.depth if F is not None else 0)
 
 
+def _profile_level(S: GibbsStream, n: int, F: CylinderFunction | None) -> int:
+    """L of the unit spikes of shell n: the confluence classes c < L with
+    the centre that take one value each (0: the dense row)."""
+    if S.depth_m > 1:
+        return 0
+    return n if F is None else max(0, n - F.depth + 1)
+
+
+def _expand(ab: Alphabet, depth: int, words: np.ndarray, profile: np.ndarray,
+            block: np.ndarray) -> np.ndarray:
+    """Dense (count, cells) rows of depth-`depth` spikes in profile form, by
+    nested block writes: profile[:, c] on the stems extending the centre's
+    first c letters, c = 0..L-1, each over the last, then the block on the
+    stems extending its first L letters."""
+    count, level = profile.shape
+    if not level:
+        return block
+    tab = StemTable(ab, depth)
+    out = np.empty((count, tab.size))
+    out[:] = profile[:, :1]
+    for c, code in enumerate(tab.prefix_codes(words[:, :level]), 1):
+        cylinders = tab.size // tab.span(c)
+        tab.blocks(out, c)[np.arange(count) * cylinders + code] = (
+            profile[:, c:c + 1] if c < level else block)
+    return out
+
+
 def ray_rows(words: np.ndarray, length: int) -> np.ndarray:
     """The first `length` letters of each centre's `ray_word` (its last
     letter repeated; the identity's ray repeats letter 0)."""
@@ -487,23 +550,56 @@ class SpikeRecord:
 
 @dataclass(frozen=True)
 class SpikeShell:
-    """The unit spikes of every g with |g| = n: one row per centre, in stem order."""
+    """The unit spikes of every g with |g| = n: one row per centre, in stem
+    order, each in profile form.
+
+    Row i takes the value profile[i, c] on the stems whose confluence with
+    its centre g is c < L, L = profile.shape[1], and the values block[i] on
+    the span(L) stems extending g[:L], in stem order.  L = 0 is the dense
+    row, and the default: `SpikeShell(words, depth, values, C)`.  Dense rows
+    are expansions of max(1, BUDGET // cells) rows at a time (`chunks`).
+    """
 
     words: np.ndarray   # (G, n) centre letters
     depth: int
-    values: np.ndarray  # (G, cells) read-only spike values at `depth`
+    block: np.ndarray   # (G, span(L)) spike values on the stems extending g[:L]
     C: np.ndarray       # (G,) minimal spike constants
+    profile: np.ndarray | None = None  # (G, L) one value per confluence class c < L
+    ab: Alphabet | None = None         # needed when L > 0
+
+    def __post_init__(self):
+        if self.profile is None:
+            object.__setattr__(self, "profile", np.empty((len(self.words), 0)))
+        if self.profile.shape[1] and self.ab is None:
+            raise ValueError("a profile needs the alphabet of its stems")
+
+    def chunks(self, cells: int):
+        """The dense rows, max(1, BUDGET // cells) at a time."""
+        for words, profile, block in zip(_chunks(self.words, cells), _chunks(self.profile, cells),
+                                         _chunks(self.block, cells)):
+            yield _expand(self.ab, self.depth, words, profile, block)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The (G, cells) dense rows, read-only."""
+        out = _expand(self.ab, self.depth, self.words, self.profile, self.block).view()
+        out.flags.writeable = False
+        return out
 
     def combine(self, lam: np.ndarray, tab: StemTable) -> np.ndarray:
         """sum of lam[i] * row i refined to tab's depth, BUDGET cells at a time:
         with the running sum as the first row, a sum over axis 0 adds the rows
         one at a time in stem order."""
         acc = np.zeros(tab.size)
-        for rows, w in zip(_chunks(self.values, tab.size), _chunks(lam, tab.size)):
+        for rows, w in zip(self.chunks(tab.size), _chunks(lam, tab.size)):
             if tab.depth > self.depth:  # np.repeat copies even when the span is 1
                 rows = np.repeat(rows, tab.span(self.depth), axis=1)
             acc = np.vstack([acc, w[:, None] * rows]).sum(axis=0)
         return acc
+
+    def integrals(self, mass: np.ndarray) -> list[float]:
+        """Each row's integral against a mass array at the shell's depth."""
+        return [float(row @ mass) for rows in self.chunks(len(mass)) for row in rows]
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,9 @@ from .words import Alphabet, Word, inverse_letter
 # shares depths up to 10 (787 kB); depth 13 would hold 26 MB for good.
 SHARED_LETTERS_BYTES = 1 << 20
 
-# A dense float64 array with one entry per stem (or a shell's spike rows) is
-# refused above this many bytes, before it is allocated.  Rank 2 at depth 13
-# is 17 MB; rank 3 at depth 12 would be 2.3 GB.
+# A dense float64 array with one entry per stem (or a shell's spike rows, in
+# their dense expansion) is refused above this many bytes, before it is
+# allocated.  Rank 2 at depth 13 is 17 MB; rank 3 at depth 12 would be 2.3 GB.
 DENSE_BYTES = 1 << 27
 
 
@@ -159,6 +159,26 @@ class StemTable:
                 marks[rows, code * self.span(i)] += 1
                 marks[rows, (code + 1) * self.span(i)] -= 1
         return np.cumsum(marks[:, :-1], axis=1)
+
+    def extensions(self, words: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
+        """The stems extending each row's first `level` letters (1 <= level <=
+        n), in stem order, for a (count, n) letter array of reduced words:
+        their letters, (count, span(level), depth), and their confluence
+        length with the row, (count, span(level)).
+
+        Past letter `level` such a stem continues as a depth-(depth - level + 1)
+        stem from the row's letter `level`, with the same branch digits."""
+        count, n = words.shape
+        if not 1 <= level <= min(n, self.depth):
+            raise ValueError("prefix length out of range")
+        tail = StemTable(self.ab, self.depth - level + 1).letters
+        out = np.empty((count, self.span(level), self.depth), dtype=tail.dtype)
+        out[:, :, :level - 1] = words[:, None, :level - 1]
+        tail = tail.reshape(self.ab.n_letters, -1, tail.shape[1])  # one block per first letter
+        out[:, :, level - 1:] = tail[words[:, level - 1]]
+        top = min(n, self.depth)
+        same = out[:, :, level:top] == words[:, None, level:top]
+        return out, level + np.logical_and.accumulate(same, axis=2).sum(axis=2)
 
 
 def word_rows(words) -> np.ndarray:

@@ -272,6 +272,10 @@ class _StepLaw:
         support = sorted(mu.masses)
         weights = np.array([mu.masses[g] for g in support])
         cum = np.cumsum(weights / weights.sum())
+        # the sum can end a few ulps either side of 1: every uniform is below 1,
+        # so clipping changes no draw, and none may pass the last step
+        np.minimum(cum, 1.0, out=cum)
+        cum[-1] = 1.0
         nb = 1 << min((16 * len(support)).bit_length(), 16)
         below = np.searchsorted(cum, np.arange(nb + 1) / nb, side="left")  # exact edges
         bucket = np.where(below[:-1] == below[1:], below[:-1], -1)

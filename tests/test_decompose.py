@@ -1,6 +1,7 @@
 """The subfunction step and the staged greedy decomposition."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,6 +250,35 @@ class TestDecompose:
         dec = decompose(ones_target, uniform_stream, DecomposerConfig(stage_cap=1))
         assert calls == ["gibbs"]
         assert dec.cert.nu_id == "gibbs"
+
+
+class TestShellProfiles:
+    """Decomposition reads each shell's spike rows in profile form; dense rows
+    exist only as expansions of BUDGET-sized chunks."""
+
+    def test_decompose_builds_no_dense_shell(self, monkeypatch, uniform_stream, step_target,
+                                             ones_target):
+        def refuse(self):
+            raise AssertionError("a shell's dense rows were built")
+
+        monkeypatch.setattr(SpikeShell, "values", property(refuse))
+        for F, entries in ((step_target, 448), (ones_target, 4)):
+            dec = decompose(F, uniform_stream, DecomposerConfig(max_shell=5),
+                            lab=SpikeLab(uniform_stream))
+            assert len(dec.entries) == entries
+
+    def test_step_decompose_peak_memory(self, uniform_stream, step_target):
+        # shell 5's dense rows alone are 324 rows of 2,916 floats (7.2 MiB)
+        lab = SpikeLab(uniform_stream)
+        assert lab.cert
+        tracemalloc.start()
+        try:
+            dec = decompose(step_target, uniform_stream, DecomposerConfig(max_shell=5), lab=lab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dec.status == "shell_budget" and len(dec.entries) == 448
+        assert peak < 7 * 2 ** 20, peak
 
 
 class TestConfigFields:

@@ -325,6 +325,19 @@ class TestBatchedDecayGrid:
             rows = np.array(off, dtype=np.int64)
             assert walked[rows.tobytes(), rows.shape] == 1, c
 
+    def test_each_mass_row_set_read_once(self, monkeypatch, stream_m2):
+        # depth-2 kernel: the c = 0 terms sum over their children at every
+        # kernel time, and the children's masses are still read once
+        stem_masses, walked = GibbsStream.stem_masses, Counter()
+
+        def counted_masses(self, rows):
+            walked[rows.dtype.str, rows.shape, rows.tobytes()] += 1
+            return stem_masses(self, rows)
+
+        monkeypatch.setattr(GibbsStream, "stem_masses", counted_masses)
+        SpikeLab(stream_m2).decay_audit()
+        assert walked and set(walked.values()) == {1}, sorted(walked.values())
+
 
 class TestUnitSpikes:
     def test_identity_spike(self, lab_uniform):
@@ -558,7 +571,7 @@ def _audit_tuple(aud):
 
 SHELL_CASES = ["uniform", "step-f2", "random-hausdorff", "m2-average-hausdorff",
                "m2-average-gibbs", "m2-extend-hausdorff", "m2-extend-gibbs", "rank3-zero",
-               "depth3-target"]
+               "depth3-target", "random-depth1-target", "random-depth3-target"]
 
 
 class TestShellBatch:
@@ -570,6 +583,7 @@ class TestShellBatch:
         table = stream_m2.potential.table
         m2_extend = GibbsStream(Potential(AB, 2, table, "extend"))
         depth3 = CylinderFunction(AB, 3, np.random.default_rng(4).uniform(0.5, 2.0, 36))
+        depth1 = CylinderFunction(AB, 1, np.array([0.5, 1.5, 1.0, 2.0]))
         return {  # lab, target, largest shell
             "uniform": (SpikeLab(uniform_stream), None, 4),
             "step-f2": (SpikeLab(uniform_stream), step_target, 4),
@@ -580,6 +594,9 @@ class TestShellBatch:
             "m2-extend-gibbs": (SpikeLab(m2_extend, nu_id="gibbs"), None, 3),
             "rank3-zero": (SpikeLab(GibbsStream(Potential.zero(Alphabet(3)))), None, 2),
             "depth3-target": (SpikeLab(stream_m2), depth3, 3),
+            # depth-1 streams: profile levels L = n and L = n - 2
+            "random-depth1-target": (SpikeLab(random_stream), depth1, 3),
+            "random-depth3-target": (SpikeLab(random_stream), depth3, 4),
         }
 
     @pytest.mark.parametrize("rows", [None, 1, 5], ids=["budget", "one-row", "five-rows"])

@@ -664,6 +664,21 @@ class TestBatchedHitting:
                     for p, _ in ref]
             assert walk._hitting_codes(mu, 300, depth, 5, 20, 400).tolist() == want
 
+    def test_largest_uniform_draws_the_last_step(self, monkeypatch):
+        # these masses' normalised running sum ends at 1 - 2^-52, below the
+        # largest uniform 1 - 2^-53, which must still draw the last step
+        masses = {(0, 2): 0.35, (1, 2): 0.73}
+        weights = np.array(list(masses.values()))
+        assert np.cumsum(weights / weights.sum())[-1] < 1.0 - 2.0 ** -53
+        law = walk._StepLaw.of(WalkMeasure(AB, masses))
+
+        def rows(seed, paths, t0, t1):
+            return np.full((len(paths), t1 - t0), 1.0 - 2.0 ** -53)
+
+        monkeypatch.setattr(walk, "_uniform_rows", rows)
+        steps, drawn_to = walk._draw_block(0, np.arange(3), law, 0, 4)
+        assert (steps == 1).all() and drawn_to[-1].tolist() == [8, 8, 8]
+
     def test_paths_stop_before_their_streak_completes(self, monkeypatch):
         # the word of "a a a ..." grows a letter a step, so its depth-2 prefix is
         # final long before a streak of 100: every path stops at step 51, within
