@@ -145,7 +145,9 @@ class CylinderFunction:
 def holder_rows(values: np.ndarray, tab: StemTable, j0: int, a: float,
                 extrema: tuple[list, list] | None = None) -> np.ndarray:
     """`holder_at` from level j0 on, for each row of a (count, size) array of
-    values on the stems of `tab`; `extrema` is their `block_extrema` if known."""
+    values on the stems of `tab`; `extrema` is their `block_extrema` if known.
+    Rows on the stems of one depth-L prefix each (j0 >= L) need `extrema`,
+    the `block_extrema` at that level."""
     if a < 0:
         raise ValueError("Holder exponent must be non-negative")
     top, low = extrema or block_extrema(values, tab)
@@ -157,20 +159,23 @@ def holder_rows(values: np.ndarray, tab: StemTable, j0: int, a: float,
     return out
 
 
-def block_extrema(values: np.ndarray, tab: StemTable) -> tuple[list, list]:
-    """Max and min of each row of values on the stems of `tab` over every
-    depth-i cylinder, i = 0..depth: two lists of (count, cylinders) arrays.
+def block_extrema(values: np.ndarray, tab: StemTable, level: int = 0) -> tuple[list, list]:
+    """Max and min of each row of values over every depth-i cylinder, i =
+    level..depth: two lists, indexed by i, of (count, cylinders) arrays
+    (None below `level`).  Each row holds the values on the span(level)
+    stems of `tab` extending one depth-`level` prefix, in stem order (level
+    0: every stem), and its cylinders are counted within that prefix.
 
     Each level is taken from the next deeper one, one child column at a
     time (max and min are exact, so the order does not matter)."""
     top, low = [values], [values]
-    for i in range(tab.depth - 1, -1, -1):
+    for i in range(tab.depth - 1, level - 1, -1):
         width = tab.span(i) // tab.span(i + 1)  # children per depth-i cylinder
         hi = top[-1].reshape(len(values), -1, width)
         lo = low[-1].reshape(len(values), -1, width)
         top.append(functools.reduce(np.maximum, (hi[:, :, k] for k in range(width))))
         low.append(functools.reduce(np.minimum, (lo[:, :, k] for k in range(width))))
-    return top[::-1], low[::-1]
+    return [None] * level + top[::-1], [None] * level + low[::-1]
 
 
 def scale_depth(scale: float) -> int:

@@ -291,8 +291,8 @@ class SpikeLab:
     #
     # One path builds and audits spikes: the centres are rows of a (count, n)
     # letter array and the spikes rows of a `SpikeShell`, held as profiles and
-    # expanded to dense (count, cells) rows BUDGET cells at a time.  The
-    # per-g methods are batches of one.
+    # audited in that form, BUDGET profile cells at a time.  The per-g
+    # methods are batches of one.
 
     def unit_spike(self, g: Word, F: CylinderFunction | None = None) -> "SpikeRecord":
         """Unit derivative spike weighted by a positive target function F.
@@ -324,12 +324,13 @@ class SpikeLab:
 
     def _spike_chunks(self, words: np.ndarray, F: CylinderFunction | None):
         """(profiles, blocks, audits at Holder exponent beta) of the centres'
-        unit spikes, BUDGET cells a chunk; the audits read the chunk's dense rows."""
+        unit spikes, BUDGET profile-form cells (L + span(L) a row) a chunk."""
         n = words.shape[1]
-        for chunk in _chunks(words, StemTable(self.ab, _spike_depth(self.S, n, F)).size):
+        level = _profile_level(self.S, n, F)
+        cells = level + StemTable(self.ab, _spike_depth(self.S, n, F)).span(level)
+        for chunk in _chunks(words, cells):
             profile, block, depth = self._spike_rows(chunk, F)
-            vals = _expand(self.ab, depth, chunk, profile, block)
-            yield profile, block, self._audit_rows(vals, depth, ray_rows(chunk, depth),
+            yield profile, block, self._audit_rows(profile, block, depth, ray_rows(chunk, depth),
                                                    math.exp(-n), float(n), self.beta)
 
     def _spike_rows(self, words: np.ndarray, F: CylinderFunction | None):
@@ -386,47 +387,60 @@ class SpikeLab:
         if h.depth < j:
             h = h.refine(j)
         rays = word_rows([rec.a.prefix(h.depth)])
-        return self._audit_rows(h.values[None], h.depth, rays, rec.r, rec.s, holder_q)[0]
+        return self._audit_rows(np.empty((1, 0)), h.values[None], h.depth, rays, rec.r, rec.s,
+                                holder_q)[0]
 
-    def _audit_rows(self, vals: np.ndarray, depth: int, rays: np.ndarray, r: float, s: float,
-                    holder_q: float | None) -> list["SpikeAudit"]:
-        """`spike_audit` of each row of depth-`depth` spike values, for balls
-        of radius r (j = scale_depth(r) <= depth) about the rows' rays.
+    def _audit_rows(self, profile: np.ndarray, block: np.ndarray, depth: int, rays: np.ndarray,
+                    r: float, s: float, holder_q: float | None) -> list["SpikeAudit"]:
+        """`spike_audit` of each row of depth-`depth` spikes in profile form
+        (see `SpikeShell`; L = 0 takes the dense rows as the block), for balls
+        of radius r about the rows' rays, L <= j = scale_depth(r) <= depth.
 
         Every sup is a block max or min: the stems of one depth-i cylinder
         are one block, and the stems meeting the ball word at confluence c are
-        the depth-(c+1) blocks below its length-c prefix but its own."""
-        count = len(vals)
+        the depth-(c+1) blocks below its length-c prefix but its own.  For
+        c < L those are all of class c, one profile value.  A cylinder of
+        depth i >= L lies in one class, where the row is constant (ratio 1,
+        oscillation 0), or in the block, so conditions (3) and the Holder
+        bound read the block alone."""
+        count, level = profile.shape
         rows = np.arange(count)
         tab = StemTable(self.ab, depth)
         j = scale_depth(r)
-        if (vals.min(axis=1) <= 0).any():
+        if (profile <= 0).any() or (block.min(axis=1) <= 0).any():
             raise NotASpikeError("spike function must be strictly positive")
-        top, low = block_extrema(vals, tab)
+        top, low = block_extrema(block, tab, level)
+        # at[i], i >= L: the ray's depth-i cylinder among those of its block
+        codes = [np.zeros(count, dtype=np.int64), *tab.prefix_codes(rays[:, :depth])]
+        at = [code % (tab.span(level) // tab.span(i)) if i >= level else None
+              for i, code in enumerate(codes)]
         c3 = np.ones(count) if j >= depth else (top[j] / low[j]).max(axis=1)
         if j == 0:
             c1, c2 = c3, np.zeros(count)
         else:
-            ball = rays[:, :j]
-            codes = list(tab.prefix_codes(ball))
-            c1 = top[0][:, 0] / low[j][rows, codes[-1]]
+            peak = np.maximum(top[level][:, 0], profile.max(axis=1, initial=-np.inf))
+            c1 = peak / low[j][rows, at[j]]
             # condition (2): x outside the ball, grouped by confluence depth
-            scale = vals[rows, tab.indices(rays[:, :depth])] * math.exp(self.alpha * s)
+            scale = block[rows, at[depth]] * math.exp(self.alpha * s)
+            ball = rays[:, :j]
             masses = self.nu.stem_masses(ball)
             c2 = np.zeros(count)
-            parent = np.zeros(count, dtype=np.int64)
-            for c, code in enumerate(codes):
-                kids = top[c + 1].reshape(count, len(top[c][0]), -1)[rows, parent]
-                kids[rows, code - parent * kids.shape[1]] = -np.inf
+            for c in range(j):
+                if c < level:
+                    kids = profile[:, c]
+                else:
+                    width = tab.span(c) // tab.span(c + 1)
+                    others = top[c + 1].reshape(count, -1, width)[rows, at[c]]
+                    others[rows, at[c + 1] - at[c] * width] = -np.inf
+                    kids = others.max(axis=1)
                 integ = self._integrator.integrals(ball, masses, c, s)
                 if (integ <= 0).any():
                     raise NotASpikeError(f"kernel integral vanishes at confluence {c}")
-                c2 = np.maximum(c2, kids.max(axis=1) / (scale * integ))
-                parent = code
+                c2 = np.maximum(c2, kids / (scale * integ))
         holder = [None] * count
         if holder_q is not None:
-            dr = holder_rows(vals, tab, j, holder_q, (top, low))
-            holder = (dr * r ** holder_q / vals).max(axis=1).tolist()
+            dr = holder_rows(block, tab, j, holder_q, (top, low))
+            holder = (dr * r ** holder_q / block).max(axis=1).tolist()
         return [SpikeAudit(*row) for row in zip(c1.tolist(), c2.tolist(), c3.tolist(), holder)]
 
     def _profile_rows(self, words: np.ndarray) -> list[SpikeAudit]:
@@ -506,16 +520,20 @@ def _profile_level(S: GibbsStream, n: int, F: CylinderFunction | None) -> int:
 
 
 def _expand(ab: Alphabet, depth: int, words: np.ndarray, profile: np.ndarray,
-            block: np.ndarray) -> np.ndarray:
+            block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Dense (count, cells) rows of depth-`depth` spikes in profile form, by
     nested block writes: profile[:, c] on the stems extending the centre's
     first c letters, c = 0..L-1, each over the last, then the block on the
-    stems extending its first L letters."""
+    stems extending its first L letters; written into `out` when given."""
     count, level = profile.shape
-    if not level:
-        return block
+    if not level:  # the dense rows, with no alphabet needed
+        if out is None:
+            return block
+        out[:] = block
+        return out
     tab = StemTable(ab, depth)
-    out = np.empty((count, tab.size))
+    if out is None:
+        out = np.empty((count, tab.size))
     out[:] = profile[:, :1]
     for c, code in enumerate(tab.prefix_codes(words[:, :level]), 1):
         cylinders = tab.size // tab.span(c)
@@ -588,14 +606,21 @@ class SpikeShell:
 
     def combine(self, lam: np.ndarray, tab: StemTable) -> np.ndarray:
         """sum of lam[i] * row i refined to tab's depth, BUDGET cells at a time:
-        with the running sum as the first row, a sum over axis 0 adds the rows
-        one at a time in stem order."""
-        acc = np.zeros(tab.size)
-        for rows, w in zip(self.chunks(tab.size), _chunks(lam, tab.size)):
-            if tab.depth > self.depth:  # np.repeat copies even when the span is 1
-                rows = np.repeat(rows, tab.span(self.depth), axis=1)
-            acc = np.vstack([acc, w[:, None] * rows]).sum(axis=0)
-        return acc
+        each chunk is expanded at tab's depth (the profile is unchanged, each
+        block cell repeated) into rows 1.. of one reused buffer whose row 0
+        holds the running sum, and a sum over axis 0 adds the rows one at a
+        time in stem order."""
+        span = tab.span(self.depth)  # the block's refinement; 1 at the shell's depth
+        step = max(1, BUDGET // tab.size)
+        buf = np.zeros((min(step, len(self.words)) + 1, tab.size))
+        for words, profile, block, w in zip(*(_chunks(a, tab.size) for a in (
+                self.words, self.profile, self.block, lam))):
+            rows = buf[1:len(w) + 1]
+            _expand(self.ab, tab.depth, words, profile,
+                    block if span == 1 else np.repeat(block, span, axis=1), out=rows)
+            rows *= w[:, None]
+            buf[0] = buf[:len(w) + 1].sum(axis=0)
+        return buf[0].copy()
 
     def integrals(self, mass: np.ndarray) -> list[float]:
         """Each row's integral against a mass array at the shell's depth."""

@@ -13,6 +13,7 @@ import math
 import random
 import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 Word = tuple  # reduced word over an Alphabet
@@ -28,6 +29,13 @@ class BoundaryError(ValueError):
 
 def inverse_letter(s: int) -> int:
     return s ^ 1
+
+
+@lru_cache(maxsize=None)
+def _letter_names(rank: int) -> tuple[str, ...]:
+    """The names of letters 0..2k-1: generator i is the i-th letter from 'a',
+    its inverse the same letter with a trailing apostrophe."""
+    return tuple(chr(ord("a") + s // 2) + ("'" if s & 1 else "") for s in range(2 * rank))
 
 
 @dataclass(frozen=True)
@@ -58,9 +66,7 @@ class Alphabet:
         return s
 
     def letter_name(self, s: int) -> str:
-        self.check_letter(s)
-        name = chr(ord("a") + s // 2)
-        return name + "'" if s & 1 else name
+        return _letter_names(self.rank)[self.check_letter(s)]
 
     def letter_from_name(self, tok: str) -> int:
         inv = tok.endswith("'")
@@ -70,7 +76,11 @@ class Alphabet:
         return 2 * (ord(stem) - ord("a")) + (1 if inv else 0)
 
     def format_word(self, w: Word) -> str:
-        return " ".join(self.letter_name(s) for s in w)
+        names = _letter_names(self.rank)
+        for s in w:
+            if type(s) is not int or not 0 <= s < len(names):
+                self.check_letter(s)  # a bool passes, any other bad letter raises
+        return " ".join([names[s] for s in w])
 
     def parse_word(self, text: str) -> Word:
         return self.reduce(self.letter_from_name(t) for t in text.split())

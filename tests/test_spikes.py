@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -569,9 +570,34 @@ def _audit_tuple(aud):
     return aud.c1, aud.c2, aud.c3, aud.c_holder
 
 
+def _audit_bytes(audits):
+    return np.array([_audit_tuple(a) for a in audits]).tobytes()
+
+
+def _profile_cells(lab, n, F):
+    """The floats of one row of shell n in profile form: L + span(L)."""
+    level = spikes._profile_level(lab.S, n, F)
+    return level + StemTable(lab.ab, spikes._spike_depth(lab.S, n, F)).span(level)
+
+
+def _vstack_combine(shell, lam, tab):
+    """`SpikeShell.combine` as a stack of each dense chunk under the running sum."""
+    acc = np.zeros(tab.size)
+    for rows, w in zip(shell.chunks(tab.size), spikes._chunks(lam, tab.size)):
+        if tab.depth > shell.depth:
+            rows = np.repeat(rows, tab.span(shell.depth), axis=1)
+        acc = np.vstack([acc, w[:, None] * rows]).sum(axis=0)
+    return acc
+
+
 SHELL_CASES = ["uniform", "step-f2", "random-hausdorff", "m2-average-hausdorff",
                "m2-average-gibbs", "m2-extend-hausdorff", "m2-extend-gibbs", "rank3-zero",
                "depth3-target", "random-depth1-target", "random-depth3-target"]
+
+
+# the cases whose depth-1 streams store profile rows, L > 0
+PROFILE_CASES = ["uniform", "step-f2", "random-hausdorff", "random-depth1-target",
+                 "random-depth3-target"]
 
 
 class TestShellBatch:
@@ -608,7 +634,7 @@ class TestShellBatch:
             words = list(lab.ab.reduced_words(n))
             depth = n + max(m, F.depth if F is not None else 0)
             if rows is not None:  # rows 5 splits every shell inside a chunk
-                monkeypatch.setattr(spikes, "BUDGET", rows * StemTable(lab.ab, depth).size)
+                monkeypatch.setattr(spikes, "BUDGET", rows * _profile_cells(lab, n, F))
             shell = lab.shell(n, F)
             assert shell.words.tolist() == [list(g) for g in words]
             assert shell.depth == depth and not shell.values.flags.writeable
@@ -632,6 +658,73 @@ class TestShellBatch:
                 else:
                     assert aud.minimal_c == C, (name, g)
             assert len(audits) == len(words)
+
+    @pytest.mark.parametrize("rows", [1, 5], ids=["one-row", "five-rows"])
+    @pytest.mark.parametrize("name", PROFILE_CASES)
+    def test_profile_audit_equals_dense_audit(self, cases, name, rows, monkeypatch):
+        lab, F, top = cases[name]
+        for n in range(1, top + 1):
+            monkeypatch.setattr(spikes, "BUDGET", rows * _profile_cells(lab, n, F))
+            words = spikes._shell_words(lab.ab, n)
+            depth = spikes._spike_depth(lab.S, n, F)
+            lo = 0
+            for profile, block, audits in lab._spike_chunks(words, F):
+                assert profile.shape[1] == spikes._profile_level(lab.S, n, F)
+                assert len(profile) <= rows
+                chunk = words[lo:lo + len(profile)]
+                lo += len(profile)
+                rays = spikes.ray_rows(chunk, depth)
+
+                def audit(prof, blk):
+                    rows = lab._audit_rows(prof, blk, depth, rays, math.exp(-n), float(n), lab.beta)
+                    return _audit_bytes(rows)
+
+                def dense_audit(prof):
+                    return audit(np.empty((len(chunk), 0)),
+                                 spikes._expand(lab.ab, depth, chunk, prof, block))
+
+                assert _audit_bytes(audits) == dense_audit(profile), (name, n)
+                # a profile that holds each row's maximum
+                assert audit(profile * 50.0, block) == dense_audit(profile * 50.0), (name, n)
+            assert lo == len(words)
+
+    def test_shell_audit_never_expands(self, cases, monkeypatch):
+        lab, F, _ = cases["step-f2"]
+        expand, calls = spikes._expand, Counter()
+
+        def counted(*args, **kwargs):
+            calls["expand"] += 1
+            return expand(*args, **kwargs)
+
+        monkeypatch.setattr(spikes, "_expand", counted)
+        for n in range(1, 6):
+            lab.shell(n, F)
+        assert not calls
+        # shell 5's dense rows alone are 324 rows of 2,916 floats (7.2 MiB); the
+        # audit of its expanded chunks peaked at 3.7 MB, the profile audit at 1.0 MB
+        lab = SpikeLab(lab.S)
+        tracemalloc.start()
+        try:
+            lab.shell(5, F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20, peak
+
+    @pytest.mark.parametrize("rows", [1, 5], ids=["one-row", "five-rows"])
+    @pytest.mark.parametrize("name,n,level", [("step-f2", 3, 2), ("uniform", 3, 3),
+                                              ("step-f2", 1, 0), ("m2-average-hausdorff", 2, 0),
+                                              ("depth3-target", 2, 0)])
+    def test_combine_equals_vstack_sum(self, cases, name, n, level, rows, monkeypatch):
+        lab, F, _ = cases[name]
+        shell = lab.shell(n, F)
+        assert shell.profile.shape[1] == level
+        lam = np.random.default_rng(n).uniform(0.1, 3.0, len(shell.words))
+        for depth in (shell.depth, shell.depth + 2):  # as read, and refined
+            tab = StemTable(lab.ab, depth)
+            monkeypatch.setattr(spikes, "BUDGET", rows * tab.size)
+            got = shell.combine(lam, tab)
+            assert got.tobytes() == _vstack_combine(shell, lam, tab).tobytes(), (name, depth)
 
     def test_shell_rows_refused_before_allocation(self, cases, monkeypatch):
         lab = cases["uniform"][0]

@@ -2,8 +2,10 @@
 
 import math
 import random
+import re
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -75,6 +77,22 @@ class TestReduce:
         for _ in range(50):
             w = rand_word(rng, rng.randrange(8))
             assert AB.parse_word(AB.format_word(w)) == w
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_format_word_names_each_letter(self, rank):
+        ab = Alphabet(rank)
+        names = [chr(ord("a") + s // 2) + ("'" if s & 1 else "") for s in ab.letters]
+        assert [ab.letter_name(s) for s in ab.letters] == names
+        rng = random.Random(rank)
+        for _ in range(50):
+            w = tuple(rng.randrange(ab.n_letters) for _ in range(rng.randrange(8)))
+            assert ab.format_word(w) == " ".join(names[s] for s in w)
+        assert ab.format_word((True, 0)) == "a' a"  # check_letter takes a bool as an int
+
+    @pytest.mark.parametrize("bad", [-1, 6, 2.0, "a", None, np.int64(1)])
+    def test_format_word_refuses_a_bad_letter(self, bad):
+        with pytest.raises(WordError, match=re.escape(f"unknown letter {bad!r} for rank 3")):
+            Alphabet(3).format_word((0, bad, 1))
 
 
 class TestGromov:
