@@ -69,6 +69,13 @@ PRESETS = {
 
 ALL_STAGES = ("pressure", "gibbs", "audit-spikes", "decompose", "walk", "validate-h2")
 
+# the config sizes a check counts over, with the defaults its stage reads
+# when the field or its section is absent; each must be an integer >= 1,
+# or the check has nothing to count
+SIZES = {"walk": {"n_paths": 20000, "depth": 2},
+         "audits": {"shadow_radius": 8, "shadow_integral_smax": 20, "spike_radius": 8,
+                    "h2_samples": 2000}}
+
 
 class StageFailure(RuntimeError):
     def __init__(self, stage, msg):
@@ -120,7 +127,17 @@ def _entries(ab: Alphabet, entries: dict, what: str, shortest: int, longest: int
     return out
 
 
+def _size(cfg: dict, section: str, field: str):
+    """The config's value of a field named in SIZES, or its stage's default."""
+    return cfg.get(section, {}).get(field, SIZES[section][field])
+
+
 def build_objects(cfg: dict):
+    for section, fields in SIZES.items():
+        for field in fields:
+            val = _size(cfg, section, field)
+            if isinstance(val, bool) or not isinstance(val, int) or val < 1:
+                raise ValueError(f"{section}.{field} must be an integer >= 1, not {val!r}")
     ab = Alphabet(cfg["alphabet"]["rank"])
     pot = cfg["potential"]
     depth = pot.get("depth", 1)
@@ -186,18 +203,17 @@ def run_pressure(cfg, ab, P, S, rep: Reporter) -> dict:
 
 
 def run_gibbs(cfg, ab, P, S, rep: Reporter) -> dict:
-    aud = cfg["audits"]
-    radius = aud.get("shadow_radius", 8)
+    radius = _size(cfg, "audits", "shadow_radius")
     shadow = shadow_lemma_audit(S, radius)
     bound = shadow.bound
     rows = [(f"shadow-{n}", n, lo, bound, bool(lo >= 1.0 / bound - 1e-12)) for n, lo, hi in shadow.rows] \
         + [(f"shadow-{n}-max", n, hi, bound, bool(hi <= bound + 1e-12)) for n, lo, hi in shadow.rows]
-    integral = shadow_integral_audit(S, aud.get("shadow_integral_smax", 20))
+    integral = shadow_integral_audit(S, _size(cfg, "audits", "shadow_integral_smax"))
     k_bound = max(integral.hi, 1.0 / integral.lo)
     rows += [(f"integral-{s}", s, scaled, k_bound, bool(1.0 / k_bound - 1e-12 <= scaled <= k_bound + 1e-12))
              for s, _, scaled in integral.rows]
     rep.csv("gibbs_audit.csv", ["instance", "depth", "ratio", "bound", "pass"], rows)
-    holder = rn_holder_sweep(S, min(radius, 8), aud.get("rn_eps", 0.5))
+    holder = rn_holder_sweep(S, min(radius, 8), cfg.get("audits", {}).get("rn_eps", 0.5))
     rep.csv("rn_holder.csv", ["q", "d_emp"],
             [(ab.format_word(q), v) for q, v in holder])
     # additivity and total-mass checks at depth <= 8
@@ -221,9 +237,8 @@ def run_gibbs(cfg, ab, P, S, rep: Reporter) -> dict:
 
 
 def run_spikes(cfg, ab, S, lab: SpikeLab, rep: Reporter) -> dict:
-    aud = cfg["audits"]
     cert = lab.cert
-    radius = aud.get("spike_radius", 8)
+    radius = _size(cfg, "audits", "spike_radius")
     rows = []
     per_depth: dict[int, float] = {}
     for n in range(1, radius + 1):
@@ -282,11 +297,11 @@ def run_walk(cfg, ab, P, S, F, dec, rep: Reporter) -> dict:
     mu.save(rep.out / "walk_measure.json")
     err = stationarity_error(mu, F, S, min(3, F.depth + 1))
     stats = walk_statistics(mu)
-    depth = wc.get("depth", 2)
+    depth, n_paths = _size(cfg, "walk", "depth"), _size(cfg, "walk", "n_paths")
     seed = cfg.get("seed", 0)
-    rep1 = simulate_hitting(mu, wc.get("n_paths", 20000), depth, seed,
+    rep1 = simulate_hitting(mu, n_paths, depth, seed,
                             wc.get("stabilize", 50), wc.get("step_cap", 2000))
-    rep2 = simulate_hitting(mu, wc.get("n_paths", 20000), depth, seed + 1,
+    rep2 = simulate_hitting(mu, n_paths, depth, seed + 1,
                             wc.get("stabilize", 50), wc.get("step_cap", 2000))
     p_chi2 = chi2_compatibility(rep1, rep2)
     tab = StemTable(ab, depth)
@@ -315,8 +330,7 @@ def run_walk(cfg, ab, P, S, F, dec, rep: Reporter) -> dict:
 
 
 def run_h2(cfg, rep: Reporter) -> dict:
-    aud = cfg["audits"]
-    n = aud.get("h2_samples", 2000)
+    n = _size(cfg, "audits", "h2_samples")
     seed = cfg.get("seed", 0)
     rep_a = comparison_audit(n, seed)
     rep_b = holder_chain_audit(max(100, n // 10), seed + 1)

@@ -291,8 +291,9 @@ class SpikeLab:
     #
     # One path builds and audits spikes: the centres are rows of a (count, n)
     # letter array and the spikes rows of a `SpikeShell`, held as profiles and
-    # audited in that form, BUDGET profile cells at a time.  The per-g
-    # methods are batches of one.
+    # audited in that form, BUDGET profile cells at a time.  `_audit_rows` is
+    # the only audit: `shell`, `shell_audits` and `spike_audit` all read it,
+    # and the per-g methods are batches of one.
 
     def unit_spike(self, g: Word, F: CylinderFunction | None = None) -> "SpikeRecord":
         """Unit derivative spike weighted by a positive target function F.
@@ -443,49 +444,11 @@ class SpikeLab:
             holder = (dr * r ** holder_q / block).max(axis=1).tolist()
         return [SpikeAudit(*row) for row in zip(c1.tolist(), c2.tolist(), c3.tolist(), holder)]
 
-    def _profile_rows(self, words: np.ndarray) -> list[SpikeAudit]:
-        """Closed-form audits of the depth-1 rn spikes at the centres.
-
-        For a depth-1 table the spike value and the kernel integral over the
-        shadow of g depend on a boundary point only through its confluence
-        depth with g, so every sup collapses to an (n+1)-profile.
-        """
-        count, n = words.shape
-        rho = self.S.rho_profiles(words)
-        v = np.exp(rho[:, n:] - rho)  # spike value on the confluence-c shell
-        phi_k = np.array([self.kernel.table[(s,)] for s in self.ab.letters])
-        ksuffix = np.concatenate([np.zeros((count, 1)), np.cumsum(phi_k[words], axis=1)], axis=1)
-        mass_g = self.nu.stem_masses(words)
-        # math.exp once per distinct exponent, as `_KernelIntegrator.integrals` takes it
-        u, at = np.unique(-2.0 * (ksuffix[:, n:] - ksuffix[:, :n]), return_inverse=True)
-        kernel = np.array([math.exp(f) for f in u.tolist()])[at].reshape(count, n)
-        c1 = v.max(axis=1) / v[:, n]
-        c2 = (v[:, :n] / (math.exp(self.alpha * n) * (kernel * mass_g[:, None]))).max(
-            axis=1, initial=0.0)
-        # pairs below the ball scale share their confluence depth: conditions
-        # (3) and the Holder bound are exact zeros of oscillation
-        return [SpikeAudit(c1=a, c2=b, c3=1.0, c_holder=0.0)
-                for a, b in zip(c1.tolist(), c2.tolist())]
-
-    def rn_spike_audit(self, g: Word) -> SpikeAudit:
-        """Audit of the derivative spike at g, Holder exponent beta included:
-        the closed-form profile for depth-1 tables, the dense audit otherwise."""
-        return self._rn_audits(word_rows([g]))[0]
-
     def shell_audits(self, n: int) -> list[SpikeAudit]:
-        """`rn_spike_audit` of every g with |g| = n, in stem order."""
-        return self._rn_audits(_shell_words(self.ab, n))
-
-    def _rn_audits(self, words: np.ndarray) -> list[SpikeAudit]:
-        if self.S.depth_m == 1:  # the kernel has the stream's depth
-            return [a for chunk in _chunks(words, words.shape[1] + 1)
-                    for a in self._profile_rows(chunk)]
-        return [a for *_, audits in self._spike_chunks(words, None) for a in audits]
-
-    def sweep(self, radius: int) -> list[tuple[Word, float]]:
-        """Audit every derivative spike with |g| <= radius; rows (g, minimal C)."""
-        return [(g, a.minimal_c) for n in range(1, radius + 1)
-                for g, a in zip(self.ab.reduced_words(n), self.shell_audits(n))]
+        """The audits of the derivative spikes of every g with |g| = n, in
+        stem order, Holder exponent beta included: `shell(n)`'s chunks."""
+        return [a for *_, audits in self._spike_chunks(_shell_words(self.ab, n), None)
+                for a in audits]
 
 
 def _ray_length(rs, ss) -> int:
@@ -574,8 +537,7 @@ class SpikeShell:
     Row i takes the value profile[i, c] on the stems whose confluence with
     its centre g is c < L, L = profile.shape[1], and the values block[i] on
     the span(L) stems extending g[:L], in stem order.  L = 0 is the dense
-    row, and the default: `SpikeShell(words, depth, values, C)`.  Dense rows
-    are expansions of max(1, BUDGET // cells) rows at a time (`chunks`).
+    row, and the default: `SpikeShell(words, depth, values, C)`.
     """
 
     words: np.ndarray   # (G, n) centre letters
@@ -590,12 +552,6 @@ class SpikeShell:
             object.__setattr__(self, "profile", np.empty((len(self.words), 0)))
         if self.profile.shape[1] and self.ab is None:
             raise ValueError("a profile needs the alphabet of its stems")
-
-    def chunks(self, cells: int):
-        """The dense rows, max(1, BUDGET // cells) at a time."""
-        for words, profile, block in zip(_chunks(self.words, cells), _chunks(self.profile, cells),
-                                         _chunks(self.block, cells)):
-            yield _expand(self.ab, self.depth, words, profile, block)
 
     @property
     def values(self) -> np.ndarray:
@@ -623,8 +579,15 @@ class SpikeShell:
         return buf[0].copy()
 
     def integrals(self, mass: np.ndarray) -> list[float]:
-        """Each row's integral against a mass array at the shell's depth."""
-        return [float(row @ mass) for rows in self.chunks(len(mass)) for row in rows]
+        """Each row's integral against a mass array at the shell's depth, the
+        dense rows expanded BUDGET cells at a time into one reused buffer."""
+        buf = np.empty((min(max(1, BUDGET // len(mass)), len(self.words)), len(mass)))
+        out = []
+        for words, profile, block in zip(*(_chunks(a, len(mass)) for a in (
+                self.words, self.profile, self.block))):
+            rows = _expand(self.ab, self.depth, words, profile, block, out=buf[:len(words)])
+            out += [float(row @ mass) for row in rows]
+        return out
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,14 @@ class TestConfig:
         assert ab.rank == 2
         assert F.integral(S.mass_array(F.depth)) == pytest.approx(1.0, abs=1e-12)
 
+    def test_absent_size_sections_take_the_stage_defaults(self, tmp_path):
+        # the benchmark's depth-2 config has no audits section; before, the
+        # gibbs stage failed on it with KeyError('audits')
+        cfg = {k: v for k, v in small_config().items() if k not in ("audits", "walk")}
+        assert build_objects(cfg)[0].rank == 2
+        code, summary = run_experiment(cfg, str(tmp_path / "out"), ("gibbs", "audit-spikes"))
+        assert code == 0, summary
+
     def test_potential_entries_parsed(self):
         cfg = small_config()
         cfg["potential"]["entries"] = {"a": 0.2, "b'": -0.1}
@@ -93,7 +101,18 @@ class TestConfig:
         ({"potential": {"entries": {"a a": 0.3}}}, "potential entry 'a a'"),
         ({"target": {"kind": "bump"}}, "unknown target kind 'bump'"),
         ({"alphabet": {"rank": 1}}, "need free rank >= 2"),
-    ], ids=["overlapping-keys", "window-length", "target-kind", "rank-1"])
+        # before, n_paths 0 passed with an infinite stderr, shadow_integral_smax 0
+        # with an infinite integral_lo, and the others failed late or empty
+        ({"walk": {"n_paths": 0}}, "walk.n_paths must be an integer >= 1, not 0"),
+        ({"walk": {"depth": 0}}, "walk.depth must be an integer >= 1, not 0"),
+        ({"audits": {"shadow_integral_smax": 0}}, "audits.shadow_integral_smax must be"),
+        ({"audits": {"spike_radius": 0}}, "audits.spike_radius must be"),
+        ({"audits": {"shadow_radius": 0}}, "audits.shadow_radius must be"),
+        ({"audits": {"h2_samples": 0}}, "audits.h2_samples must be"),
+        ({"audits": {"spike_radius": 2.5}}, "audits.spike_radius must be an integer >= 1, not 2.5"),
+    ], ids=["overlapping-keys", "window-length", "target-kind", "rank-1", "n-paths-0",
+            "walk-depth-0", "integral-smax-0", "spike-radius-0", "shadow-radius-0",
+            "h2-samples-0", "spike-radius-float"])
     def test_refused_config_is_a_usage_error(self, tmp_path, capsys, section, message):
         # before, each ended in a traceback and left an empty report directory
         path = tmp_path / "cfg.json"

@@ -379,6 +379,17 @@ class TestUnitSpikes:
             assert lhs == pytest.approx(rho_phi(P, xi, (), g), abs=1e-12)
 
 
+def _sweep(lab, radius):
+    """(g, minimal C) of every derivative spike with |g| <= radius, shell by shell."""
+    return [(g, a.minimal_c) for n in range(1, radius + 1)
+            for g, a in zip(lab.ab.reduced_words(n), lab.shell_audits(n))]
+
+
+def _shell_audit(lab, g):
+    """The audit of the derivative spike at g, read from its shell's audits."""
+    return lab.shell_audits(len(g))[StemTable(lab.ab, len(g)).index_of(g)]
+
+
 class TestSpikeAudit:
     def test_identity_minimal(self, lab_uniform):
         aud = lab_uniform.spike_audit(lab_uniform.unit_spike(()))
@@ -391,7 +402,7 @@ class TestSpikeAudit:
 
     def test_profile_equals_generic(self, lab_random):
         for g in [(0,), (2, 0), (0, 2, 1), (3, 1, 1)]:
-            fast = lab_random.rn_spike_audit(g)
+            fast = _shell_audit(lab_random, g)
             slow = lab_random.spike_audit(lab_random.unit_spike(g), holder_q=lab_random.beta)
             assert fast.minimal_c == pytest.approx(slow.minimal_c, abs=1e-10)
             assert fast.c2 == pytest.approx(slow.c2, abs=1e-10)
@@ -424,7 +435,7 @@ class TestSpikeAudit:
 
     def test_sweep_flat_after_stabilization(self, lab_uniform, lab_random):
         for lab in (lab_uniform, lab_random):
-            rows = lab.sweep(6)
+            rows = _sweep(lab, 6)
             per = {}
             for g, c in rows:
                 per[len(g)] = max(per.get(len(g), 0.0), c)
@@ -433,7 +444,7 @@ class TestSpikeAudit:
 
     def test_sweep_depth2_bounded(self, stream_m2):
         lab = SpikeLab(stream_m2)
-        rows = lab.sweep(4)
+        rows = _sweep(lab, 4)
         per = {}
         for g, c in rows:
             per[len(g)] = max(per.get(len(g), 0.0), c)
@@ -554,6 +565,11 @@ def _loop_spike_audit(lab, h, g, holder_q):
 
 
 def _loop_profile_audit(lab, g):
+    """(c1, c2, c3, c_holder) of the derivative spike at g for a depth-1
+    stream in closed form: the spike and the kernel integral over the shadow
+    of g depend on a point only through its confluence depth with g, so every
+    sup is over the n + 1 classes, and (3) and the Holder bound are zero
+    oscillations."""
     n = len(g)
     v = np.exp((rho := _loop_rho_profile(lab.S, g))[n] - rho)
     phi_k = np.array([lab.kernel.table[(s,)] for s in lab.ab.letters])
@@ -583,7 +599,9 @@ def _profile_cells(lab, n, F):
 def _vstack_combine(shell, lam, tab):
     """`SpikeShell.combine` as a stack of each dense chunk under the running sum."""
     acc = np.zeros(tab.size)
-    for rows, w in zip(shell.chunks(tab.size), spikes._chunks(lam, tab.size)):
+    for words, profile, block, w in zip(*(spikes._chunks(a, tab.size) for a in (
+            shell.words, shell.profile, shell.block, lam))):
+        rows = spikes._expand(shell.ab, shell.depth, words, profile, block)
         if tab.depth > shell.depth:
             rows = np.repeat(rows, tab.span(shell.depth), axis=1)
         acc = np.vstack([acc, w[:, None] * rows]).sum(axis=0)
@@ -638,26 +656,25 @@ class TestShellBatch:
             shell = lab.shell(n, F)
             assert shell.words.tolist() == [list(g) for g in words]
             assert shell.depth == depth and not shell.values.flags.writeable
+            wants = []
             for g, row, C in zip(words, shell.values, shell.C):
                 h = _loop_unit_spike(lab, g, F)
                 assert h.depth == depth
                 assert row.tobytes() == h.values.tobytes(), (name, g)
-                want = _loop_spike_audit(lab, h, g, lab.beta)
+                wants.append(want := _loop_spike_audit(lab, h, g, lab.beta))
                 assert C == max(want + (1.0,)), (name, g)
                 rec = SpikeRecord(h=CylinderFunction(lab.ab, depth, row), r=math.exp(-n),
                                   a=ray_word(lab.ab, g), s=float(n), center=g)
                 assert _audit_tuple(lab.spike_audit(rec, holder_q=lab.beta)) == want, (name, g)
             if F is not None:
                 continue
-            if rows is not None and m == 1:  # profile rows hold n + 1 cells
-                monkeypatch.setattr(spikes, "BUDGET", rows * (n + 1))
             audits = lab.shell_audits(n)
-            for g, aud, C in zip(words, audits, shell.C):
-                if m == 1:
-                    assert _audit_tuple(aud) == _loop_profile_audit(lab, g), (name, g)
-                else:
-                    assert aud.minimal_c == C, (name, g)
             assert len(audits) == len(words)
+            for g, aud, want, C in zip(words, audits, wants, shell.C):
+                assert _audit_tuple(aud) == want and aud.minimal_c == C, (name, g)
+                if m == 1:  # the closed form agrees to roundoff
+                    assert _audit_tuple(aud) == pytest.approx(_loop_profile_audit(lab, g),
+                                                              rel=1e-14, abs=0.0), (name, g)
 
     @pytest.mark.parametrize("rows", [1, 5], ids=["one-row", "five-rows"])
     @pytest.mark.parametrize("name", PROFILE_CASES)
@@ -734,7 +751,7 @@ class TestShellBatch:
             lab.shell(3)
 
     def test_oversized_centre_words_refused(self, cases, monkeypatch):
-        lab = cases["uniform"][0]  # depth-1 kernel: shell_audits takes the profile path
+        lab = cases["uniform"][0]  # depth-1 kernel: shell_audits audits profile rows
         monkeypatch.setattr(stems, "DENSE_BYTES", 8 * 108 * 4)  # shell 4: 108 words of 4 letters
         assert len(lab.shell_audits(4)) == 108
         for build in (lab.shell_audits, lab.shell):
@@ -749,14 +766,18 @@ class TestShellBatch:
         assert rec.h.values.tobytes() == _loop_unit_spike(lab, g, F).values.tobytes()
         assert rec.r == math.exp(-3) and rec.s == 3.0 and rec.center == g
         lab, _, _ = cases["random-hausdorff"]
-        assert _audit_tuple(lab.rn_spike_audit(g)) == _loop_profile_audit(lab, g)
+        h = _loop_unit_spike(lab, g, None)
+        rec = SpikeRecord(h=h, r=math.exp(-3), a=ray_word(lab.ab, g), s=3.0, center=g)
+        want = _loop_spike_audit(lab, h, g, lab.beta)
+        assert _audit_tuple(lab.spike_audit(rec, holder_q=lab.beta)) == want
+        assert _audit_tuple(_shell_audit(lab, g)) == want
 
     def test_decompose_and_sweep_build_whole_shells_once(self, monkeypatch, uniform_stream,
                                                          step_target, stream_m2, tmp_path):
         def refuse(*args, **kwargs):
             raise AssertionError("per-g spike entry point reached")
 
-        for name in ("unit_spike", "spike_audit", "rn_spike_audit"):
+        for name in ("unit_spike", "spike_audit"):
             monkeypatch.setattr(SpikeLab, name, refuse)
         monkeypatch.setattr(GibbsStream, "rho_phi_array", refuse)
         monkeypatch.setattr(spikes, "translate_function", refuse)
