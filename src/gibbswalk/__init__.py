@@ -54,4 +54,14 @@ from .walk import (
     stationarity_error,
     walk_statistics,
 )
-from .hyperbolic import comparison_audit, h2_distance, holder_chain_audit, sh_distance_numeric
+
+# the plane audits are imported on first use: only validate-h2 reads them
+_HYPERBOLIC = ("comparison_audit", "h2_distance", "holder_chain_audit", "sh_distance_numeric")
+
+
+def __getattr__(name):
+    if name in _HYPERBOLIC:
+        from . import hyperbolic
+
+        return getattr(hyperbolic, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -30,7 +30,6 @@ from .gibbs import (
     shadow_lemma_audit,
     shell_slope,
 )
-from .hyperbolic import comparison_audit, holder_chain_audit
 from .potentials import Potential, flip_potential, sym_potential
 from .spikes import SpikeLab
 from .stems import StemTable
@@ -330,6 +329,8 @@ def run_walk(cfg, ab, P, S, F, dec, rep: Reporter) -> dict:
 
 
 def run_h2(cfg, rep: Reporter) -> dict:
+    from .hyperbolic import comparison_audit, holder_chain_audit  # only this stage reads it
+
     n = _size(cfg, "audits", "h2_samples")
     seed = cfg.get("seed", 0)
     rep_a = comparison_audit(n, seed)
@@ -370,6 +371,7 @@ def run_experiment(cfg: dict, out_dir: str, stages=ALL_STAGES) -> tuple[int, dic
             summary["audit_spikes"] = guard("audit-spikes", run_spikes, cfg, ab, S, lab, rep)
         if "decompose" in stages or "walk" in stages:
             dec, dsum = guard("decompose", run_decompose, cfg, ab, S, F, lab, rep)
+            del lab  # with the shells it keeps: no later stage reads them
             if "decompose" in stages:
                 summary["decompose"] = dsum
         if "walk" in stages:

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .cylfun import CylinderFunction
-from .potentials import Potential, d_phi, rho_phi, window_graph, window_sums, window_walk
-from .stems import StemTable, check_dense, word_rows
+from .potentials import (Potential, d_phi, rho_phi, window_graph, window_prefix_sums, window_sums,
+                         window_walk)
+from .stems import StemTable, check_dense, window_state_count, window_states, word_rows
 from .words import (
     Alphabet,
     BoundaryWord,
@@ -196,38 +198,74 @@ class GibbsStream:
         return self.rho_phi_rows(word_rows([q]), depth)[0]
 
     def rho_phi_rows(self, words: np.ndarray, depth: int) -> np.ndarray:
-        """`rho_phi_array` for each row q of a (count, n) letter array, as rows."""
-        n, m = words.shape[1], self.depth_m
-        if depth < n + m:
+        """`rho_phi_array` for each row q of a (count, n) letter array, as rows:
+        `rho_profiles` read at each stem's confluence c with q and its window
+        state stem[c : c+m-1]."""
+        count, n = words.shape
+        w = self.depth_m - 1
+        if depth < n + self.depth_m:
             raise ValueError("depth too shallow for stabilization")
         tab = StemTable(self.ab, depth)
         confluence = tab.confluences(words)
-        if m == 1:
-            return np.take_along_axis(self.rho_profiles(words), confluence, axis=1)
-        # d_phi(q, stem) - d_phi(base, stem).  A stem of confluence c with q
-        # is reached from q along the reduced word q[c:]^-1 stem[c:], the
-        # row's first n - c inverse letters followed by stem[c:].
-        P, letters = self.potential, tab.letters
-        inverse = inverse_letter(words[:, ::-1])
-        from_q = np.empty(confluence.shape)
+        profiles = self.rho_profiles(words)
+        if not w:
+            return np.take_along_axis(profiles[:, :, 0], confluence, axis=1)
+        state = np.empty(confluence.shape, dtype=np.int64)
         for c in range(n + 1):
             row, stem = np.nonzero(confluence == c)
-            path = np.empty((len(row), n - c + depth - c), dtype=letters.dtype)
-            path[:, :n - c] = inverse[row, :n - c]
-            path[:, n - c:] = letters[stem, c:]
-            from_q[row, stem] = window_sums(P, path)
-        return from_q - window_sums(P, letters)
+            state[row, stem] = window_states(self.ab, tab.letters[stem, c:c + w])
+        return profiles[np.arange(count)[:, None], confluence, state]
 
     def rho_profiles(self, words: np.ndarray) -> np.ndarray:
-        """Depth-1 tables: rho^Phi_xi(base, q) for xi branching from q at
-        c = 0..n, one row per row q of a (count, n) letter array, the running
-        sums taken along the letters."""
-        phi = np.array([self.potential.table[(s,)] for s in self.ab.letters])
-        zero = np.zeros((len(words), 1))
-        fwd = np.cumsum(phi[words], axis=1)
-        bwd = np.cumsum(phi[inverse_letter(words[:, ::-1])], axis=1)
-        return (np.concatenate([zero, bwd], axis=1)[:, ::-1]
-                - np.concatenate([zero, fwd], axis=1))
+        """rho^Phi_xi(base, q) for xi branching from q at c = 0..n with window
+        state s = xi[c : c+m-1], one (n + 1, states) table per row q of a
+        (count, n) letter array, s by its `window_states` index; NaN where
+        no xi branches at c with state s (one state when m = 1).
+
+        Past the branch the two geodesics to xi share their windows, so the
+        value is W(q^-1[:n-c] + s) - W(q[:c] + s), W summing a word's full
+        windows: a running sum along q and along q^-1
+        (`window_prefix_sums`), plus the windows that straddle the branch,
+        read from a table over (last m - 1 letters, state) (`_straddle`)."""
+        count, n = words.shape
+        back = inverse_letter(words[:, ::-1])
+        fwd = window_prefix_sums(self.potential, words)
+        bwd = window_prefix_sums(self.potential, back)
+        if self.depth_m == 1:
+            return (bwd[:, ::-1] - fwd)[:, :, None]
+        out = np.empty((count, n + 1, window_state_count(self.ab, self.depth_m - 1)))
+        for c in range(n + 1):
+            out[:, c] = ((bwd[:, n - c, None] + self._straddle(back[:, :n - c]))
+                         - (fwd[:, c, None] + self._straddle(words[:, :c])))
+        return out
+
+    def _straddle(self, heads: np.ndarray) -> np.ndarray:
+        """(count, states): W(t + s) for every window state s, t the last (up
+        to m - 1) letters of each row of `heads`; NaN where t + s is not
+        reduced."""
+        h = min(heads.shape[1], self.depth_m - 1)
+        table = self._straddle_tables[h]
+        if not h:
+            return np.broadcast_to(table, (len(heads), table.shape[1]))
+        return table[StemTable(self.ab, h).indices(heads[:, heads.shape[1] - h:])]
+
+    @cached_property
+    def _straddle_tables(self) -> tuple[np.ndarray, ...]:
+        """Per length h = 0..m-1 a (stems of length h, states) table of W(t + s),
+        the sum of the h full windows of t + s, all of which start in t; NaN
+        where t + s is not reduced (h = 0: one row of zeros)."""
+        w = self.depth_m - 1
+        states = StemTable(self.ab, w).letters
+        out = [np.zeros((1, len(states)))]
+        for h in range(1, w + 1):
+            heads = StemTable(self.ab, h).letters
+            words = np.concatenate([np.repeat(heads, len(states), axis=0),
+                                    np.tile(states, (len(heads), 1))], axis=1)
+            table = np.full(len(words), np.nan)
+            ok = StemTable(self.ab, 1).branch_index[words[:, h - 1], words[:, h]] >= 0
+            table[ok] = window_walk(self.potential, words[ok])[1]
+            out.append(table.reshape(len(heads), len(states)))
+        return tuple(out)
 
     def rn_derivative(self, p: Word, q: Word, xi: BoundaryWord) -> float:
         """d mu_q / d mu_p at xi: exp(-rho^Phi_xi(p, q)) for the normalized table."""

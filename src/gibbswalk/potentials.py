@@ -168,28 +168,54 @@ def d_phi(P: Potential, p: Word, q: Word) -> float:
     return total
 
 
+def _full_windows(P: Potential, letters: np.ndarray):
+    """The chain index of each row's full windows, left to right: the first
+    is indexed once, and each later letter rolls the index one step along
+    the chain.  `letters` is a (count, length) array of reduced words,
+    length >= m."""
+    m, B = P.depth, P.ab.n_letters
+    state = StemTable(P.ab, m).indices(letters[:, :m])
+    yield state
+    nxt = P._next_state
+    for t in range(m, letters.shape[1]):  # the full window ending at letter t
+        state = nxt[state * B + letters[:, t].astype(np.int64)]
+        if state.size and state.min() < 0:
+            raise ValueError("stem is not reduced")
+        yield state
+
+
 def window_walk(P: Potential, letters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's walk along the window chain: the index of its last window
     and the sum of its window values, added left to right.
 
-    `letters` is a (count, length) array of reduced words.  The first window
-    (all of a row shorter than m) is indexed once; each later letter rolls
-    that index one step along the chain and adds the new window's value, so
-    memory is a few arrays of one entry per row.
+    `letters` is a (count, length) array of reduced words.  A row shorter
+    than m is one short window, indexed once; longer rows walk their full
+    windows (`_full_windows`), so memory is a few arrays of one entry per
+    row.
     """
     count, length = letters.shape
     m, values = P.depth, P._window_values
-    width = min(m, length)  # of the first window
-    state = StemTable(P.ab, width).indices(letters[:, :width])
     acc = np.zeros(count)
-    acc += values[width][state]
-    nxt, B = P._next_state, P.ab.n_letters
-    for t in range(m, length):  # the full window ending at letter t
-        state = nxt[state * B + letters[:, t].astype(np.int64)]
-        if state.size and state.min() < 0:
-            raise ValueError("stem is not reduced")
+    if length < m:
+        state = StemTable(P.ab, length).indices(letters)
+        acc += values[length][state]
+        return state, acc
+    for state in _full_windows(P, letters):
         acc += values[m][state]
     return state, acc
+
+
+def window_prefix_sums(P: Potential, letters: np.ndarray) -> np.ndarray:
+    """(count, length + 1): column c sums the full windows within each row's
+    first c letters (0 for c < m), added left to right as `window_walk`
+    adds them."""
+    count, length = letters.shape
+    m, values = P.depth, P._window_values[P.depth]
+    out = np.zeros((count, length + 1))
+    if length >= m:
+        for t, state in enumerate(_full_windows(P, letters), m):
+            out[:, t] = out[:, t - 1] + values[state]
+    return out
 
 
 def window_sums(P: Potential, letters: np.ndarray) -> np.ndarray:

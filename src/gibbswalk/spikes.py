@@ -18,10 +18,10 @@ import numpy as np
 
 # translate_function stays a module attribute here: tracing wraps it by this name
 from .cylfun import (CylinderFunction, block_extrema, holder_rows, inverse_head, scale_depth,
-                     translate_at, translate_function, translate_rows)
+                     translate_at, translate_function)
 from .gibbs import GibbsStream, critical_exponent, hausdorff_stream
 from .potentials import Potential, d_phi_ray, min_cycle_mean, sym_potential, window_graph
-from .stems import StemTable, check_dense, word_rows
+from .stems import StemTable, check_dense, window_state_count, window_states, word_rows
 from .words import Alphabet, BoundaryWord, Word, gromov_product, ray_word
 
 
@@ -192,6 +192,7 @@ class SpikeLab:
         if self.beta <= 0:
             raise CertificationError("kernel potential has no positive geodesic average")
         self._integrator = _KernelIntegrator(self.nu, self.kernel)
+        self._shells: dict[int, tuple[SpikeShell, np.ndarray]] = {}  # see `_untargeted`
 
     # -- decay certification ---------------------------------------------------
 
@@ -309,26 +310,54 @@ class SpikeLab:
 
     def shell(self, n: int, F: CylinderFunction | None = None) -> "SpikeShell":
         """The unit spikes of every g with |g| = n, in stem order, with their
-        minimal constants C (Holder exponent beta)."""
+        minimal constants C (Holder exponent beta); built once per lab when
+        there is no target (`_untargeted`)."""
         words = _shell_words(self.ab, n)
         tab = StemTable(self.ab, _spike_depth(self.S, n, F))
         check_dense(len(words) * tab.size, f"shell {n}'s spike rows")
-        level = _profile_level(self.S, n, F)
-        profile, block = np.empty((len(words), level)), np.empty((len(words), tab.span(level)))
-        C = []
-        for prof, blk, audits in self._spike_chunks(words, F):  # C has one entry per row filled
-            profile[len(C):len(C) + len(prof)] = prof
-            block[len(C):len(C) + len(blk)] = blk
-            C += [a.minimal_c for a in audits]
+        return self._untargeted(n)[0] if F is None else self._build(words, F)[0]
+
+    def shell_audits(self, n: int) -> list[SpikeAudit]:
+        """The audits of the derivative spikes of every g with |g| = n, in
+        stem order, Holder exponent beta included: those `shell(n)` made."""
+        return [SpikeAudit(*row) for row in self._untargeted(n)[1].tolist()]
+
+    def _untargeted(self, n: int) -> tuple["SpikeShell", np.ndarray]:
+        """`_build` of shell n with no target, kept for the lab's life: the
+        spike sweep and the decomposition read the same shells."""
+        if n not in self._shells:
+            self._shells[n] = self._build(_shell_words(self.ab, n), None)
+        return self._shells[n]
+
+    def _build(self, words: np.ndarray, F: CylinderFunction | None):
+        """The centres' unit spikes as one `SpikeShell`, and their audit rows
+        (`_audit_rows`); the profile-form rows are size-checked before they
+        are allocated."""
+        n = words.shape[1]
+        tab = StemTable(self.ab, _spike_depth(self.S, n, F))
+        level, w = _profile_level(n, F), self.S.depth_m - 1
+        check_dense(len(words) * _row_cells(self.ab, w, level, tab.depth),
+                    f"shell {n}'s profile rows")
+        profile = np.empty((len(words), level, window_state_count(self.ab, w)))
+        block = np.empty((len(words), tab.span(level)))
+        audits = np.empty((len(words), 4))
+        lo = 0
+        for prof, blk, rows in self._spike_chunks(words, F):
+            profile[lo:lo + len(rows)] = prof
+            block[lo:lo + len(rows)] = blk
+            audits[lo:lo + len(rows)] = rows
+            lo += len(rows)
         profile.flags.writeable = block.flags.writeable = False
-        return SpikeShell(words, tab.depth, block, np.array(C), profile, self.ab)
+        C = np.maximum(audits.max(axis=1), 1.0)  # `SpikeAudit.minimal_c`
+        return SpikeShell(words, tab.depth, block, C, profile, self.ab), audits
 
     def _spike_chunks(self, words: np.ndarray, F: CylinderFunction | None):
-        """(profiles, blocks, audits at Holder exponent beta) of the centres'
-        unit spikes, BUDGET profile-form cells (L + span(L) a row) a chunk."""
+        """(profiles, blocks, audit rows at Holder exponent beta) of the
+        centres' unit spikes, BUDGET profile-form cells (`_row_cells` a row)
+        a chunk."""
         n = words.shape[1]
-        level = _profile_level(self.S, n, F)
-        cells = level + StemTable(self.ab, _spike_depth(self.S, n, F)).span(level)
+        depth = _spike_depth(self.S, n, F)
+        cells = _row_cells(self.ab, self.S.depth_m - 1, _profile_level(n, F), depth)
         for chunk in _chunks(words, cells):
             profile, block, depth = self._spike_rows(chunk, F)
             yield profile, block, self._audit_rows(profile, block, depth, ray_rows(chunk, depth),
@@ -336,47 +365,43 @@ class SpikeLab:
 
     def _spike_rows(self, words: np.ndarray, F: CylinderFunction | None):
         """Each centre's unit spike in profile form (see `SpikeShell`): the
-        (count, L) profile, the (count, span(L)) block, and their depth.
+        (count, L, states) profile, the (count, span(L)) block, and their
+        depth.
 
-        For a depth-1 stream the Radon-Nikodym factor takes one value per
-        confluence class c <= n with the centre g, and g_* F one value per
-        row on the classes c <= n - depth(F), so L = n - depth(F) + 1 (n
-        with no F); otherwise L = 0 and the block is the dense row."""
+        The Radon-Nikodym factor takes one value per confluence class c <= n
+        with the centre g and window state (`GibbsStream.rho_profiles`), and
+        g_* F one value per row on the classes c <= n - depth(F), so L = n -
+        depth(F) + 1 (n with no F; 0, the dense row, when n < depth(F))."""
         if F is not None and F.inf <= 0:
             raise ValueError("target function must be positive")
         count, n = words.shape
-        level = _profile_level(self.S, n, F)
-        depth = n + self.S.depth_m
+        w = self.S.depth_m - 1
+        level = _profile_level(n, F)
+        tab = StemTable(self.ab, _spike_depth(self.S, n, F))
         rows = np.arange(count)
-        if level:
-            prof = np.exp(-self.S.rho_profiles(words))
-            prof = prof / prof[:, n:]  # the ray meets g at class n
-            if F is None:
-                return prof[:, :n], np.repeat(prof[:, n:], StemTable(self.ab, depth).span(n),
-                                              axis=1), depth
-            full = n + F.depth
-            tab = StemTable(self.ab, full)
-            letters, conf = tab.extensions(words, level)
-            span = tab.span(level)
-            head = inverse_head(words, F.depth)
-            vals = prof[rows[:, None], conf] * translate_at(
-                F, np.repeat(head, span, axis=0), letters.reshape(-1, full), conf.ravel(),
-                n).reshape(count, span)
-            at_ray = vals[rows, tab.indices(ray_rows(words, full)) % span]
+        prof = np.exp(-self.S.rho_profiles(words))
+        # unit at the ray, which meets g at class n in the state of g's last letter
+        ray = window_states(self.ab, ray_rows(words, n + w)[:, n:])
+        prof = prof / prof[rows, n, ray][:, None, None]
+        if F is None:
+            return prof[:, :n], np.repeat(_class_values(self.ab, words, prof[:, n], n),
+                                          tab.span(n + w), axis=1), tab.depth
+        letters, conf = tab.extensions(words, level)
+        span = tab.span(level)
+        at = conf[:, :, None] + np.arange(w)  # each stem's window state past its confluence
+        state = window_states(self.ab, np.take_along_axis(letters, at, axis=2)
+                              .reshape(count * span, w))
+        head = inverse_head(words, F.depth)
+        vals = prof[rows[:, None], conf, state.reshape(count, span)] * translate_at(
+            F, np.repeat(head, span, axis=0), letters.reshape(-1, tab.depth), conf.ravel(),
+            n).reshape(count, span)
+        at_ray = vals[rows, tab.indices(ray_rows(words, tab.depth)) % span]
+        scale = (1.0 / at_ray)[:, None]
+        profile = prof[:, :level]
+        if level:  # g_* F is f(g^-1[:d]) on the classes
             single = F.values[F.table.indices(head)]
-            scale = (1.0 / at_ray)[:, None]
-            return prof[:, :level] * single[:, None] * scale, vals * scale, full
-        vals = np.exp(-self.S.rho_phi_rows(words, depth))
-        at_ray = vals[rows, StemTable(self.ab, depth).indices(ray_rows(words, depth))]
-        vals = vals / at_ray[:, None]
-        if F is not None:
-            full = max(depth, n + F.depth)
-            tab = StemTable(self.ab, full)
-            vals = (np.repeat(vals, tab.span(depth), axis=1)
-                    * np.repeat(translate_rows(F, words), tab.span(n + F.depth), axis=1))
-            at_ray = vals[rows, tab.indices(ray_rows(words, full))]
-            vals, depth = vals * (1.0 / at_ray)[:, None], full
-        return np.empty((count, 0)), vals, depth
+            profile = profile * single[:, None, None] * scale[:, :, None]
+        return profile, vals * scale, tab.depth
 
     # -- certification -------------------------------------------------------------
 
@@ -388,23 +413,27 @@ class SpikeLab:
         if h.depth < j:
             h = h.refine(j)
         rays = word_rows([rec.a.prefix(h.depth)])
-        return self._audit_rows(np.empty((1, 0)), h.values[None], h.depth, rays, rec.r, rec.s,
-                                holder_q)[0]
+        c1, c2, c3, holder = self._audit_rows(np.empty((1, 0, 1)), h.values[None], h.depth, rays,
+                                              rec.r, rec.s, holder_q)[0].tolist()
+        return SpikeAudit(c1, c2, c3, None if holder_q is None else holder)
 
     def _audit_rows(self, profile: np.ndarray, block: np.ndarray, depth: int, rays: np.ndarray,
-                    r: float, s: float, holder_q: float | None) -> list["SpikeAudit"]:
-        """`spike_audit` of each row of depth-`depth` spikes in profile form
+                    r: float, s: float, holder_q: float | None) -> np.ndarray:
+        """`spike_audit` of each row of depth-`depth` spikes in profile form,
+        as (count, 4) rows (c1, c2, c3, c_holder; NaN with no exponent)
         (see `SpikeShell`; L = 0 takes the dense rows as the block), for balls
         of radius r about the rows' rays, L <= j = scale_depth(r) <= depth.
 
         Every sup is a block max or min: the stems of one depth-i cylinder
         are one block, and the stems meeting the ball word at confluence c are
         the depth-(c+1) blocks below its length-c prefix but its own.  For
-        c < L those are all of class c, one profile value.  A cylinder of
-        depth i >= L lies in one class, where the row is constant (ratio 1,
-        oscillation 0), or in the block, so conditions (3) and the Holder
-        bound read the block alone."""
-        count, level = profile.shape
+        c < L those are all of class c, one profile value per window state
+        (NaN entries hold no stem).  A cylinder of depth i >= L lies in the
+        block, or in one class c, where it holds the states that extend its
+        letters past c: one state when i >= c + m - 1 (ratio 1, oscillation
+        0), so conditions (3) and the Holder bound read the block and the
+        state groups of the classes c > j - m + 1 alone."""
+        count, level, _ = profile.shape
         rows = np.arange(count)
         tab = StemTable(self.ab, depth)
         j = scale_depth(r)
@@ -419,7 +448,8 @@ class SpikeLab:
         if j == 0:
             c1, c2 = c3, np.zeros(count)
         else:
-            peak = np.maximum(top[level][:, 0], profile.max(axis=1, initial=-np.inf))
+            peak = np.maximum(top[level][:, 0],
+                              np.fmax.reduce(profile.reshape(count, -1), axis=1, initial=-np.inf))
             c1 = peak / low[j][rows, at[j]]
             # condition (2): x outside the ball, grouped by confluence depth
             scale = block[rows, at[depth]] * math.exp(self.alpha * s)
@@ -428,7 +458,7 @@ class SpikeLab:
             c2 = np.zeros(count)
             for c in range(j):
                 if c < level:
-                    kids = profile[:, c]
+                    kids = np.fmax.reduce(profile[:, c], axis=1)
                 else:
                     width = tab.span(c) // tab.span(c + 1)
                     others = top[c + 1].reshape(count, -1, width)[rows, at[c]]
@@ -438,17 +468,26 @@ class SpikeLab:
                 if (integ <= 0).any():
                     raise NotASpikeError(f"kernel integral vanishes at confluence {c}")
                 c2 = np.maximum(c2, kids / (scale * integ))
-        holder = [None] * count
+        holder = None
         if holder_q is not None:
             dr = holder_rows(block, tab, j, holder_q, (top, low))
-            holder = (dr * r ** holder_q / block).max(axis=1).tolist()
-        return [SpikeAudit(*row) for row in zip(c1.tolist(), c2.tolist(), c3.tolist(), holder)]
-
-    def shell_audits(self, n: int) -> list[SpikeAudit]:
-        """The audits of the derivative spikes of every g with |g| = n, in
-        stem order, Holder exponent beta included: `shell(n)`'s chunks."""
-        return [a for *_, audits in self._spike_chunks(_shell_words(self.ab, n), None)
-                for a in audits]
+            holder = (dr * r ** holder_q / block).max(axis=1)
+        w = self.S.depth_m - 1
+        # the classes whose depth-j cylinders hold several states
+        for c in range(max(0, j - w + 1), level):
+            vals = _class_values(self.ab, rays, profile[:, c], c)  # depth-(c + w) cylinders
+            dr = np.zeros(vals.shape)
+            for i in range(j, c + w):
+                groups = vals.reshape(count, -1, tab.branching ** (c + w - i))
+                hi, lo = groups.max(axis=2, keepdims=True), groups.min(axis=2, keepdims=True)
+                if i == j:
+                    c3 = np.fmax(c3, np.fmax.reduce((hi / lo).reshape(count, -1), axis=1))
+                if holder is not None:
+                    gap = np.maximum(hi - groups, groups - lo).reshape(vals.shape)
+                    np.maximum(dr, gap * math.exp(holder_q * i), out=dr)
+            if holder is not None:
+                holder = np.fmax(holder, np.fmax.reduce(dr * r ** holder_q / vals, axis=1))
+        return np.column_stack([c1, c2, c3, np.full(count, np.nan) if holder is None else holder])
 
 
 def _ray_length(rs, ss) -> int:
@@ -474,21 +513,41 @@ def _spike_depth(S: GibbsStream, n: int, F: CylinderFunction | None) -> int:
     return n + max(S.depth_m, F.depth if F is not None else 0)
 
 
-def _profile_level(S: GibbsStream, n: int, F: CylinderFunction | None) -> int:
+def _profile_level(n: int, F: CylinderFunction | None) -> int:
     """L of the unit spikes of shell n: the confluence classes c < L with
-    the centre that take one value each (0: the dense row)."""
-    if S.depth_m > 1:
-        return 0
+    the centre that take one value per window state each (0: the dense row)."""
     return n if F is None else max(0, n - F.depth + 1)
+
+
+def _row_cells(ab: Alphabet, w: int, level: int, depth: int) -> int:
+    """The floats of one profile-form row: L profile values per window state
+    of w letters, and the span(L) block."""
+    return level * window_state_count(ab, w) + StemTable(ab, depth).span(level)
+
+
+def _class_values(ab: Alphabet, words: np.ndarray, values: np.ndarray, c: int) -> np.ndarray:
+    """The class-c profile values of each row, (count, states), as one value
+    per depth-(c + w) cylinder extending the row's first c letters, in stem
+    order, w being the window states' length: a cylinder's state is its
+    letters past c, the first of them the cylinder's branch below letter
+    c - 1.  `words` holds the rows' first c letters or more."""
+    count, states = values.shape
+    if c == 0 or states == 1:
+        return values
+    per = states // ab.n_letters  # states of each first letter
+    j = np.arange(per * (ab.n_letters - 1))
+    first = StemTable(ab, 1).child_letters[words[:, c - 1]][:, j // per]
+    return np.take_along_axis(values, first * per + j % per, axis=1)
 
 
 def _expand(ab: Alphabet, depth: int, words: np.ndarray, profile: np.ndarray,
             block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Dense (count, cells) rows of depth-`depth` spikes in profile form, by
-    nested block writes: profile[:, c] on the stems extending the centre's
-    first c letters, c = 0..L-1, each over the last, then the block on the
-    stems extending its first L letters; written into `out` when given."""
-    count, level = profile.shape
+    nested block writes: class c's values (`_class_values`) on the stems
+    extending the centre's first c letters, c = 0..L-1, each over the last,
+    then the block on the stems extending its first L letters; written into
+    `out` when given."""
+    count, level, _ = profile.shape
     if not level:  # the dense rows, with no alphabet needed
         if out is None:
             return block
@@ -497,11 +556,15 @@ def _expand(ab: Alphabet, depth: int, words: np.ndarray, profile: np.ndarray,
     tab = StemTable(ab, depth)
     if out is None:
         out = np.empty((count, tab.size))
-    out[:] = profile[:, :1]
-    for c, code in enumerate(tab.prefix_codes(words[:, :level]), 1):
-        cylinders = tab.size // tab.span(c)
-        tab.blocks(out, c)[np.arange(count) * cylinders + code] = (
-            profile[:, c:c + 1] if c < level else block)
+    rows = np.arange(count)
+    codes = [np.zeros(count, dtype=np.int64), *tab.prefix_codes(words[:, :level])]
+    for c, code in enumerate(codes):
+        at = rows * (tab.size // tab.span(c)) + code
+        if c < level:
+            vals = _class_values(ab, words, profile[:, c], c)
+            out.reshape(-1, vals.shape[1], tab.span(c) // vals.shape[1])[at] = vals[:, :, None]
+        else:
+            tab.blocks(out, c)[at] = block
     return out
 
 
@@ -534,22 +597,24 @@ class SpikeShell:
     """The unit spikes of every g with |g| = n: one row per centre, in stem
     order, each in profile form.
 
-    Row i takes the value profile[i, c] on the stems whose confluence with
-    its centre g is c < L, L = profile.shape[1], and the values block[i] on
-    the span(L) stems extending g[:L], in stem order.  L = 0 is the dense
-    row, and the default: `SpikeShell(words, depth, values, C)`.
+    Row i takes the value profile[i, c, s] on the stems whose confluence
+    with its centre g is c < L, L = profile.shape[1], and whose window state
+    (their m - 1 letters past c, `stems.window_states`) is s; NaN entries
+    hold no stem.  It takes the values block[i] on the span(L) stems
+    extending g[:L], in stem order.  L = 0 is the dense row, and the
+    default: `SpikeShell(words, depth, values, C)`.
     """
 
     words: np.ndarray   # (G, n) centre letters
     depth: int
     block: np.ndarray   # (G, span(L)) spike values on the stems extending g[:L]
     C: np.ndarray       # (G,) minimal spike constants
-    profile: np.ndarray | None = None  # (G, L) one value per confluence class c < L
+    profile: np.ndarray | None = None  # (G, L, states) per confluence class c < L and state
     ab: Alphabet | None = None         # needed when L > 0
 
     def __post_init__(self):
         if self.profile is None:
-            object.__setattr__(self, "profile", np.empty((len(self.words), 0)))
+            object.__setattr__(self, "profile", np.empty((len(self.words), 0, 1)))
         if self.profile.shape[1] and self.ab is None:
             raise ValueError("a profile needs the alphabet of its stems")
 

@@ -161,24 +161,43 @@ class StemTable:
         return np.cumsum(marks[:, :-1], axis=1)
 
     def extensions(self, words: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
-        """The stems extending each row's first `level` letters (1 <= level <=
-        n), in stem order, for a (count, n) letter array of reduced words:
-        their letters, (count, span(level), depth), and their confluence
-        length with the row, (count, span(level)).
+        """The stems extending each row's first `level` letters (0 <= level <=
+        n; 0: every stem), in stem order, for a (count, n) letter array of
+        reduced words: their letters, (count, span(level), depth), and their
+        confluence length with the row, (count, span(level)).
 
         Past letter `level` such a stem continues as a depth-(depth - level + 1)
         stem from the row's letter `level`, with the same branch digits."""
         count, n = words.shape
-        if not 1 <= level <= min(n, self.depth):
+        if not 0 <= level <= min(n, self.depth):
             raise ValueError("prefix length out of range")
-        tail = StemTable(self.ab, self.depth - level + 1).letters
-        out = np.empty((count, self.span(level), self.depth), dtype=tail.dtype)
-        out[:, :, :level - 1] = words[:, None, :level - 1]
-        tail = tail.reshape(self.ab.n_letters, -1, tail.shape[1])  # one block per first letter
-        out[:, :, level - 1:] = tail[words[:, level - 1]]
+        check_dense(count * self.span(level) * self.depth,
+                    f"the depth-{self.depth} extensions of {count} words", 1)
+        if level:
+            tail = StemTable(self.ab, self.depth - level + 1).letters
+            out = np.empty((count, self.span(level), self.depth), dtype=tail.dtype)
+            out[:, :, :level - 1] = words[:, None, :level - 1]
+            tail = tail.reshape(self.ab.n_letters, -1, tail.shape[1])  # one block per first letter
+            out[:, :, level - 1:] = tail[words[:, level - 1]]
+        else:
+            out = np.repeat(self.letters[None], count, axis=0)
         top = min(n, self.depth)
         same = out[:, :, level:top] == words[:, None, level:top]
         return out, level + np.logical_and.accumulate(same, axis=2).sum(axis=2)
+
+
+def window_state_count(ab: Alphabet, w: int) -> int:
+    """The number of window states of w letters: the reduced w-letter words,
+    one (the empty word) when w = 0."""
+    return StemTable(ab, w).size if w else 1
+
+
+def window_states(ab: Alphabet, letters: np.ndarray) -> np.ndarray:
+    """The window-state index of each row of a (count, w) letter array: its
+    stem index among the reduced w-letter words, 0 when w = 0."""
+    if not letters.shape[1]:
+        return np.zeros(len(letters), dtype=np.int64)
+    return StemTable(ab, letters.shape[1]).indices(letters)
 
 
 def word_rows(words) -> np.ndarray:

@@ -222,27 +222,59 @@ _DONE = -_NONE             # the appended-letter count of a finished path
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)  # SplitMix64's increment
 
 
-def _split(state, j) -> np.ndarray:
+class _Scratch:
+    """Work arrays reused so that their pages are mapped once, not once per
+    chunk: each name keeps one flat byte buffer, grown to the largest
+    request, and a request is a view of its start.  A `_hitting_codes` call
+    keeps one for the blocks and word rows of all its chunks; a block keeps
+    one for its slabs, which is freed before the paths step, so that it
+    adds nothing to the peak."""
+
+    def __init__(self):
+        self._flat: dict[str, np.ndarray] = {}
+        self.word_width = 0  # of the widest `_Words` rows so far
+
+    def __call__(self, name: str, shape: tuple, dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        size = math.prod(shape) * dtype.itemsize
+        flat = self._flat.get(name)
+        if flat is None or len(flat) < size:
+            flat = self._flat[name] = np.empty(size, dtype=np.uint8)
+        return flat[:size].view(dtype).reshape(shape)
+
+    def hold(self, name: str, flat: np.ndarray) -> None:
+        """Keep `flat` as the buffer of `name`, in place of a smaller one."""
+        self._flat[name] = flat
+
+
+def _split(state, j, out=None, tmp=None) -> np.ndarray:
     """Output j of SplitMix64 run from `state`, mix64(state + (j + 1) * gamma)
-    mod 2^64, for uint64 arrays that broadcast (Steele, Lea and Flood, 2014)."""
-    z = state + (j + np.uint64(1)) * _GAMMA
-    z ^= z >> 30
+    mod 2^64, for uint64 arrays that broadcast (Steele, Lea and Flood, 2014);
+    written into `out`, with `tmp` for the shifts, when given."""
+    z = np.add(state, (j + np.uint64(1)) * _GAMMA, out=out)
+    z ^= np.right_shift(z, 30, out=tmp)
     z *= 0xBF58476D1CE4E5B9
-    z ^= z >> 27
+    z ^= np.right_shift(z, 27, out=tmp)
     z *= 0x94D049BB133111EB
-    z ^= z >> 31
+    z ^= np.right_shift(z, 31, out=tmp)
     return z
 
 
-def _uniform_rows(seed: int, paths: np.ndarray, t0: int, t1: int) -> np.ndarray:
-    """Uniforms t0..t1-1 of each path under `seed`, one row per path.
+def _uniform_rows(seed: int, paths: np.ndarray, t0: int, t1: int,
+                  scratch: _Scratch | None = None) -> np.ndarray:
+    """Uniforms t0..t1-1 of each path under `seed`, one row per path, in
+    `scratch` arrays when given.
 
     Uniform j of path i is (output j of SplitMix64 from key(seed, i)) >> 11
     times 2^-53, key(seed, i) being output i from base(seed), and base(seed)
     output 0 from seed mod 2^64: a pure function of (seed, i, j)."""
-    return (_split(_split(_split(np.array([seed % 2**64], dtype=np.uint64), 0),  # base(seed)
-                          np.asarray(paths, dtype=np.uint64))[:, None],           # key(seed, i)
-                   np.arange(t0, t1, dtype=np.uint64)) >> 11) * 2.0 ** -53
+    scratch = scratch or _Scratch()
+    shape = (len(paths), t1 - t0)
+    keys = _split(_split(np.array([seed % 2**64], dtype=np.uint64), 0),  # base(seed)
+                  np.asarray(paths, dtype=np.uint64))                      # key(seed, i)
+    z = _split(keys[:, None], np.arange(t0, t1, dtype=np.uint64),
+               scratch("slab", shape, np.uint64), scratch("slab work", shape, np.uint64))
+    return np.multiply(np.right_shift(z, 11, out=z), 2.0 ** -53, out=z.view(np.float64))
 
 
 @dataclass(frozen=True)
@@ -302,32 +334,41 @@ class _StepLaw:
                    lengths.astype(np.min_scalar_type(-int(lengths.max()))), inverse, length,
                    append.reshape(pieces, -1))
 
-    def draw(self, u: np.ndarray) -> np.ndarray:
+    def draw(self, u: np.ndarray, scratch: _Scratch | None = None) -> np.ndarray:
         """Step indices for an array of uniforms, as `bisect_left` on `cum`
-        gives them."""
+        gives them, in `scratch` arrays when given."""
+        scratch = scratch or _Scratch()
         nb = len(self.bucket)
         u *= nb  # exact: nb is a power of two
-        steps = self.bucket.take(u.astype(np.int32))
+        bucket = scratch("slab work", u.shape, np.int32)  # free once the uniforms are made
+        np.copyto(bucket, u, casting="unsafe")  # as astype: truncated
+        steps = self.bucket.take(bucket, out=scratch("draws", u.shape, self.bucket.dtype),
+                                 mode="clip")  # every bucket is in range
         split = np.flatnonzero(steps < 0)
         steps.reshape(-1)[split] = np.searchsorted(self.cum * nb, u.reshape(-1)[split],
                                                    side="left")
         return steps
 
 
-def _draw_block(seed: int, paths: np.ndarray, law: _StepLaw, t0: int,
-                t1: int) -> tuple[np.ndarray, np.ndarray]:
+def _draw_block(seed: int, paths: np.ndarray, law: _StepLaw, t0: int, t1: int,
+                scratch: _Scratch | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Steps t0..t1-1 of each of `paths`, one row per step, and `drawn_to`,
-    whose row k sums the drawn lengths of each path's steps t0..t0+k-1.
+    whose row k sums the drawn lengths of each path's steps t0..t0+k-1; in
+    `scratch` arrays when given, which the next block overwrites.
 
-    The uniforms of about HIT_SLAB draws at a time are made and drawn, so
-    that no array of doubles the size of the block exists."""
+    The uniforms of about HIT_SLAB draws at a time are made and drawn, in
+    the block's own work arrays, so that no array of doubles the size of
+    the block exists."""
+    scratch = scratch or _Scratch()
     span = t1 - t0
-    steps = np.empty((span, len(paths)), dtype=law.bucket.dtype)
-    drawn_to = np.zeros((span + 1, len(paths)),
-                        dtype=np.min_scalar_type(-int(law.step_len.max(initial=0)) * span))
+    steps = scratch("steps", (span, len(paths)), law.bucket.dtype)
+    drawn_to = scratch("drawn_to", (span + 1, len(paths)),
+                       np.min_scalar_type(-int(law.step_len.max(initial=0)) * span))
+    drawn_to[0] = 0
     per = max(1, HIT_SLAB // span)
+    work = _Scratch()
     for lo in range(0, len(paths), per):
-        slab = law.draw(_uniform_rows(seed, paths[lo:lo + per], t0, t1)).T
+        slab = law.draw(_uniform_rows(seed, paths[lo:lo + per], t0, t1, work), work).T
         steps[:, lo:lo + per] = slab
         drawn_to[1:, lo:lo + per] = law.step_len.take(slab)
     for k in range(1, span + 1):  # row by row: cumsum along axis 0 is slower
@@ -338,47 +379,59 @@ def _draw_block(seed: int, paths: np.ndarray, law: _StepLaw, t0: int,
 class _Words:
     """The reduced words of a chunk's rows, each stored backwards.
 
-    Row i is a byte row of `width` + 8 columns: letter p plus one at column
-    `width` - 1 - p, then 8 zero bytes.  `at[i]` is the flat offset of the
-    column of row i's last letter, so `tail[at]` reads each word's 8 last
-    letters (the last in the lowest byte, zeros past the word's start) and
-    `end[at]` writes 8 bytes whose highest byte lands just past the last
-    letter.  `cut[i]` is the largest `at[i]` of a word at least
-    max(depth, 1) letters long.
+    Row i owns byte row `slot[i]` of `width` + 8 columns: letter p plus one
+    at column `width` - 1 - p, then 8 zero bytes.  `at[i]` is the flat
+    offset of the column of row i's last letter, so `tail[at]` reads each
+    word's 8 last letters (the last in the lowest byte, zeros past the
+    word's start) and `end[at]` writes 8 bytes whose highest byte lands
+    just past the last letter.  `cut[i]` is the largest `at[i]` of a word
+    at least max(depth, 1) letters long.
+
+    The byte rows are the call's scratch buffer "words": a chunk starts as
+    wide as the widest rows so far (`_Scratch.word_width`), dropped rows
+    keep their byte rows, and widening lays the rows out in a new buffer
+    that the scratch then holds.
     """
 
-    def __init__(self, n: int, depth: int):
+    def __init__(self, n: int, depth: int, scratch: _Scratch | None = None):
         self.depth = depth
-        self.width = 0
-        self.keep(np.arange(n), max(64, depth + 8), np.zeros(n, dtype=np.intp))
+        self._scratch = scratch or _Scratch()
+        self.width = max(64, depth + 8, self._scratch.word_width)
+        flat = self._scratch("words", (8 + n * (self.width + 8),), np.uint8)
+        flat[:] = 0
+        self._lay_out(flat, np.zeros(n, dtype=np.intp))
 
     def _row_end(self, rows) -> np.ndarray:
-        return rows * (self.width + 8) + self.width
+        return self.slot[rows] * (self.width + 8) + self.width
 
     def lengths(self, rows=None) -> np.ndarray:
         if rows is None:
             rows = np.arange(len(self.at))
         return self._row_end(rows) - self.at[rows]
 
-    def keep(self, rows: np.ndarray, width: int, lengths: np.ndarray | None = None) -> None:
-        """Keep only `rows`, in `width` columns."""
-        if lengths is None:
-            lengths = self.lengths(rows)
-        flat = np.zeros(8 + len(rows) * (width + 8), dtype=np.uint8)
-        if self.width:
-            flat[8:].reshape(-1, width + 8)[:, width - self.width:] = \
-                self.flat[8:].reshape(-1, self.width + 8)[rows]
-        self.flat, self.width = flat, width
-        row_end = self._row_end(np.arange(len(rows)))
+    def _lay_out(self, flat: np.ndarray, lengths: np.ndarray) -> None:
+        """Take `flat`, whose byte rows hold the words in order, one a row."""
+        self.flat, self.slot = flat, np.arange(len(lengths))
+        row_end = self._row_end(self.slot)
         self.at = row_end - lengths
         self.cut = row_end - max(self.depth, 1)
         self.tail = np.ndarray((len(flat) - 15,), np.uint64, flat, 8, (1,))
         self.end = np.ndarray((len(flat) - 7,), np.uint64, flat, 0, (1,))
 
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep only `rows`; their byte rows stay where they are."""
+        self.slot, self.at, self.cut = self.slot[rows], self.at[rows], self.cut[rows]
+
     def make_room(self, longest: int) -> None:
         """Widen the rows, if needed, so that words `longest` letters long fit."""
         if longest > self.width - 8:
-            self.keep(np.arange(len(self.at)), 2 * longest + 8)
+            width, lengths = 2 * longest + 8, self.lengths()
+            flat = np.zeros(8 + len(lengths) * (width + 8), dtype=np.uint8)
+            flat[8:].reshape(-1, width + 8)[:, width - self.width:] = \
+                self.flat[8:].reshape(-1, self.width + 8)[self.slot]
+            self.width = self._scratch.word_width = width
+            self._scratch.hold("words", flat)
+            self._lay_out(flat, lengths)
 
     def codes(self, rows: np.ndarray, place: np.ndarray) -> np.ndarray:
         """The rows' depth-prefix codes, with digit weights `place`, plus
@@ -399,7 +452,7 @@ _TRAILING_BYTES[1023:] = np.arange(64) >> 3
 
 
 def _hit_chunk(seed: int, paths: np.ndarray, law: _StepLaw, n_letters: int, depth: int,
-               stabilize: int, step_cap: int) -> np.ndarray:
+               stabilize: int, step_cap: int, scratch: _Scratch | None = None) -> np.ndarray:
     """Final depth-prefix code of each of `paths`, -1 if it never stabilized.
 
     Live paths advance one step per pass; their words are `_Words` rows.
@@ -424,7 +477,7 @@ def _hit_chunk(seed: int, paths: np.ndarray, law: _StepLaw, n_letters: int, dept
     shift = int(place.sum())  # codes are kept plus `shift`: the letters are stored plus one
     out = np.full(len(paths), -1, dtype=np.int64)
     live = np.arange(len(paths))  # chunk index of each row
-    words = _Words(len(paths), depth)
+    words = _Words(len(paths), depth, scratch)
     code = np.full(len(paths), shift - 1, dtype=np.int64)
     due = np.zeros(len(paths), dtype=np.int64)
     grown = np.zeros(len(paths), dtype=np.int64)
@@ -433,7 +486,7 @@ def _hit_chunk(seed: int, paths: np.ndarray, law: _StepLaw, n_letters: int, dept
     def drop_finished():
         nonlocal live, code, due, grown, target, start, row, finished
         keep = np.flatnonzero(grown >= 0)
-        words.keep(keep, words.width)
+        words.keep(keep)
         live, code, due, grown, target, start, row = (
             live[keep], code[keep], due[keep], grown[keep], target[keep], start[keep],
             row[keep])
@@ -452,8 +505,7 @@ def _hit_chunk(seed: int, paths: np.ndarray, law: _StepLaw, n_letters: int, dept
             if finished:
                 drop_finished()
             t0, t1 = t1, min(max(2 * t1, HIT_BLOCK), step_cap)
-            steps = drawn_to = None  # freed before the next block is drawn
-            steps, drawn_to = _draw_block(seed, paths[live], law, t0, t1)
+            steps, drawn_to = _draw_block(seed, paths[live], law, t0, t1, scratch)
             row = np.arange(len(live))
             start = words.lengths()
             grown[:] = 0
@@ -500,11 +552,12 @@ def _hitting_codes(mu: WalkMeasure, n_paths: int, depth: int, seed: int, stabili
                    step_cap: int) -> np.ndarray:
     """Final depth-prefix code of each path, -1 for a path that never stabilized."""
     law = _StepLaw.of(mu)
+    scratch = _Scratch()  # the chunks' work arrays, mapped once
     outcome = np.full(n_paths, -1, dtype=np.int64)
     for lo in range(0, n_paths, HIT_CHUNK):
         hi = min(lo + HIT_CHUNK, n_paths)
         outcome[lo:hi] = _hit_chunk(seed, np.arange(lo, hi), law, mu.ab.n_letters, depth,
-                                    stabilize, step_cap)
+                                    stabilize, step_cap, scratch)
     return outcome
 
 

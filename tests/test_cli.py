@@ -14,6 +14,7 @@ import pytest
 
 from gibbswalk import cli, stems
 from gibbswalk.cli import PRESETS, build_objects, config_hash, load_config, main, run_experiment
+from gibbswalk.decompose import SWEEP_RADIUS
 from gibbswalk.spikes import CertificationError, SpikeLab
 from gibbswalk.stems import StemTable
 from gibbswalk.words import Alphabet
@@ -167,7 +168,57 @@ class TestModules:
         assert proc.returncode == 0, proc.stderr
 
 
+def depth2_config(**audits):
+    """uniform-f2 with a depth-2 potential: 12 window weights from U(0, 0.9), seed 5."""
+    cfg = json.loads(json.dumps(PRESETS["uniform-f2"]))
+    ab = Alphabet(2)
+    weights = np.random.default_rng(5).uniform(0.0, 0.9, 12)
+    cfg["potential"] = {"depth": 2, "suffix_rule": "average",
+                        "entries": {ab.format_word(w): float(x)
+                                    for w, x in zip(ab.reduced_words(2), weights)}}
+    cfg["audits"].update(audits)
+    return cfg
+
+
 class TestRunner:
+    def test_depth2_potential_passes_every_stage(self, tmp_path):
+        cfg = depth2_config(spike_radius=6, h2_samples=50)
+        cfg["walk"]["n_paths"] = 2000
+        code, summary = run_experiment(cfg, str(tmp_path))
+        assert code == 0, summary.get("error")
+        for key in ("pressure", "gibbs", "audit_spikes", "decompose", "walk", "validate_h2"):
+            assert summary[key]["pass"], key
+        assert summary["decompose"]["status"] == "shell_budget"
+
+    @pytest.mark.parametrize("name", ["uniform-f2", "depth2"])
+    def test_one_shell_build_per_lab(self, tmp_path, monkeypatch, name):
+        # the spike sweep and the decomposition read the same untargeted shells
+        cfg = small_config() if name == "uniform-f2" else depth2_config(spike_radius=4)
+        ab, P, S, F = build_objects(cfg)
+        lab = SpikeLab(S, "hausdorff")
+        builds, chunks = [], SpikeLab._spike_chunks
+
+        def counted(self, words, F):
+            builds.append((words.shape[1], F is None))
+            return chunks(self, words, F)
+
+        monkeypatch.setattr(SpikeLab, "_spike_chunks", counted)
+        rep = cli.Reporter(tmp_path, cfg)
+        assert cli.run_spikes(cfg, ab, S, lab, rep)["pass"]
+        dec, _ = cli.run_decompose(cfg, ab, S, F, lab, rep)
+        shells = set(range(1, 5)) | set(range(1, SWEEP_RADIUS + 1)) | {t.shell for t in dec.stages}
+        assert sorted(builds) == [(n, True) for n in sorted(shells)]
+
+    def test_plane_audits_imported_on_first_use(self):
+        code = ("import sys, gibbswalk\n"
+                "from gibbswalk import cli\n"
+                "assert 'gibbswalk.hyperbolic' not in sys.modules\n"
+                "assert gibbswalk.comparison_audit.__module__ == 'gibbswalk.hyperbolic'\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+
     def test_full_pipeline(self, tmp_path):
         code, summary = run_experiment(small_config(), str(tmp_path))
         assert code == 0

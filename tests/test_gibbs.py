@@ -310,6 +310,21 @@ class TestRadonNikodym:
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15)
 
 
+# rho_phi_array reads one value per (confluence, window state) from
+# rho_profiles, whose window sums run in another order than the per-stem
+# loop's: for m = 1 the floats are equal, for m > 1 they agree to this
+# absolute bound (the sums have at most 2 (|q| + depth) windows of size below
+# 1; the largest difference measured on these cases is 5.3e-15)
+RHO_ATOL = 1e-13
+
+
+def _assert_rho(S, got, ref, where):
+    if S.depth_m == 1:
+        assert got.tobytes() == ref.tobytes(), where
+    else:
+        assert np.abs(got - ref).max() <= RHO_ATOL, where
+
+
 def _rho_loop(S, q, depth):
     """rho_phi_array by the per-stem d_phi loop."""
     tab = StemTable(S.ab, depth)
@@ -395,7 +410,7 @@ class TestDenseSizeCheck:
 
 
 class TestRadonNikodymArrays:
-    """The depth > 1 arrays keep the per-stem d_phi loop's floats bit for bit."""
+    """The depth > 1 arrays agree with the per-stem d_phi loop to RHO_ATOL."""
 
     @pytest.mark.parametrize("name,max_q", [("m2", 3), ("m3-average", 3), ("m3-extend", 3),
                                             ("rank3-m2", 2), ("rank3-m3", 1)])
@@ -404,8 +419,7 @@ class TestRadonNikodymArrays:
         for n in range(max_q + 1):
             for q in S.ab.reduced_words(n):
                 for depth in (n + S.depth_m, n + S.depth_m + 1):
-                    got = S.rho_phi_array(q, depth)
-                    assert got.tobytes() == _rho_loop(S, q, depth).tobytes(), (q, depth)
+                    _assert_rho(S, S.rho_phi_array(q, depth), _rho_loop(S, q, depth), (q, depth))
 
     def test_rho_rank3_long_words(self, deep_streams):
         cases = {"rank3-m2": [(q, d) for q in ((0, 2, 4), (5, 5, 1), (3, 0, 3)) for d in (5, 6)],
@@ -413,7 +427,7 @@ class TestRadonNikodymArrays:
         for name, pairs in cases.items():
             S = deep_streams[name]
             for q, depth in pairs:
-                assert S.rho_phi_array(q, depth).tobytes() == _rho_loop(S, q, depth).tobytes(), q
+                _assert_rho(S, S.rho_phi_array(q, depth), _rho_loop(S, q, depth), q)
 
     @pytest.mark.parametrize("name", ["m2", "m3-average", "m3-extend", "rank3-m2", "rank3-m3"])
     def test_shallow_dphi_equals_per_stem_loop(self, deep_streams, name):
@@ -429,7 +443,7 @@ class TestRadonNikodymArrays:
         ref = _rho_loop(stream_m2, (0, 2, 1), 6)
         for mod in (gibbs, potentials):
             monkeypatch.setattr(mod, "d_phi", refuse)
-        assert np.array_equal(stream_m2.rho_phi_array((0, 2, 1), 6), ref)
+        _assert_rho(stream_m2, stream_m2.rho_phi_array((0, 2, 1), 6), ref, (0, 2, 1))
         assert stream_m2.dphi_array(1).shape == (4,)
 
     @pytest.mark.parametrize("name", ["m2", "m3-average", "m3-extend", "rank3-m2", "rank3-m3"])

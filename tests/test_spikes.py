@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gibbswalk import cli, cylfun, spikes, stems
+from gibbswalk import cli, cylfun, gibbs, potentials, spikes, stems
 from gibbswalk.cylfun import CylinderFunction, scale_depth
 from gibbswalk.decompose import SWEEP_RADIUS, DecomposerConfig, decompose
 from gibbswalk.gibbs import GibbsStream
@@ -23,7 +23,7 @@ from gibbswalk.spikes import (
     _KernelIntegrator,
     g_kernel,
 )
-from gibbswalk.stems import DenseArrayError, StemTable
+from gibbswalk.stems import DenseArrayError, StemTable, window_state_count, window_states
 from gibbswalk.words import (
     Alphabet,
     EventuallyPeriodicWord,
@@ -586,14 +586,27 @@ def _audit_tuple(aud):
     return aud.c1, aud.c2, aud.c3, aud.c_holder
 
 
-def _audit_bytes(audits):
-    return np.array([_audit_tuple(a) for a in audits]).tobytes()
-
-
 def _profile_cells(lab, n, F):
-    """The floats of one row of shell n in profile form: L + span(L)."""
-    level = spikes._profile_level(lab.S, n, F)
-    return level + StemTable(lab.ab, spikes._spike_depth(lab.S, n, F)).span(level)
+    """The floats of one row of shell n in profile form: L values per window
+    state + span(L)."""
+    return spikes._row_cells(lab.ab, lab.S.depth_m - 1, spikes._profile_level(n, F),
+                             spikes._spike_depth(lab.S, n, F))
+
+
+# m > 1 spike rows read one value per (confluence, window state), whose
+# window sums run in another order than the per-confluence loop's
+# (`_loop_rho`): the rows agree to this relative bound, and so do the audits
+# read from them (the largest differences measured on these cases are 8e-15)
+SPIKE_RTOL = 1e-13
+
+
+def _assert_close(S, got, want, where):
+    """Bit-equal for m = 1, within SPIKE_RTOL for m > 1."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    if S.depth_m == 1:
+        assert got.tobytes() == want.tobytes(), where
+    else:
+        assert np.all(np.abs(got - want) <= SPIKE_RTOL * np.abs(want)), where
 
 
 def _vstack_combine(shell, lam, tab):
@@ -613,9 +626,19 @@ SHELL_CASES = ["uniform", "step-f2", "random-hausdorff", "m2-average-hausdorff",
                "depth3-target", "random-depth1-target", "random-depth3-target"]
 
 
-# the cases whose depth-1 streams store profile rows, L > 0
+def _deep_lab(rank, m, rule):
+    """A lab on a depth-m potential with random window weights."""
+    ab = Alphabet(rank)
+    words = list(ab.reduced_words(m))
+    vals = np.random.default_rng(100 * rank + m).uniform(-0.3, 0.9, len(words))
+    return SpikeLab(GibbsStream(Potential(ab, m, dict(zip(words, vals.tolist())), rule)))
+
+
+# the cases that store profile rows, L > 0, with one window state (depth-1
+# streams) or several
 PROFILE_CASES = ["uniform", "step-f2", "random-hausdorff", "random-depth1-target",
-                 "random-depth3-target"]
+                 "random-depth3-target", "m2-average-hausdorff", "m2-extend-gibbs",
+                 "rank3-m2", "m3-average-hausdorff", "m3-extend-target"]
 
 
 class TestShellBatch:
@@ -641,12 +664,17 @@ class TestShellBatch:
             # depth-1 streams: profile levels L = n and L = n - 2
             "random-depth1-target": (SpikeLab(random_stream), depth1, 3),
             "random-depth3-target": (SpikeLab(random_stream), depth3, 4),
+            # several window states a class
+            "rank3-m2": (_deep_lab(3, 2, "average"), None, 2),
+            "m3-average-hausdorff": (_deep_lab(2, 3, "average"), None, 4),
+            "m3-extend-target": (_deep_lab(2, 3, "extend"), depth1, 4),
         }
 
     @pytest.mark.parametrize("rows", [None, 1, 5], ids=["budget", "one-row", "five-rows"])
     @pytest.mark.parametrize("name", SHELL_CASES)
     def test_shell_equals_per_g_loop(self, cases, name, rows, monkeypatch):
         lab, F, top = cases[name]
+        lab = SpikeLab(lab.S, lab.nu_id)  # a fresh lab: its shells are built at this BUDGET
         m = lab.S.depth_m
         for n in range(1, top + 1):
             words = list(lab.ab.reduced_words(n))
@@ -656,21 +684,24 @@ class TestShellBatch:
             shell = lab.shell(n, F)
             assert shell.words.tolist() == [list(g) for g in words]
             assert shell.depth == depth and not shell.values.flags.writeable
-            wants = []
+            owns = []
             for g, row, C in zip(words, shell.values, shell.C):
                 h = _loop_unit_spike(lab, g, F)
                 assert h.depth == depth
-                assert row.tobytes() == h.values.tobytes(), (name, g)
-                wants.append(want := _loop_spike_audit(lab, h, g, lab.beta))
+                _assert_close(lab.S, row, h.values, (name, g))
+                # the row's own audit, one confluence at a time, and the oracle's
+                own = CylinderFunction(lab.ab, depth, row)
+                owns.append(want := _loop_spike_audit(lab, own, g, lab.beta))
+                _assert_close(lab.S, want, _loop_spike_audit(lab, h, g, lab.beta), (name, g))
                 assert C == max(want + (1.0,)), (name, g)
-                rec = SpikeRecord(h=CylinderFunction(lab.ab, depth, row), r=math.exp(-n),
-                                  a=ray_word(lab.ab, g), s=float(n), center=g)
+                rec = SpikeRecord(h=own, r=math.exp(-n), a=ray_word(lab.ab, g), s=float(n),
+                                  center=g)
                 assert _audit_tuple(lab.spike_audit(rec, holder_q=lab.beta)) == want, (name, g)
             if F is not None:
                 continue
             audits = lab.shell_audits(n)
             assert len(audits) == len(words)
-            for g, aud, want, C in zip(words, audits, wants, shell.C):
+            for g, aud, want, C in zip(words, audits, owns, shell.C):
                 assert _audit_tuple(aud) == want and aud.minimal_c == C, (name, g)
                 if m == 1:  # the closed form agrees to roundoff
                     assert _audit_tuple(aud) == pytest.approx(_loop_profile_audit(lab, g),
@@ -686,7 +717,7 @@ class TestShellBatch:
             depth = spikes._spike_depth(lab.S, n, F)
             lo = 0
             for profile, block, audits in lab._spike_chunks(words, F):
-                assert profile.shape[1] == spikes._profile_level(lab.S, n, F)
+                assert profile.shape[1] == spikes._profile_level(n, F)
                 assert len(profile) <= rows
                 chunk = words[lo:lo + len(profile)]
                 lo += len(profile)
@@ -694,13 +725,13 @@ class TestShellBatch:
 
                 def audit(prof, blk):
                     rows = lab._audit_rows(prof, blk, depth, rays, math.exp(-n), float(n), lab.beta)
-                    return _audit_bytes(rows)
+                    return rows.tobytes()
 
                 def dense_audit(prof):
-                    return audit(np.empty((len(chunk), 0)),
+                    return audit(np.empty((len(chunk), 0, 1)),
                                  spikes._expand(lab.ab, depth, chunk, prof, block))
 
-                assert _audit_bytes(audits) == dense_audit(profile), (name, n)
+                assert audits.tobytes() == dense_audit(profile), (name, n)
                 # a profile that holds each row's maximum
                 assert audit(profile * 50.0, block) == dense_audit(profile * 50.0), (name, n)
             assert lo == len(words)
@@ -730,7 +761,7 @@ class TestShellBatch:
 
     @pytest.mark.parametrize("rows", [1, 5], ids=["one-row", "five-rows"])
     @pytest.mark.parametrize("name,n,level", [("step-f2", 3, 2), ("uniform", 3, 3),
-                                              ("step-f2", 1, 0), ("m2-average-hausdorff", 2, 0),
+                                              ("step-f2", 1, 0), ("m2-average-hausdorff", 2, 2),
                                               ("depth3-target", 2, 0)])
     def test_combine_equals_vstack_sum(self, cases, name, n, level, rows, monkeypatch):
         lab, F, _ = cases[name]
@@ -752,7 +783,8 @@ class TestShellBatch:
 
     def test_oversized_centre_words_refused(self, cases, monkeypatch):
         lab = cases["uniform"][0]  # depth-1 kernel: shell_audits audits profile rows
-        monkeypatch.setattr(stems, "DENSE_BYTES", 8 * 108 * 4)  # shell 4: 108 words of 4 letters
+        # shell 4 keeps 108 profile rows of 4 + 3 floats, above its 108 words of 4 letters
+        monkeypatch.setattr(stems, "DENSE_BYTES", 8 * 108 * 7)
         assert len(lab.shell_audits(4)) == 108
         for build in (lab.shell_audits, lab.shell):
             with pytest.raises(DenseArrayError,
@@ -763,7 +795,9 @@ class TestShellBatch:
         lab, F, _ = cases["depth3-target"]
         g = (0, 2, 1)
         rec = lab.unit_spike(g, F)
-        assert rec.h.values.tobytes() == _loop_unit_spike(lab, g, F).values.tobytes()
+        row = lab.shell(3, F).values[StemTable(lab.ab, 3).index_of(g)]
+        assert rec.h.values.tobytes() == row.tobytes()
+        _assert_close(lab.S, rec.h.values, _loop_unit_spike(lab, g, F).values, g)
         assert rec.r == math.exp(-3) and rec.s == 3.0 and rec.center == g
         lab, _, _ = cases["random-hausdorff"]
         h = _loop_unit_spike(lab, g, None)
@@ -811,3 +845,48 @@ class TestShellBatch:
             assert set(built.values()) == {1}
             assert cli.run_spikes(cfg, AB, S, lab, cli.Reporter(tmp_path, cfg))["pass"]
             assert audited == Counter({n: 1 for n in range(1, 5)})
+
+
+# --------------------------------------------------------------------------
+# Window-state profiles: for m > 1 a spike row takes one value per confluence
+# class c with its centre and window state (the stem's m - 1 letters past c).
+
+
+STATE_CASES = [(2, 2, "average", 3), (2, 2, "extend", 3), (2, 3, "average", 3),
+               (2, 3, "extend", 3), (3, 2, "average", 2)]
+
+
+@pytest.mark.parametrize("target", [None, "step"])
+@pytest.mark.parametrize("rank,m,rule,top", STATE_CASES,
+                         ids=[f"rank{r}-m{m}-{rule}" for r, m, rule, _ in STATE_CASES])
+def test_state_profile_rows_pinned_to_oracle(rank, m, rule, top, target):
+    lab = _deep_lab(rank, m, rule)
+    ab, w = lab.ab, m - 1
+    F = None if target is None else CylinderFunction.from_table(ab, 2, {(0, 0): 1.25}, 1.0)
+    for n in range(1, top + 1):
+        shell = lab.shell(n, F)
+        level = spikes._profile_level(n, F)
+        assert shell.profile.shape == (len(shell.words), level, window_state_count(ab, w))
+        tab = StemTable(ab, shell.depth)
+        for g, row, profile in zip(map(tuple, shell.words.tolist()), shell.values, shell.profile):
+            _assert_close(lab.S, row, _loop_unit_spike(lab, g, F).values, (n, g))
+            # an entry is NaN exactly where no stem has its class and state
+            conf = _branch_depths(tab, g)
+            for c in range(level):
+                held = np.unique(window_states(ab, tab.letters[conf == c, c:c + w]))
+                assert np.flatnonzero(~np.isnan(profile[c])).tolist() == held.tolist(), (g, c)
+
+
+def test_m2_spike_path_reads_no_dense_rows(stream_m2, step_target, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense Radon-Nikodym rows or per-stem window sums reached")
+
+    monkeypatch.setattr(GibbsStream, "rho_phi_rows", refuse)
+    for mod in (gibbs, potentials):
+        monkeypatch.setattr(mod, "window_sums", refuse)
+    lab = SpikeLab(stream_m2)
+    for n in range(1, 5):
+        assert len(lab.shell(n).words) == len(lab.shell(n, step_target).words)
+        assert len(lab.shell_audits(n)) == len(lab.shell(n).words)
+    for F in (CylinderFunction.constant(AB, 1.0), step_target):
+        assert decompose(F, stream_m2, DecomposerConfig(max_shell=4), lab=lab).stages

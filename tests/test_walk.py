@@ -654,7 +654,7 @@ class TestBatchedHitting:
         def uniforms(seed, i):
             return (draw(seed, i, t) for t in range(10**9))
 
-        def rows(seed, paths, t0, t1):
+        def rows(seed, paths, t0, t1, scratch=None):
             return np.array([[draw(seed, int(i), t) for t in range(t0, t1)] for i in paths])
 
         monkeypatch.setattr(walk, "_uniform_rows", rows)
@@ -672,7 +672,7 @@ class TestBatchedHitting:
         assert np.cumsum(weights / weights.sum())[-1] < 1.0 - 2.0 ** -53
         law = walk._StepLaw.of(WalkMeasure(AB, masses))
 
-        def rows(seed, paths, t0, t1):
+        def rows(seed, paths, t0, t1, scratch=None):
             return np.full((len(paths), t1 - t0), 1.0 - 2.0 ** -53)
 
         monkeypatch.setattr(walk, "_uniform_rows", rows)
@@ -686,9 +686,9 @@ class TestBatchedHitting:
         draws = []
         uniform_rows = walk._uniform_rows
 
-        def counted(seed, paths, t0, t1):
+        def counted(seed, paths, t0, t1, scratch=None):
             draws.append(t1)
-            return uniform_rows(seed, paths, t0, t1)
+            return uniform_rows(seed, paths, t0, t1, scratch)
 
         monkeypatch.setattr(walk, "_uniform_rows", counted)
         mu = WalkMeasure(AB, {(0,): 1.0})
