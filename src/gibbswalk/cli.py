@@ -68,10 +68,10 @@ PRESETS = {
 
 ALL_STAGES = ("pressure", "gibbs", "audit-spikes", "decompose", "walk", "validate-h2")
 
-# the config sizes a check counts over, with the defaults its stage reads
+# the config sizes and step counts a stage reads, with the defaults it reads
 # when the field or its section is absent; each must be an integer >= 1,
-# or the check has nothing to count
-SIZES = {"walk": {"n_paths": 20000, "depth": 2},
+# or the stage has nothing to count
+SIZES = {"walk": {"n_paths": 20000, "depth": 2, "stabilize": 50, "step_cap": 2000},
          "audits": {"shadow_radius": 8, "shadow_integral_smax": 20, "spike_radius": 8,
                     "h2_samples": 2000}}
 
@@ -248,8 +248,10 @@ def run_spikes(cfg, ab, S, lab: SpikeLab, rep: Reporter) -> dict:
     rep.csv("spike_audit.csv", ["g", "depth", "c1", "c2", "c3", "c_holder", "minimal_c"], rows)
     rep.json("decay_cert.json", asdict(cert))
     ns = sorted(per_depth)
-    head = max(per_depth[n] for n in ns if n <= S.depth_m + 2)
-    tail_ok = all(per_depth[n] <= head * (1 + 1e-9) for n in ns if n > S.depth_m + 2)
+    # the spike constants may still grow over the first 2m + 1 shells, not after
+    head_len = 2 * S.depth_m + 1
+    head = max(per_depth[n] for n in ns if n <= head_len)
+    tail_ok = all(per_depth[n] <= head * (1 + 1e-9) for n in ns if n > head_len)
     out = {"C_G": cert.C_G, "alpha_G": cert.alpha_G, "beta_G": cert.beta_G,
            "sweep_max": max(per_depth.values()), "head_max": head,
            "pass": tail_ok and math.isfinite(max(per_depth.values()))}
@@ -291,17 +293,15 @@ def run_decompose(cfg, ab, S, F, lab: SpikeLab, rep: Reporter):
 
 
 def run_walk(cfg, ab, P, S, F, dec, rep: Reporter) -> dict:
-    wc = cfg.get("walk", {})
     mu = assemble_walk(dec, S)
     mu.save(rep.out / "walk_measure.json")
     err = stationarity_error(mu, F, S, min(3, F.depth + 1))
     stats = walk_statistics(mu)
     depth, n_paths = _size(cfg, "walk", "depth"), _size(cfg, "walk", "n_paths")
+    limits = _size(cfg, "walk", "stabilize"), _size(cfg, "walk", "step_cap")
     seed = cfg.get("seed", 0)
-    rep1 = simulate_hitting(mu, n_paths, depth, seed,
-                            wc.get("stabilize", 50), wc.get("step_cap", 2000))
-    rep2 = simulate_hitting(mu, n_paths, depth, seed + 1,
-                            wc.get("stabilize", 50), wc.get("step_cap", 2000))
+    rep1 = simulate_hitting(mu, n_paths, depth, seed, *limits)
+    rep2 = simulate_hitting(mu, n_paths, depth, seed + 1, *limits)
     p_chi2 = chi2_compatibility(rep1, rep2)
     tab = StemTable(ab, depth)
     target = density_masses(F, S, depth)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stems import StemTable, word_rows
+from .stems import StemTable, _expand, check_dense, word_rows
 from .words import Alphabet, BoundaryWord, Word, inverse_letter
 
 
@@ -200,20 +200,23 @@ def translate_rows(f: CylinderFunction, words: np.ndarray) -> np.ndarray:
     g^{-1} cancels the first c letters of a stem x, c being its confluence
     length with g, so f is read at the first d = depth(f) letters of
     g^{-1}[: n - c] + x[c:].  Where c <= n - d that is g^{-1}[:d], one value
-    per row; the stems meeting g deeper are gathered one by one
-    (`translate_at`).
-    """
+    per row: the profile of classes c < L = max(0, n - d + 1).  The stems
+    extending g[:L] are the block, read one by one (`translate_at`); the
+    rows are their expansion (`stems._expand`)."""
     count, n = words.shape
     d = f.depth
+    level = max(0, n - d + 1)
     tab = StemTable(f.ab, n + d)
-    c = tab.confluences(words)  # first: its size check also covers `out`
+    # checked before the block, whose letters and gathers can outgrow the rows
+    check_dense(count * tab.size, f"the depth-{tab.depth} rows of {count} words")
     head = inverse_head(words, d)
-    out = np.empty((count, tab.size))
-    if n >= d:
-        out[:] = f.values[f.table.indices(head)][:, None]
-    row, stem = np.nonzero(c > n - d)
-    out[row, stem] = translate_at(f, head[row], tab.letters[stem], c[row, stem], n)
-    return out
+    profile = np.empty((count, level, 1))
+    if level:
+        profile[:] = f.values[f.table.indices(head)][:, None, None]
+    letters, c = tab.extensions(words, level)
+    block = translate_at(f, np.repeat(head, tab.span(level), axis=0),
+                         letters.reshape(-1, tab.depth), c.ravel(), n)
+    return _expand(f.ab, tab.depth, words, profile, block.reshape(count, -1))
 
 
 def inverse_head(words: np.ndarray, d: int) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 from .cylfun import CylinderFunction
 from .potentials import (Potential, d_phi, rho_phi, window_graph, window_prefix_sums, window_sums,
                          window_walk)
-from .stems import StemTable, check_dense, window_state_count, window_states, word_rows
+from .stems import StemTable, _class_values, _expand, check_dense, window_state_count, word_rows
 from .words import (
     Alphabet,
     BoundaryWord,
@@ -199,22 +199,15 @@ class GibbsStream:
 
     def rho_phi_rows(self, words: np.ndarray, depth: int) -> np.ndarray:
         """`rho_phi_array` for each row q of a (count, n) letter array, as rows:
-        `rho_profiles` read at each stem's confluence c with q and its window
-        state stem[c : c+m-1]."""
-        count, n = words.shape
-        w = self.depth_m - 1
+        the expansion (`stems._expand`) of its `rho_profiles`, classes c < n
+        the profile and class n, one value per depth-(n + m - 1) cylinder
+        extending q (`_class_values`), the block."""
+        n = words.shape[1]
         if depth < n + self.depth_m:
             raise ValueError("depth too shallow for stabilization")
-        tab = StemTable(self.ab, depth)
-        confluence = tab.confluences(words)
         profiles = self.rho_profiles(words)
-        if not w:
-            return np.take_along_axis(profiles[:, :, 0], confluence, axis=1)
-        state = np.empty(confluence.shape, dtype=np.int64)
-        for c in range(n + 1):
-            row, stem = np.nonzero(confluence == c)
-            state[row, stem] = window_states(self.ab, tab.letters[stem, c:c + w])
-        return profiles[np.arange(count)[:, None], confluence, state]
+        return _expand(self.ab, depth, words, profiles[:, :n],
+                       _class_values(self.ab, words, profiles[:, n], n))
 
     def rho_profiles(self, words: np.ndarray) -> np.ndarray:
         """rho^Phi_xi(base, q) for xi branching from q at c = 0..n with window

@@ -29,9 +29,6 @@ class NodeBudgetError(QuadratureError):
     """A quadrature node array would exceed H2_NODE_BYTES."""
 
 
-ORIGIN = np.array([1.0, 0.0, 0.0])
-
-
 def minkowski_dot(x, y):
     x = np.asarray(x)
     y = np.asarray(y)

@@ -21,7 +21,8 @@ from .cylfun import (CylinderFunction, block_extrema, holder_rows, inverse_head,
                      translate_at, translate_function)
 from .gibbs import GibbsStream, critical_exponent, hausdorff_stream
 from .potentials import Potential, d_phi_ray, min_cycle_mean, sym_potential, window_graph
-from .stems import StemTable, check_dense, window_state_count, window_states, word_rows
+from .stems import (StemTable, _class_values, _expand, check_dense, window_state_count,
+                    window_states, word_rows)
 from .words import Alphabet, BoundaryWord, Word, gromov_product, ray_word
 
 
@@ -525,49 +526,6 @@ def _row_cells(ab: Alphabet, w: int, level: int, depth: int) -> int:
     return level * window_state_count(ab, w) + StemTable(ab, depth).span(level)
 
 
-def _class_values(ab: Alphabet, words: np.ndarray, values: np.ndarray, c: int) -> np.ndarray:
-    """The class-c profile values of each row, (count, states), as one value
-    per depth-(c + w) cylinder extending the row's first c letters, in stem
-    order, w being the window states' length: a cylinder's state is its
-    letters past c, the first of them the cylinder's branch below letter
-    c - 1.  `words` holds the rows' first c letters or more."""
-    count, states = values.shape
-    if c == 0 or states == 1:
-        return values
-    per = states // ab.n_letters  # states of each first letter
-    j = np.arange(per * (ab.n_letters - 1))
-    first = StemTable(ab, 1).child_letters[words[:, c - 1]][:, j // per]
-    return np.take_along_axis(values, first * per + j % per, axis=1)
-
-
-def _expand(ab: Alphabet, depth: int, words: np.ndarray, profile: np.ndarray,
-            block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Dense (count, cells) rows of depth-`depth` spikes in profile form, by
-    nested block writes: class c's values (`_class_values`) on the stems
-    extending the centre's first c letters, c = 0..L-1, each over the last,
-    then the block on the stems extending its first L letters; written into
-    `out` when given."""
-    count, level, _ = profile.shape
-    if not level:  # the dense rows, with no alphabet needed
-        if out is None:
-            return block
-        out[:] = block
-        return out
-    tab = StemTable(ab, depth)
-    if out is None:
-        out = np.empty((count, tab.size))
-    rows = np.arange(count)
-    codes = [np.zeros(count, dtype=np.int64), *tab.prefix_codes(words[:, :level])]
-    for c, code in enumerate(codes):
-        at = rows * (tab.size // tab.span(c)) + code
-        if c < level:
-            vals = _class_values(ab, words, profile[:, c], c)
-            out.reshape(-1, vals.shape[1], tab.span(c) // vals.shape[1])[at] = vals[:, :, None]
-        else:
-            tab.blocks(out, c)[at] = block
-    return out
-
-
 def ray_rows(words: np.ndarray, length: int) -> np.ndarray:
     """The first `length` letters of each centre's `ray_word` (its last
     letter repeated; the identity's ray repeats letter 0)."""
@@ -628,17 +586,15 @@ class SpikeShell:
     def combine(self, lam: np.ndarray, tab: StemTable) -> np.ndarray:
         """sum of lam[i] * row i refined to tab's depth, BUDGET cells at a time:
         each chunk is expanded at tab's depth (the profile is unchanged, each
-        block cell repeated) into rows 1.. of one reused buffer whose row 0
-        holds the running sum, and a sum over axis 0 adds the rows one at a
-        time in stem order."""
-        span = tab.span(self.depth)  # the block's refinement; 1 at the shell's depth
+        block cell spread over its refinement) into rows 1.. of one reused
+        buffer whose row 0 holds the running sum, and a sum over axis 0 adds
+        the rows one at a time in stem order."""
         step = max(1, BUDGET // tab.size)
         buf = np.zeros((min(step, len(self.words)) + 1, tab.size))
         for words, profile, block, w in zip(*(_chunks(a, tab.size) for a in (
                 self.words, self.profile, self.block, lam))):
             rows = buf[1:len(w) + 1]
-            _expand(self.ab, tab.depth, words, profile,
-                    block if span == 1 else np.repeat(block, span, axis=1), out=rows)
+            _expand(tab.ab, tab.depth, words, profile, block, out=rows)
             rows *= w[:, None]
             buf[0] = buf[:len(w) + 1].sum(axis=0)
         return buf[0].copy()

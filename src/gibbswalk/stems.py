@@ -142,24 +142,6 @@ class StemTable:
         """Per-stem values as rows, one row per depth-j cylinder (j = 0: one row)."""
         return values.reshape(-1, self.span(j))
 
-    def confluences(self, words: np.ndarray) -> np.ndarray:
-        """(count, size): the confluence length of every stem with each row of a
-        (count, n) letter array of reduced words, clipped at depth.
-
-        The stems extending a row's length-i prefix are one index range, so
-        each prefix code marks its range's ends and one running sum along the
-        stems counts the ranges that hold a stem."""
-        words = np.asarray(words)
-        count, n = words.shape
-        check_dense(count * self.size, f"the depth-{self.depth} confluences of {count} words")
-        marks = np.zeros((count, self.size + 1), dtype=np.int64)
-        rows = np.arange(count)
-        if n:
-            for i, code in enumerate(self.prefix_codes(words[:, :self.depth]), 1):
-                marks[rows, code * self.span(i)] += 1
-                marks[rows, (code + 1) * self.span(i)] -= 1
-        return np.cumsum(marks[:, :-1], axis=1)
-
     def extensions(self, words: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
         """The stems extending each row's first `level` letters (0 <= level <=
         n; 0: every stem), in stem order, for a (count, n) letter array of
@@ -198,6 +180,52 @@ def window_states(ab: Alphabet, letters: np.ndarray) -> np.ndarray:
     if not letters.shape[1]:
         return np.zeros(len(letters), dtype=np.int64)
     return StemTable(ab, letters.shape[1]).indices(letters)
+
+
+def _class_values(ab: Alphabet, words: np.ndarray, values: np.ndarray, c: int) -> np.ndarray:
+    """The class-c profile values of each row, (count, states), as one value
+    per depth-(c + w) cylinder extending the row's first c letters, in stem
+    order, w being the window states' length: a cylinder's state is its
+    letters past c, the first of them the cylinder's branch below letter
+    c - 1.  `words` holds the rows' first c letters or more."""
+    count, states = values.shape
+    if c == 0 or states == 1:
+        return values
+    per = states // ab.n_letters  # states of each first letter
+    j = np.arange(per * (ab.n_letters - 1))
+    first = StemTable(ab, 1).child_letters[words[:, c - 1]][:, j // per]
+    return np.take_along_axis(values, first * per + j % per, axis=1)
+
+
+def _expand(ab: Alphabet | None, depth: int, words: np.ndarray, profile: np.ndarray,
+            block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Dense (count, size) rows of depth-`depth` stems from profile form (see
+    `spikes.SpikeShell`), by nested block writes: class c's values
+    (`_class_values`) on the stems extending the row's first c letters, c =
+    0..L-1, each over the last, then the block on the stems extending its
+    first L letters, each of its values on span(L) / its width stems in a
+    row.  The rows are size-checked before they are allocated, or written
+    into `out` when given.  With no alphabet, L = 0 and the block is the
+    dense rows."""
+    if ab is None:
+        if out is None:
+            return block
+        out[:] = block
+        return out
+    count, level, _ = profile.shape
+    tab = StemTable(ab, depth)
+    if out is None:
+        check_dense(count * tab.size, f"the depth-{depth} rows of {count} words")
+        out = np.empty((count, tab.size))
+    rows = np.arange(count)
+    codes = [np.zeros(count, dtype=np.int64)]
+    if level:
+        codes += tab.prefix_codes(words[:, :level])
+    for c, code in enumerate(codes):
+        vals = _class_values(ab, words, profile[:, c], c) if c < level else block
+        at = rows * (tab.size // tab.span(c)) + code
+        out.reshape(-1, vals.shape[1], tab.span(c) // vals.shape[1])[at] = vals[:, :, None]
+    return out
 
 
 def word_rows(words) -> np.ndarray:

@@ -111,9 +111,16 @@ class TestConfig:
         ({"audits": {"shadow_radius": 0}}, "audits.shadow_radius must be"),
         ({"audits": {"h2_samples": 0}}, "audits.h2_samples must be"),
         ({"audits": {"spike_radius": 2.5}}, "audits.spike_radius must be an integer >= 1, not 2.5"),
+        # before, these failed at the walk stage after the reports were written,
+        # and stabilize 0 passed
+        ({"walk": {"step_cap": 0}}, "walk.step_cap must be an integer >= 1, not 0"),
+        ({"walk": {"step_cap": 2.5}}, "walk.step_cap must be an integer >= 1, not 2.5"),
+        ({"walk": {"stabilize": "x"}}, "walk.stabilize must be an integer >= 1, not 'x'"),
+        ({"walk": {"stabilize": 0}}, "walk.stabilize must be an integer >= 1, not 0"),
     ], ids=["overlapping-keys", "window-length", "target-kind", "rank-1", "n-paths-0",
             "walk-depth-0", "integral-smax-0", "spike-radius-0", "shadow-radius-0",
-            "h2-samples-0", "spike-radius-float"])
+            "h2-samples-0", "spike-radius-float", "step-cap-0", "step-cap-float",
+            "stabilize-str", "stabilize-0"])
     def test_refused_config_is_a_usage_error(self, tmp_path, capsys, section, message):
         # before, each ended in a traceback and left an empty report directory
         path = tmp_path / "cfg.json"
@@ -168,21 +175,22 @@ class TestModules:
         assert proc.returncode == 0, proc.stderr
 
 
-def depth2_config(**audits):
-    """uniform-f2 with a depth-2 potential: 12 window weights from U(0, 0.9), seed 5."""
+def deep_config(m, **audits):
+    """uniform-f2 with a depth-m potential: its window weights from U(0, 0.9), seed 5
+    (12 at m = 2, 36 at m = 3)."""
     cfg = json.loads(json.dumps(PRESETS["uniform-f2"]))
     ab = Alphabet(2)
-    weights = np.random.default_rng(5).uniform(0.0, 0.9, 12)
-    cfg["potential"] = {"depth": 2, "suffix_rule": "average",
-                        "entries": {ab.format_word(w): float(x)
-                                    for w, x in zip(ab.reduced_words(2), weights)}}
+    windows = list(ab.reduced_words(m))
+    weights = np.random.default_rng(5).uniform(0.0, 0.9, len(windows))
+    cfg["potential"] = {"depth": m, "suffix_rule": "average",
+                        "entries": {ab.format_word(w): float(x) for w, x in zip(windows, weights)}}
     cfg["audits"].update(audits)
     return cfg
 
 
 class TestRunner:
     def test_depth2_potential_passes_every_stage(self, tmp_path):
-        cfg = depth2_config(spike_radius=6, h2_samples=50)
+        cfg = deep_config(2, spike_radius=6, h2_samples=50)
         cfg["walk"]["n_paths"] = 2000
         code, summary = run_experiment(cfg, str(tmp_path))
         assert code == 0, summary.get("error")
@@ -190,10 +198,19 @@ class TestRunner:
             assert summary[key]["pass"], key
         assert summary["decompose"]["status"] == "shell_budget"
 
+    def test_depth3_spike_constants_hold_after_the_head(self, tmp_path):
+        # the per-shell maxima grow until shell 7 (12.55) and then hold; a
+        # head window of m + 2 = 5 shells (11.51) refused them as growing
+        cfg = deep_config(3, spike_radius=8)
+        code, summary = run_experiment(cfg, str(tmp_path), stages=("audit-spikes",))
+        assert code == 0, summary.get("error")
+        out = summary["audit_spikes"]
+        assert out["pass"] and out["head_max"] == pytest.approx(12.5454, rel=1e-5)
+
     @pytest.mark.parametrize("name", ["uniform-f2", "depth2"])
     def test_one_shell_build_per_lab(self, tmp_path, monkeypatch, name):
         # the spike sweep and the decomposition read the same untargeted shells
-        cfg = small_config() if name == "uniform-f2" else depth2_config(spike_radius=4)
+        cfg = small_config() if name == "uniform-f2" else deep_config(2, spike_radius=4)
         ab, P, S, F = build_objects(cfg)
         lab = SpikeLab(S, "hausdorff")
         builds, chunks = [], SpikeLab._spike_chunks

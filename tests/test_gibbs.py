@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gibbswalk import gibbs, potentials, stems
+from gibbswalk import cylfun, gibbs, potentials, stems
 from gibbswalk.cylfun import CylinderFunction, translate_rows
 from gibbswalk.gibbs import (
     GibbsStream,
@@ -369,23 +369,27 @@ class TestDenseSizeCheck:
                 read(5)
         assert S._deepest[0] == 4
 
-    def test_confluences_refused_before_allocation(self, monkeypatch):
-        # 8,748 stems at depth 8: the confluences of 4 words fit the patched
-        # budget; those of the 12 words of length 2 (840 kB), read by
-        # rho_phi_rows and translate_rows, are refused before a row exists
+    def test_dense_rows_refused_before_allocation(self, monkeypatch):
+        # 8,748 stems at depth 8: the rows of 4 words fit the patched budget;
+        # those of 12 words (840 kB) are refused before a row exists, by
+        # rho_phi_rows and translate_rows with a profile (L > 0) and dense
+        # (L = 0: q = (), and n < depth(f))
         S = GibbsStream(Potential.zero(AB))
         tab = StemTable(AB, 8)
-        words = word_rows(AB.reduced_words(2))
-        f = CylinderFunction.constant(AB, 1.0).refine(6)
+        words, long = word_rows(AB.reduced_words(2)), word_rows(AB.reduced_words(6))[:12]
+        f = CylinderFunction.constant(AB, 1.0)
         monkeypatch.setattr(stems, "DENSE_BYTES", 8 * 4 * tab.size)
-        assert tab.confluences(words[:4]).shape == (4, tab.size)
-        for read in (tab.confluences, lambda w: S.rho_phi_rows(w, 8),
-                     lambda w: translate_rows(f, w)):
+        assert S.rho_phi_rows(words[:4], 8).shape == (4, tab.size)
+        assert translate_rows(f.refine(6), words[:4]).shape == (4, tab.size)
+        for read in (lambda: S.rho_phi_rows(words, 8),
+                     lambda: S.rho_phi_rows(np.zeros((12, 0), dtype=np.int64), 8),
+                     lambda: translate_rows(f.refine(2), long),
+                     lambda: translate_rows(f.refine(6), words)):
             tracemalloc.start()
             try:
                 with pytest.raises(DenseArrayError,
-                                   match="depth-8 confluences of 12 words would take 839808 bytes"):
-                    read(words)
+                                   match="depth-8 rows of 12 words would take 839808 bytes"):
+                    read()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -407,6 +411,41 @@ class TestDenseSizeCheck:
             tracemalloc.stop()
         assert peak < tab.size, peak
         assert StemTable(AB, 10).letters.shape == (78_732, 10)  # shared tables are not refused
+
+
+class TestOneExpansion:
+    """rho_phi_rows and translate_rows each write their rows by one
+    stems._expand call, from profile form."""
+
+    @staticmethod
+    def _counted(monkeypatch, mod):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[3].shape[1])  # the profile's classes, L
+            return stems._expand(*args, **kwargs)
+
+        monkeypatch.setattr(mod, "_expand", counted)
+        return calls
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_rho_rows(self, m, monkeypatch):
+        S = _deep_stream(2, m, "average")
+        calls = self._counted(monkeypatch, gibbs)
+        for n in range(4):
+            words = word_rows(AB.reduced_words(n))
+            calls.clear()
+            assert S.rho_phi_rows(words, n + m).shape == (len(words), StemTable(AB, n + m).size)
+            assert calls == [n], (m, n)
+
+    def test_translate_rows(self, monkeypatch):
+        f = CylinderFunction.from_table(AB, 2, {(0, 0): 1.25}, 1.0)
+        calls = self._counted(monkeypatch, cylfun)
+        for n in range(5):
+            words = word_rows(AB.reduced_words(n))
+            calls.clear()
+            assert translate_rows(f, words).shape == (len(words), StemTable(AB, n + 2).size)
+            assert calls == [max(0, n - 1)], n
 
 
 class TestRadonNikodymArrays:

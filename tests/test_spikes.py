@@ -614,7 +614,7 @@ def _vstack_combine(shell, lam, tab):
     acc = np.zeros(tab.size)
     for words, profile, block, w in zip(*(spikes._chunks(a, tab.size) for a in (
             shell.words, shell.profile, shell.block, lam))):
-        rows = spikes._expand(shell.ab, shell.depth, words, profile, block)
+        rows = stems._expand(shell.ab, shell.depth, words, profile, block)
         if tab.depth > shell.depth:
             rows = np.repeat(rows, tab.span(shell.depth), axis=1)
         acc = np.vstack([acc, w[:, None] * rows]).sum(axis=0)
@@ -729,7 +729,7 @@ class TestShellBatch:
 
                 def dense_audit(prof):
                     return audit(np.empty((len(chunk), 0, 1)),
-                                 spikes._expand(lab.ab, depth, chunk, prof, block))
+                                 stems._expand(lab.ab, depth, chunk, prof, block))
 
                 assert audits.tobytes() == dense_audit(profile), (name, n)
                 # a profile that holds each row's maximum
