@@ -2,43 +2,18 @@
 
 __version__ = "0.1.0"
 
-from .words import (
-    Alphabet,
-    BoundaryWord,
-    Cylinder,
-    EventuallyPeriodicWord,
-    GeodesicSpec,
-    RandomReducedWord,
-    busemann,
-    gromov_product,
-    quasimetric_pi,
-    ray_word,
-    sh_distance,
-    shadow_cylinder,
-    translate_boundary,
-)
-from .potentials import (
-    HolderCertificate,
-    Potential,
-    comparison_bounds,
-    d_phi,
-    d_phi_ray,
-    flip_and_sym,
-    geodesic_average_audit,
-    holder_certificate,
-    rho_phi,
-)
+from .words import Alphabet, BoundaryWord, EventuallyPeriodicWord, ray_word
+from .potentials import Potential, d_phi
 from .gibbs import (
     GibbsStream,
     critical_exponent,
     hausdorff_stream,
-    normalize,
     rn_holder_audit,
     shadow_integral_audit,
     shadow_lemma_audit,
 )
 from .cylfun import CylinderFunction
-from .spikes import DecayCert, SpikeLab, SpikeRecord, SpikeShell, g_kernel
+from .spikes import DecayCert, SpikeLab, SpikeRecord, SpikeShell
 from .decompose import (
     DecomposerConfig,
     Decomposition,
@@ -56,7 +31,7 @@ from .walk import (
 )
 
 # the plane audits are imported on first use: only validate-h2 reads them
-_HYPERBOLIC = ("comparison_audit", "h2_distance", "holder_chain_audit", "sh_distance_numeric")
+_HYPERBOLIC = ("comparison_audit", "h2_distance", "holder_chain_audit")
 
 
 def __getattr__(name):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stems import StemTable, _expand, check_dense, word_rows
+from .stems import BUDGET, StemTable, _expand, check_dense, word_rows
 from .words import Alphabet, BoundaryWord, Word, inverse_letter
 
 
@@ -202,7 +202,11 @@ def translate_rows(f: CylinderFunction, words: np.ndarray) -> np.ndarray:
     g^{-1}[: n - c] + x[c:].  Where c <= n - d that is g^{-1}[:d], one value
     per row: the profile of classes c < L = max(0, n - d + 1).  The stems
     extending g[:L] are the block, read one by one (`translate_at`); the
-    rows are their expansion (`stems._expand`)."""
+    rows are their expansion (`stems._expand`).
+
+    A stem's gathers take d int64 indices, so the block is built BUDGET of
+    them at a time: max(1, BUDGET // (span(L) * d)) rows a chunk, and a
+    row's stems BUDGET // d at a time."""
     count, n = words.shape
     d = f.depth
     level = max(0, n - d + 1)
@@ -213,10 +217,17 @@ def translate_rows(f: CylinderFunction, words: np.ndarray) -> np.ndarray:
     profile = np.empty((count, level, 1))
     if level:
         profile[:] = f.values[f.table.indices(head)][:, None, None]
-    letters, c = tab.extensions(words, level)
-    block = translate_at(f, np.repeat(head, tab.span(level), axis=0),
-                         letters.reshape(-1, tab.depth), c.ravel(), n)
-    return _expand(f.ab, tab.depth, words, profile, block.reshape(count, -1))
+    span = tab.span(level)
+    block = np.empty((count, span))
+    rows, stems = max(1, BUDGET // (span * d)), max(1, BUDGET // d)
+    for lo in range(0, count, rows):
+        letters, c = tab.extensions(words[lo:lo + rows], level)
+        letters, c, out = letters.reshape(-1, tab.depth), c.ravel(), block[lo:lo + rows].ravel()
+        for at in range(0, len(c), stems):
+            owner = lo + np.arange(at, min(at + stems, len(c))) // span
+            out[at:at + stems] = translate_at(f, head[owner], letters[at:at + stems],
+                                              c[at:at + stems], n)
+    return _expand(f.ab, tab.depth, words, profile, block)
 
 
 def inverse_head(words: np.ndarray, d: int) -> np.ndarray:

@@ -239,19 +239,6 @@ def decompose(F: CylinderFunction, S: GibbsStream, cfg: DecomposerConfig,
     )
 
 
-def recompute_residual_l1(dec: Decomposition, lab: SpikeLab | None = None) -> float:
-    """Rebuild F - sum(weight * f_g) from scratch and return its L1 norm."""
-    S = dec.stream
-    if lab is None:
-        lab = SpikeLab(S, nu_id=dec.cert.nu_id)
-    F_const = float(dec.target.values.max()) == float(dec.target.values.min())
-    total = dec.target
-    for g, w in sorted(dec.entries.items()):
-        rec = lab.unit_spike(g, None if F_const else dec.target)
-        total = total - w * rec.h
-    return total.l1(S.mass_array(total.depth))
-
-
 def moment_sum(dec: Decomposition) -> float:
     """Weighted first moment sum(weight * |f|_1 * s) of the decomposition."""
     return sum(w * dec.spike_l1[g] * len(g) for g, w in dec.entries.items())

@@ -4,8 +4,8 @@ The weighted Poincare series over the free group factors through the
 no-backtrack window graph, so the critical exponent is the log spectral
 radius of the transfer matrix and the boundary measure is an explicit
 stationary Markov measure built from the Perron data.  All cylinder masses
-are exact (up to float rounding); the weak-limit construction survives as a
-truncated-series oracle for tests.
+are exact (up to float rounding); the weak-limit construction, a truncated
+Poincare series, is a test oracle.
 """
 
 from __future__ import annotations
@@ -17,17 +17,12 @@ from functools import cached_property
 import numpy as np
 
 from .cylfun import CylinderFunction
-from .potentials import (Potential, d_phi, rho_phi, window_graph, window_prefix_sums, window_sums,
+# d_phi stays a module attribute here, though nothing below calls it: tracing
+# wraps it by this name
+from .potentials import (Potential, d_phi, window_graph, window_prefix_sums, window_sums,
                          window_walk)
 from .stems import StemTable, _class_values, _expand, check_dense, window_state_count, word_rows
-from .words import (
-    Alphabet,
-    BoundaryWord,
-    Cylinder,
-    Word,
-    cylinder_at_origin,
-    inverse_letter,
-)
+from .words import Alphabet, Word, inverse_letter
 
 PERRON_TOL = 1e-14
 
@@ -98,24 +93,6 @@ def shell_sums_log(P: Potential, n_max: int) -> np.ndarray:
 def shell_slope(P: Potential, n0: int, n1: int) -> float:
     logs = shell_sums_log(P, n1)
     return (logs[n1 - 1] - logs[n0 - 1]) / (n1 - n0)
-
-
-def poincare_series(P: Potential, lam: float, n_max: int, patterson_a: float = 0.0) -> float:
-    """Truncated weighted Poincare series, optionally with the polynomial
-    Patterson factor (1 + x)^a on each term (default off)."""
-    logs = shell_sums_log(P, n_max)
-    total = math.exp(-0.0)  # the identity term
-    for n in range(1, n_max + 1):
-        term = math.exp(logs[n - 1] - lam * n)
-        if patterson_a:
-            term *= (1.0 + n) ** patterson_a
-        total += term
-    return total
-
-
-def normalize(P: Potential) -> Potential:
-    """Shift the table so the critical exponent vanishes (Gibbs data unchanged)."""
-    return P.shifted(critical_exponent(P))
 
 
 # --------------------------------------------------------------------------
@@ -259,33 +236,6 @@ class GibbsStream:
             table[ok] = window_walk(self.potential, words[ok])[1]
             out.append(table.reshape(len(heads), len(states)))
         return tuple(out)
-
-    def rn_derivative(self, p: Word, q: Word, xi: BoundaryWord) -> float:
-        """d mu_q / d mu_p at xi: exp(-rho^Phi_xi(p, q)) for the normalized table."""
-        return math.exp(-rho_phi(self.potential, xi, tuple(p), tuple(q)))
-
-    def measure_from(self, q: Word, cylinders: list[Cylinder]) -> float:
-        """mu_q of a disjoint union of based cylinders, by exact RN integration."""
-        q = tuple(q)
-        total = 0.0
-        for c in cylinders:
-            for oc in cylinder_at_origin(self.ab, c):
-                depth = max(len(oc.stem), len(q) + self.depth_m)
-                tab = StemTable(self.ab, depth)
-                lo, hi = tab.prefix_range(tuple(oc.stem))
-                rho = self.rho_phi_array(q, depth)[lo:hi]
-                total += float(np.exp(-rho) @ self.mass_array(depth)[lo:hi])
-        return total
-
-    def cylinder_mass(self, q: Word, c: Cylinder) -> float:
-        """Mass of the cylinder as seen from q (probability only at the base point e)."""
-        q = tuple(q)
-        if not q:
-            return sum(self.cylinder_mass_of_stem(oc.stem) for oc in cylinder_at_origin(self.ab, c))
-        return self.measure_from(q, [c])
-
-    def total_mass_from(self, q: Word) -> float:
-        return self.measure_from(q, [Cylinder((s,)) for s in self.ab.letters])
 
     def stem_masses(self, letters: np.ndarray) -> np.ndarray:
         """`cylinder_mass_of_stem` of each row of a (count, n) letter array,

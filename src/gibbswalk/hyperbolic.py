@@ -136,14 +136,6 @@ def busemann_h2(n: np.ndarray, p: np.ndarray, q: np.ndarray):
     return np.log(minkowski_dot(q, n) / minkowski_dot(p, n))
 
 
-def gromov_ideal(n1: np.ndarray, n2: np.ndarray, p: np.ndarray) -> float:
-    """Gromov product at p of two ideal points given by null vectors."""
-    a = minkowski_dot(n1, n2)
-    b1 = -minkowski_dot(n1, p)
-    b2 = -minkowski_dot(n2, p)
-    return float(-0.5 * math.log(-a / (2.0 * b1 * b2)))
-
-
 def _profile_coeffs(g1: H2Geodesic, g2: H2Geodesic, forward_asymptotic: bool = False):
     """(A, B, C) of the stable closed form of t -> d(g1(t), g2(t)),
 
@@ -172,43 +164,6 @@ def _cosh_profile(coeffs, t):
     """cosh d(t) from `_profile_coeffs`; the coefficients broadcast against t."""
     A, B, C = coeffs
     return A * np.exp(2.0 * t) + B + C * np.exp(-2.0 * t)
-
-
-def separation_profile(g1: H2Geodesic, g2: H2Geodesic):
-    """Stable closed form of t -> d(g1(t), g2(t)); see `_profile_coeffs`."""
-    coeffs = _profile_coeffs(g1, g2)
-
-    def sep(t):
-        return np.arccosh(np.maximum(_cosh_profile(coeffs, np.asarray(t, dtype=float)), 1.0))
-
-    return sep
-
-
-def sh_distance_numeric(g1: H2Geodesic, g2: H2Geodesic, window: float = 40.0,
-                        tol: float = 1e-9) -> float:
-    """(1/2) * integral d(g1(t), g2(t)) e^{-|t|} dt by adaptive quadrature.
-
-    The tail beyond the window is controlled analytically by
-    d(t) <= 2|t| + d(g1(0), g2(0)); window 40 keeps it below 1e-15.
-    """
-    from scipy.integrate import quad  # this check's only reader; not loaded on import
-
-    if window < 40:
-        raise ValueError("window must be >= 40 for the certified tail")
-    d0 = h2_distance(g1.p, g2.p)
-    tail = (2.0 * window + 2.0 + d0) * math.exp(-window)
-    if tail > tol:
-        raise QuadratureError("tail bound exceeds the requested tolerance")
-    sep = separation_profile(g1, g2)
-
-    def integrand(t):
-        return float(sep(t)) * math.exp(-abs(t))
-
-    left, el = quad(integrand, -window, 0.0, limit=300, epsabs=tol / 4, epsrel=1e-12)
-    right, er = quad(integrand, 0.0, window, limit=300, epsabs=tol / 4, epsrel=1e-12)
-    if el + er > tol:
-        raise QuadratureError("quadrature error estimate exceeds tolerance")
-    return 0.5 * (left + right)
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .stems import StemTable
-from .words import Alphabet, BoundaryWord, Word, inverse_letter
+from .words import Alphabet, Word, inverse_letter
 
 SUFFIX_RULES = ("average", "extend")
 
@@ -146,10 +146,6 @@ def sym_potential(P: Potential) -> Potential:
                      P.suffix_rule)
 
 
-def flip_and_sym(P: Potential) -> tuple[Potential, Potential]:
-    return flip_potential(P), sym_potential(P)
-
-
 # --------------------------------------------------------------------------
 # Weighted lengths.
 
@@ -235,108 +231,8 @@ def window_sums(P: Potential, letters: np.ndarray) -> np.ndarray:
     return acc
 
 
-def d_phi_ray(P: Potential, ray: BoundaryWord, a: float, b: float) -> float:
-    """Weighted length along a ray between real parameters 0 <= a <= b.
-
-    The integrand is constant on unit edges; fractional endpoints contribute
-    proportionally.  Windows use the ray's genuine continuation, never the
-    suffix rule.
-    """
-    if a > b:
-        raise ValueError("need a <= b")
-    if a < 0:
-        raise ValueError("ray parameters must be nonnegative")
-    m = P.depth
-    total = 0.0
-    i = math.floor(a)
-    while i < b:
-        lo = max(a, i)
-        hi = min(b, i + 1)
-        if hi > lo:
-            win = tuple(ray.letter(i + j) for j in range(m))
-            total += (hi - lo) * P.table[win]
-        i += 1
-    return total
-
-
-def rho_phi(P: Potential, xi: BoundaryWord, p: Word, q: Word) -> float:
-    """Weighted Busemann cocycle: lim_{z -> xi} d_phi(q, z) - d_phi(p, z).
-
-    Stabilizes once z passes the branch vertices plus m letters; the dangling
-    suffix-rule windows are shared by both terms and cancel, so the value is
-    convention-free and satisfies the cocycle identity exactly.
-    """
-    n0 = len(p) + len(q) + P.depth + 2
-    prev = None
-    for n in (n0, n0 + 1):
-        z = xi.prefix(n)
-        val = d_phi(P, p, z) - d_phi(P, q, z)
-        if prev is not None and abs(val - prev) > 1e-9 * (1 + abs(val)):  # pragma: no cover
-            raise AssertionError("weighted Busemann limit failed to stabilize")
-        prev = val
-    # lim d(q,z) - d(p,z): note the sign order of the definition
-    return -prev
-
-
 # --------------------------------------------------------------------------
-# Holder certificates and the comparison bounds.
-
-
-@dataclass(frozen=True)
-class HolderCertificate:
-    """|Phi(g1) - Phi(g2)| <= K * dist(g1,g2)^beta for synchronized pairs."""
-
-    K: float
-    beta: float
-    L: float
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if self.K < 0 or self.L < 0 or not 0 < self.beta <= 1:
-            raise ValueError("invalid certificate constants")
-
-
-def holder_certificate(P: Potential) -> HolderCertificate:
-    """Certified global Holder data for a depth-m table.
-
-    Two geodesics through a common point whose windows differ at time s have
-    forward confluence c+ <= s + m, hence dist(g^s g1, g^s g2) >= e^{-m}; the
-    value gap is at most the table oscillation, giving K = osc * e^m with
-    exponent 1.  L is the sup norm of the table.
-    """
-    K = P.oscillation * math.exp(P.depth)
-    return HolderCertificate(K=K, beta=1.0, L=P.sup_abs)
-
-
-def comparison_bounds(cert: HolderCertificate, r: float) -> tuple[float, float]:
-    """The two closed-form comparison bounds for weighted lengths.
-
-    D_hat(r) bounds the defect between weighted lengths of same-base geodesics
-    with r-close endpoints; D(r) = 2*D_hat(2r) + 2*L*r allows both endpoints
-    and base points to move by r.  Monotone nondecreasing in r.
-    """
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    L = max(cert.L, cert.K)
-    d_hat = L * (5.0 / cert.beta + r ** (1.0 + cert.beta))
-    d_hat_2r = L * (5.0 / cert.beta + (2.0 * r) ** (1.0 + cert.beta))
-    return d_hat, 2.0 * d_hat_2r + 2.0 * L * r
-
-
-# --------------------------------------------------------------------------
-# Geodesic averages: exhaustive over the window Markov chain.
-
-
-@dataclass(frozen=True)
-class AverageAudit:
-    eps: float
-    T: float | None
-    min_cycle_mean: float
-    witness: Word | None  # periodic word of a cycle with mean < eps, if any
-
-    @property
-    def ok(self) -> bool:
-        return self.T is not None
+# The window chain and its minimum cycle mean.
 
 
 def window_graph(P: Potential) -> _WindowGraph:
@@ -382,26 +278,3 @@ def min_cycle_mean(P: Potential) -> tuple[float, Word]:
         seen[v] = pos
     witness = tuple(states[v][0] for v in cycle) if cycle else ()
     return float(best), witness
-
-
-def geodesic_average_audit(P: Potential, p: Word, eps: float, max_len: int) -> AverageAudit:
-    """Least T with weighted length >= s*eps - T along every ray to depth max_len.
-
-    Rays correspond to walks on the finitely many m-window states, so the
-    minimum growth profile is an exact dynamic program.  If some cycle has
-    mean below eps no finite T can work; the witness ray is that cycle.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    mean, cyc = min_cycle_mean(P)
-    if mean < eps - 1e-12:
-        return AverageAudit(eps=eps, T=None, min_cycle_mean=mean, witness=cyc)
-    _, succ, wts, _ = window_graph(P)
-    cur = wts.copy()
-    t_needed = max(0.0, eps - float(wts.min()))  # s = 1 handled, s = 0 gives 0
-    for s in range(2, max_len + 1):
-        nxt = np.full_like(cur, math.inf)
-        np.minimum.at(nxt, succ, cur[:, None] + wts[succ])
-        cur = nxt
-        t_needed = max(t_needed, s * eps - float(cur.min()))
-    return AverageAudit(eps=eps, T=t_needed, min_cycle_mean=mean, witness=None)

@@ -20,10 +20,10 @@ import numpy as np
 from .cylfun import (CylinderFunction, block_extrema, holder_rows, inverse_head, scale_depth,
                      translate_at, translate_function)
 from .gibbs import GibbsStream, critical_exponent, hausdorff_stream
-from .potentials import Potential, d_phi_ray, min_cycle_mean, sym_potential, window_graph
-from .stems import (StemTable, _class_values, _expand, check_dense, window_state_count,
+from .potentials import Potential, min_cycle_mean, sym_potential, window_graph
+from .stems import (BUDGET, StemTable, _class_values, _expand, check_dense, window_state_count,
                     window_states, word_rows)
-from .words import Alphabet, BoundaryWord, Word, gromov_product, ray_word
+from .words import Alphabet, BoundaryWord, Word, ray_word
 
 
 # the audited grid of the decay certificate: ball radii (ascending), kernel
@@ -31,11 +31,6 @@ from .words import Alphabet, BoundaryWord, Word, gromov_product, ray_word
 R_GRID = (0.0, math.e ** -4, math.e ** -3, math.e ** -2, math.e ** -1, 1.0)
 S_GRID = tuple(range(13)) + (2.5,)
 X_DEPTH = 3
-
-
-# A shell's spikes are built and audited this many cells (floats per row
-# times rows) at a time: max(1, BUDGET // cells) rows a chunk.
-BUDGET = 1 << 16
 
 
 class CertificationError(RuntimeError):
@@ -48,15 +43,6 @@ class CertificationError(RuntimeError):
 
 class NotASpikeError(RuntimeError):
     pass
-
-
-def g_kernel(S: GibbsStream, x: BoundaryWord, y: BoundaryWord, s: float) -> float:
-    """Kernel value: exp(-2 * weighted length along the ray to y from the
-    confluence with x up to time s); 1 when s is before the confluence."""
-    c = gromov_product(S.ab, x, y)
-    if s < c:
-        return 1.0
-    return math.exp(-2.0 * d_phi_ray(S.potential, y, c, s))
 
 
 @dataclass(frozen=True)
@@ -559,22 +545,16 @@ class SpikeShell:
     with its centre g is c < L, L = profile.shape[1], and whose window state
     (their m - 1 letters past c, `stems.window_states`) is s; NaN entries
     hold no stem.  It takes the values block[i] on the span(L) stems
-    extending g[:L], in stem order.  L = 0 is the dense row, and the
-    default: `SpikeShell(words, depth, values, C)`.
+    extending g[:L], in stem order.  L = 0 is the dense row: a (G, 0, 1)
+    profile with the rows as the block.
     """
 
     words: np.ndarray   # (G, n) centre letters
     depth: int
     block: np.ndarray   # (G, span(L)) spike values on the stems extending g[:L]
     C: np.ndarray       # (G,) minimal spike constants
-    profile: np.ndarray | None = None  # (G, L, states) per confluence class c < L and state
-    ab: Alphabet | None = None         # needed when L > 0
-
-    def __post_init__(self):
-        if self.profile is None:
-            object.__setattr__(self, "profile", np.empty((len(self.words), 0, 1)))
-        if self.profile.shape[1] and self.ab is None:
-            raise ValueError("a profile needs the alphabet of its stems")
+    profile: np.ndarray  # (G, L, states) per confluence class c < L and state
+    ab: Alphabet
 
     @property
     def values(self) -> np.ndarray:

@@ -25,6 +25,11 @@ SHARED_LETTERS_BYTES = 1 << 20
 # allocated.  Rank 2 at depth 13 is 17 MB; rank 3 at depth 12 would be 2.3 GB.
 DENSE_BYTES = 1 << 27
 
+# Rows of dense work (a shell's spikes, a translate block's gathers) are
+# built this many cells (floats per row times rows) at a time: max(1,
+# BUDGET // cells) rows a chunk.
+BUDGET = 1 << 16
+
 
 class DenseArrayError(ValueError):
     """A dense array would exceed DENSE_BYTES; the message names it and its bytes."""
@@ -197,7 +202,7 @@ def _class_values(ab: Alphabet, words: np.ndarray, values: np.ndarray, c: int) -
     return np.take_along_axis(values, first * per + j % per, axis=1)
 
 
-def _expand(ab: Alphabet | None, depth: int, words: np.ndarray, profile: np.ndarray,
+def _expand(ab: Alphabet, depth: int, words: np.ndarray, profile: np.ndarray,
             block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Dense (count, size) rows of depth-`depth` stems from profile form (see
     `spikes.SpikeShell`), by nested block writes: class c's values
@@ -205,13 +210,7 @@ def _expand(ab: Alphabet | None, depth: int, words: np.ndarray, profile: np.ndar
     0..L-1, each over the last, then the block on the stems extending its
     first L letters, each of its values on span(L) / its width stems in a
     row.  The rows are size-checked before they are allocated, or written
-    into `out` when given.  With no alphabet, L = 0 and the block is the
-    dense rows."""
-    if ab is None:
-        if out is None:
-            return block
-        out[:] = block
-        return out
+    into `out` when given."""
     count, level, _ = profile.shape
     tab = StemTable(ab, depth)
     if out is None:

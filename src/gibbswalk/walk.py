@@ -175,18 +175,6 @@ def walk_statistics(mu: WalkMeasure) -> WalkStats:
     return WalkStats(first_moment=first, log_moment=logm, entropy=ent, superexponential=flag)
 
 
-def entropy_decomposition(mu: WalkMeasure, dphi: dict) -> tuple[float, float, float]:
-    """Entropy split -sum mu log mu = sum mu d_phi - sum lam e^{-d_phi} log lam
-    with lam(g) = mu(g) e^{d_phi(g)}; returns (entropy, moment_term, lambda_term)."""
-    ent = mom = lamterm = 0.0
-    for g, m in mu.masses.items():
-        ent += -m * math.log(m)
-        lam = m * math.exp(dphi[g])
-        mom += m * dphi[g]
-        lamterm += -lam * math.exp(-dphi[g]) * math.log(lam)
-    return ent, mom, lamterm
-
-
 def nondegenerate_support(mu: WalkMeasure) -> bool:
     """Support generates a nonelementary subgroup: two non-commuting elements."""
     gs = [g for g in mu.masses if g]

@@ -13,7 +13,6 @@ from gibbswalk.decompose import (
     decompose,
     moment_majorant,
     moment_sum,
-    recompute_residual_l1,
     stage_moments,
     subfunction_step,
 )
@@ -21,6 +20,7 @@ from gibbswalk import spikes as spikes_mod
 from gibbswalk.spikes import DecayCert, SpikeLab, SpikeShell
 from gibbswalk.stems import StemTable
 from gibbswalk.words import Alphabet
+from oracles import recompute_residual_l1
 
 AB = Alphabet(2)
 
@@ -35,7 +35,7 @@ def flat_shell(n=0, C=1.0):
     words = StemTable(AB, n).letters.astype(np.int64) if n else np.zeros((1, 0), dtype=np.int64)
     depth = max(n, 1)
     return SpikeShell(words, depth, np.ones((len(words), StemTable(AB, depth).size)),
-                      np.full(len(words), C))
+                      np.full(len(words), C), np.empty((len(words), 0, 1)), AB)
 
 
 class TestSubfunctionStep:
@@ -78,7 +78,8 @@ class TestSubfunctionStep:
             subfunction_step(R, flat_shell(), unit_cert(), cfg, eps=0.1)
         with pytest.raises(HypothesisError, match="constant"):
             subfunction_step(R, flat_shell(C=5.0), unit_cert(), cfg, eps=1.0)
-        empty = SpikeShell(np.zeros((0, 0), dtype=np.int64), 1, np.ones((0, 4)), np.zeros(0))
+        empty = SpikeShell(np.zeros((0, 0), dtype=np.int64), 1, np.ones((0, 4)), np.zeros(0),
+                           np.empty((0, 0, 1)), AB)
         with pytest.raises(HypothesisError, match="no spikes"):
             subfunction_step(R, empty, unit_cert(), cfg, eps=1.0)
 

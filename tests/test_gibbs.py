@@ -13,8 +13,6 @@ from gibbswalk.gibbs import (
     GibbsStream,
     UnsupportedRankError,
     critical_exponent,
-    normalize,
-    poincare_series,
     rn_holder_audit,
     rn_holder_sweep,
     shadow_integral_audit,
@@ -25,12 +23,16 @@ from gibbswalk.gibbs import (
 )
 from gibbswalk.potentials import Potential, d_phi, flip_potential, sym_potential, window_graph
 from gibbswalk.stems import DenseArrayError, StemTable, check_dense, word_rows
-from gibbswalk.words import (
-    Alphabet,
+from gibbswalk.words import Alphabet, inverse_letter, ray_word
+from oracles import (
     Cylinder,
     RandomReducedWord,
-    inverse_letter,
-    ray_word,
+    cylinder_mass,
+    measure_from,
+    normalize,
+    poincare_series,
+    rn_derivative,
+    total_mass_from,
     translate_cylinder,
 )
 
@@ -232,7 +234,7 @@ class TestCylinderMasses:
                 w = rand_word(rng, rng.randrange(1, 6))
                 lo, hi = tab.prefix_range(w)
                 oracle = wts[lo:hi].sum() / total
-                assert abs(oracle - S.cylinder_mass((), Cylinder(w))) <= tol
+                assert abs(oracle - cylinder_mass(S, (), Cylinder(w))) <= tol
 
     def test_only_the_deepest_layers_are_held(self):
         # after mass_array(10) a stream holds the depth-10 masses and the
@@ -278,26 +280,26 @@ class TestCylinderMasses:
 
     def test_mass_from_other_point(self, uniform_stream):
         # mu_a of the full boundary: 3 * 1/4 + (1/3) * 3/4 = 1
-        assert uniform_stream.total_mass_from((0,)) == pytest.approx(1.0, abs=1e-12)
+        assert total_mass_from(uniform_stream, (0,)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestRadonNikodym:
     def test_uniform_values(self, uniform_stream):
         S = uniform_stream
-        assert S.rn_derivative((), (0,), ray_word(AB, (0,))) == pytest.approx(3.0, abs=1e-12)
-        assert S.rn_derivative((), (0,), ray_word(AB, (2,))) == pytest.approx(1.0 / 3, abs=1e-12)
+        assert rn_derivative(S, (), (0,), ray_word(AB, (0,))) == pytest.approx(3.0, abs=1e-12)
+        assert rn_derivative(S, (), (0,), ray_word(AB, (2,))) == pytest.approx(1.0 / 3, abs=1e-12)
 
     def test_integral_consistency(self, uniform_stream):
         assert 3 * 0.25 + (1 / 3) * 0.75 == pytest.approx(1.0)
-        assert uniform_stream.total_mass_from((0,)) == pytest.approx(1.0, abs=1e-10)
+        assert total_mass_from(uniform_stream, (0,)) == pytest.approx(1.0, abs=1e-10)
 
     def test_chain_rule(self, random_stream):
         rng = random.Random(5)
         for _ in range(300):
             xi = RandomReducedWord(AB, rng.randrange(10**6))
             p, q, r = (rand_word(rng, rng.randrange(4)) for _ in range(3))
-            lhs = random_stream.rn_derivative(p, q, xi) * random_stream.rn_derivative(q, r, xi)
-            assert lhs == pytest.approx(random_stream.rn_derivative(p, r, xi), rel=1e-12)
+            lhs = rn_derivative(random_stream, p, q, xi) * rn_derivative(random_stream, q, r, xi)
+            assert lhs == pytest.approx(rn_derivative(random_stream, p, r, xi), rel=1e-12)
 
     def test_equivariance(self, random_stream):
         rng = random.Random(6)
@@ -305,8 +307,8 @@ class TestRadonNikodym:
             g = rand_word(rng, rng.randrange(1, 4))
             w = rand_word(rng, rng.randrange(1, 4))
             c = Cylinder(w)
-            lhs = random_stream.measure_from(g, [translate_cylinder(AB, g, c)])
-            rhs = random_stream.cylinder_mass((), c)
+            lhs = measure_from(random_stream, g, [translate_cylinder(AB, g, c)])
+            rhs = cylinder_mass(random_stream, (), c)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15)
 
 
@@ -373,11 +375,24 @@ class TestDenseSizeCheck:
         # 8,748 stems at depth 8: the rows of 4 words fit the patched budget;
         # those of 12 words (840 kB) are refused before a row exists, by
         # rho_phi_rows and translate_rows with a profile (L > 0) and dense
-        # (L = 0: q = (), and n < depth(f))
+        # (L = 0: q = (), and n < depth(f)).  Under the default budget the
+        # same 12 words against a depth-6 and a depth-8 f are accepted: every
+        # stem is then in the block, whose gathers are built BUDGET cells at
+        # a time (built at once they peaked at 21 and 26 times the rows)
         S = GibbsStream(Potential.zero(AB))
         tab = StemTable(AB, 8)
         words, long = word_rows(AB.reduced_words(2)), word_rows(AB.reduced_words(6))[:12]
         f = CylinderFunction.constant(AB, 1.0)
+        for d in (6, 8):
+            deep = f.refine(d)
+            tracemalloc.start()
+            try:
+                rows = translate_rows(deep, words)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rows.shape == (12, StemTable(AB, d + 2).size)
+            assert peak < 3.5 * rows.nbytes, (d, peak)
         monkeypatch.setattr(stems, "DENSE_BYTES", 8 * 4 * tab.size)
         assert S.rho_phi_rows(words[:4], 8).shape == (4, tab.size)
         assert translate_rows(f.refine(6), words[:4]).shape == (4, tab.size)
@@ -500,7 +515,8 @@ class TestRadonNikodymArrays:
         def refuse(*args):
             raise AssertionError("per-word d_phi call")
 
-        monkeypatch.setattr(gibbs, "d_phi", refuse)
+        for mod in (gibbs, potentials):
+            monkeypatch.setattr(mod, "d_phi", refuse)
         for P, ref in zip(potentials_, refs):
             assert shell_sums_log(P, m + 1)[: m - 1].tolist() == ref
 

@@ -7,27 +7,18 @@ import numpy as np
 import pytest
 
 from gibbswalk.cylfun import CylinderFunction, translate_function
-from gibbswalk.potentials import (
+from gibbswalk.potentials import Potential, d_phi, flip_potential, min_cycle_mean, sym_potential
+from gibbswalk.stems import StemTable
+from gibbswalk.words import Alphabet, inverse_letter, ray_word
+from oracles import (
+    GeodesicSpec,
     HolderCertificate,
-    Potential,
+    RandomReducedWord,
     comparison_bounds,
-    d_phi,
     d_phi_ray,
-    flip_and_sym,
-    flip_potential,
     geodesic_average_audit,
     holder_certificate,
-    min_cycle_mean,
     rho_phi,
-    sym_potential,
-)
-from gibbswalk.stems import StemTable
-from gibbswalk.words import (
-    Alphabet,
-    GeodesicSpec,
-    RandomReducedWord,
-    inverse_letter,
-    ray_word,
     sh_distance,
 )
 
@@ -147,7 +138,7 @@ class TestRhoPhi:
         for _ in range(200):
             xi = RandomReducedWord(AB, rng.randrange(10**6))
             p, q = rand_word(rng, rng.randrange(5)), rand_word(rng, rng.randrange(5))
-            from gibbswalk.words import gromov_product
+            from oracles import gromov_product
 
             m_depth = gromov_product(AB, q, xi, p)  # d(p, median)
             ray_pq = AB.mul(AB.inv(p), q)
@@ -159,12 +150,12 @@ class TestRhoPhi:
 class TestFlipSym:
     def test_symmetric_fixed_point(self):
         P = Potential(AB, 1, {(0,): 1.0, (1,): 1.0, (2,): 2.0, (3,): 2.0})
-        Pf, Ps = flip_and_sym(P)
+        Pf, Ps = flip_potential(P), sym_potential(P)
         assert Pf.table == P.table and Ps.table == P.table
 
     def test_flip_table(self):
         P = Potential(AB, 1, {(0,): 1.0, (1,): 3.0, (2,): 0.0, (3,): 0.0})
-        Pf, Ps = flip_and_sym(P)
+        Pf, Ps = flip_potential(P), sym_potential(P)
         assert Pf.table[(0,)] == 3.0 and Pf.table[(1,)] == 1.0
         assert Ps.table[(0,)] == 2.0 and Ps.table[(1,)] == 2.0
 
@@ -377,7 +368,7 @@ class TestHolderCalculus:
         # pointwise: D_r (F o H)(x) <= D_{r lip} F(H x) * lip^a
         deep = FH.depth
         tabd = StemTable(AB, deep)
-        from gibbswalk.words import translate_boundary
+        from oracles import translate_boundary
 
         for idx in range(0, tabd.size, 37):
             stem = tabd.stem_of(idx)

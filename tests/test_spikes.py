@@ -12,7 +12,7 @@ from gibbswalk import cli, cylfun, gibbs, potentials, spikes, stems
 from gibbswalk.cylfun import CylinderFunction, scale_depth
 from gibbswalk.decompose import SWEEP_RADIUS, DecomposerConfig, decompose
 from gibbswalk.gibbs import GibbsStream
-from gibbswalk.potentials import Potential, d_phi_ray, sym_potential, window_sums
+from gibbswalk.potentials import Potential, sym_potential, window_sums
 from gibbswalk.spikes import (
     S_GRID,
     R_GRID,
@@ -21,16 +21,10 @@ from gibbswalk.spikes import (
     SpikeLab,
     SpikeRecord,
     _KernelIntegrator,
-    g_kernel,
 )
 from gibbswalk.stems import DenseArrayError, StemTable, window_state_count, window_states
-from gibbswalk.words import (
-    Alphabet,
-    EventuallyPeriodicWord,
-    gromov_product,
-    inverse_letter,
-    ray_word,
-)
+from gibbswalk.words import Alphabet, EventuallyPeriodicWord, inverse_letter, ray_word
+from oracles import d_phi_ray, g_kernel, gromov_product
 
 AB = Alphabet(2)
 
@@ -365,8 +359,7 @@ class TestUnitSpikes:
     def test_translation_invariance_of_rho(self, random_stream):
         # the invariance behind base-point relabeling of spike records
         rng = random.Random(9)
-        from gibbswalk.potentials import rho_phi
-        from gibbswalk.words import translate_boundary, RandomReducedWord
+        from oracles import RandomReducedWord, rho_phi, translate_boundary
 
         P = random_stream.potential
         for _ in range(50):

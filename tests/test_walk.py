@@ -28,7 +28,6 @@ from gibbswalk.walk import (
     chi2_compatibility,
     chi2_sf,
     convolved_density_masses,
-    entropy_decomposition,
     nondegenerate_support,
     simulate_hitting,
     stationarity_error,
@@ -36,6 +35,7 @@ from gibbswalk.walk import (
     _uniform_rows,
 )
 from gibbswalk.words import Alphabet, _translate_stem_set
+from oracles import entropy_decomposition
 
 AB = Alphabet(2)
 

@@ -15,18 +15,20 @@ from gibbswalk.stems import StemTable
 from gibbswalk.words import (
     Alphabet,
     BoundaryError,
-    Cylinder,
     EventuallyPeriodicWord,
+    WordError,
+    inverse_letter,
+    ray_word,
+)
+from oracles import (
+    Cylinder,
     GeodesicSpec,
     RandomReducedWord,
-    WordError,
     busemann,
     cylinder_at_origin,
     geodesic_point_distance,
     gromov_product,
-    inverse_letter,
     quasimetric_pi,
-    ray_word,
     sh_distance,
     shadow_cylinder,
     translate_boundary,
