@@ -241,7 +241,7 @@ def run_spikes(cfg, ab, S, lab: SpikeLab, rep: Reporter) -> dict:
     rows = []
     per_depth: dict[int, float] = {}
     for n in range(1, radius + 1):
-        for g, audr in zip(ab.reduced_words(n), lab.shell_audits(n)):
+        for g, audr in zip(StemTable(ab, n).stems(), lab.shell_audits(n)):
             rows.append((ab.format_word(g), n, audr.c1, audr.c2, audr.c3,
                          audr.c_holder, audr.minimal_c))
             per_depth[n] = max(per_depth.get(n, 0.0), audr.minimal_c)

@@ -189,8 +189,7 @@ def decompose(F: CylinderFunction, S: GibbsStream, cfg: DecomposerConfig,
     status = "stage_cap"
     needed_shell = None
     for n in range(cfg.stage_cap):
-        l1 = R.l1(mass(R.depth))
-        if l1 <= cfg.target_l1:
+        if prev_l1 <= cfg.target_l1:
             status = "target"
             break
         t_inf = R.sup / R.inf

@@ -21,7 +21,8 @@ from .cylfun import CylinderFunction
 # wraps it by this name
 from .potentials import (Potential, d_phi, window_graph, window_prefix_sums, window_sums,
                          window_walk)
-from .stems import StemTable, _class_values, _expand, check_dense, window_state_count, word_rows
+from .stems import (StemTable, _class_values, _expand, check_dense, stem_row, window_state_count,
+                    word_rows)
 from .words import Alphabet, Word, inverse_letter
 
 PERRON_TOL = 1e-14
@@ -247,21 +248,8 @@ class GibbsStream:
         return np.exp(-ws) * self.h_right[state] / self._Z
 
     def cylinder_mass_of_stem(self, stem: Word) -> float:
-        """Mass of one origin cylinder: e^{-sum phi} h[last window] / Z along its windows."""
-        stem = tuple(stem)
-        m = self.depth_m
-        if len(stem) < m:
-            return float(self.mass_array(len(stem))[StemTable(self.ab, len(stem)).index_of(stem)])
-        nxt, wts = self.potential._next_state, window_graph(self.potential).weights
-        st = self._tab_m.index_of(stem[:m])
-        ws = wts[st]
-        B = self.ab.n_letters
-        for t in stem[m:]:  # summed letter by letter, as in _layers
-            st = nxt[st * B + t] if 0 <= t < B else -1
-            if st < 0:
-                raise ValueError("stem is not a reduced word")
-            ws = ws + wts[st]
-        return float(np.exp(-ws) * self.h_right[st] / self._Z)
+        """Mass of one origin cylinder: a one-row `stem_masses`."""
+        return float(self.stem_masses(stem_row(self.ab, stem))[0])
 
 
 def hausdorff_stream(ab: Alphabet, depth: int = 1) -> GibbsStream:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .stems import StemTable
+from .stems import StemTable, stem_row, word_rows
 from .words import Alphabet, Word, inverse_letter
 
 SUFFIX_RULES = ("average", "extend")
@@ -53,13 +53,6 @@ class Potential:
         return Potential(self.ab, self.depth, {w: v + c for w, v in self.table.items()},
                          self.suffix_rule)
 
-    def window(self, w: Word) -> float:
-        """Value of a (possibly short, nonempty) window; short ones by the suffix rule."""
-        w = tuple(w)
-        if len(w) >= self.depth:
-            return self.table[w[: self.depth]]
-        return float(self._window_values[len(w)][StemTable(self.ab, len(w)).index_of(w)])
-
     @property
     def sup_abs(self) -> float:
         return max(abs(v) for v in self.table.values())
@@ -83,9 +76,11 @@ class Potential:
         # w + t, t the j-th legal successor of w[-1], is grown stem s * (2k-1) + j;
         # the successor state is its last m letters
         succ = grown.suffix_index(np.arange(grown.size), grown.letters[:, 1], m)
-        tails = [sum(self.window(w[m - j:]) for j in range(1, m)) for w in states]
-        arrays = (succ.reshape(-1, tab.branching), self._window_values[m],
-                  np.array(tails, dtype=float))
+        tails = np.zeros(tab.size)
+        for j in range(1, m):  # the windows of the last j letters, j ascending
+            tails += self._window_values[j][
+                tab.suffix_index(np.arange(tab.size), tab.letters[:, m - j], j)]
+        arrays = (succ.reshape(-1, tab.branching), self._window_values[m], tails)
         for arr in arrays:  # shared by every reader
             arr.setflags(write=False)
         return _WindowGraph(states, *arrays)
@@ -151,17 +146,16 @@ def sym_potential(P: Potential) -> Potential:
 
 
 def d_phi(P: Potential, p: Word, q: Word) -> float:
-    """Weighted length of the geodesic segment from p to q.
+    """Weighted length of the geodesic segment from p to q: one row of
+    `window_sums`, the word p^-1 q.
 
     Exact for depth 1; for deeper tables the last m-1 edges carry the suffix
     rule, so values across extension conventions differ by at most
     (m-1) * oscillation.
     """
-    word = P.ab.mul(P.ab.inv(tuple(p)), tuple(q))
-    total = 0.0
-    for i in range(len(word)):  # left to right, as window_sums adds its columns
-        total += P.window(word[i : i + P.depth])
-    return total
+    p, q = (stem_row(P.ab, w)[0].tolist() for w in (p, q))
+    word = P.ab.mul(P.ab.inv(p), q)
+    return float(window_sums(P, word_rows([word]))[0]) if word else 0.0
 
 
 def _full_windows(P: Potential, letters: np.ndarray):
@@ -218,8 +212,8 @@ def window_sums(P: Potential, letters: np.ndarray) -> np.ndarray:
     """Weighted length of each row of a (count, length) letter array.
 
     `window_walk` plus the tail windows, each the last window's letters j
-    onward (`StemTable.suffix_index`), so every row's float is d_phi's sum
-    bit for bit.
+    onward (`StemTable.suffix_index`), added in the order of the windows'
+    first letters.
     """
     state, acc = window_walk(P, letters)
     length = letters.shape[1]

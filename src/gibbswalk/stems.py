@@ -54,43 +54,23 @@ class StemTable:
         self.size = k2 * self.branching ** (depth - 1)
         self.child_letters, self.branch_index = _branching(k2)
 
-    # -- scalar stem <-> index ----------------------------------------------
+    # -- one stem: a row of the arrays below -----------------------------------
 
     def index_of(self, stem: Word) -> int:
-        if len(stem) != self.depth:
-            raise ValueError(f"expected stem of depth {self.depth}")
-        return int(self._code(stem))
-
-    def stem_of(self, idx: int) -> Word:
-        digits = []
-        for _ in range(self.depth - 1):
-            idx, j = divmod(idx, self.branching)
-            digits.append(j)
-        out = [idx]
-        for j in reversed(digits):
-            out.append(int(self.child_letters[out[-1], j]))
-        return tuple(out)
+        """The index of one stem: a one-row `indices`."""
+        return int(self.indices(stem_row(self.ab, stem))[0])
 
     def stems(self):
-        for i in range(self.size):
-            yield self.stem_of(i)
+        """Every stem as a tuple of letters, in stem order: the rows of `letters`."""
+        for row in self.letters:
+            yield tuple(row.tolist())
 
     def prefix_range(self, w: Word) -> tuple[int, int]:
         """Contiguous [lo, hi) of stems extending the reduced word w."""
         if not 1 <= len(w) <= self.depth:
             raise ValueError("prefix length out of range")
-        lo, span = self._code(w), self.branching ** (self.depth - len(w))
+        lo, span = StemTable(self.ab, len(w)).index_of(w), self.span(len(w))
         return lo * span, (lo + 1) * span
-
-    def _code(self, w: Word):
-        """Index of the reduced word w among the stems of its own length."""
-        lo = w[0]
-        for a, b in zip(w, w[1:]):
-            j = self.branch_index[a, b]
-            if j < 0:
-                raise ValueError("word is not reduced")
-            lo = lo * self.branching + j
-        return lo
 
     def span(self, j: int) -> int:
         """Number of stems extending one length-j prefix (j = 0: every stem)."""
@@ -210,9 +190,12 @@ def _expand(ab: Alphabet, depth: int, words: np.ndarray, profile: np.ndarray,
     0..L-1, each over the last, then the block on the stems extending its
     first L letters, each of its values on span(L) / its width stems in a
     row.  The rows are size-checked before they are allocated, or written
-    into `out` when given."""
+    into `out` when given; a dense block (L = 0) already is the rows, and is
+    returned as it is unless `out` is given."""
     count, level, _ = profile.shape
     tab = StemTable(ab, depth)
+    if out is None and block.shape[1] == tab.size:
+        return block
     if out is None:
         check_dense(count * tab.size, f"the depth-{depth} rows of {count} words")
         out = np.empty((count, tab.size))
@@ -231,6 +214,16 @@ def word_rows(words) -> np.ndarray:
     """Words of one length as a (count, n) integer letter array."""
     words = list(words)
     return np.array(words, dtype=np.int64).reshape(len(words), len(words[0]) if words else 0)
+
+
+def stem_row(ab: Alphabet, stem: Word) -> np.ndarray:
+    """One word as a (1, n) letter row; a letter outside 0..2k-1 is refused
+    with the word named."""
+    stem = tuple(stem)
+    if stem and not 0 <= min(stem) <= max(stem) < ab.n_letters:
+        raise ValueError(f"stem {tuple(map(int, stem))} has a letter outside "
+                         f"0..{ab.n_letters - 1}")
+    return word_rows([stem])
 
 
 @lru_cache(maxsize=None)

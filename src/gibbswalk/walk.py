@@ -113,10 +113,9 @@ def convolved_density_masses(mu: WalkMeasure, F: CylinderFunction, S: GibbsStrea
                 pieces = np.column_stack([ginv[gi, :n - j], tab.letters[si, j:]])
                 totals[own[gi], si] = integrals(pieces)
         if n >= depth:
-            for k in own.tolist():
-                head = support[k][:depth]
-                owners.append((k, tab.index_of(head)))
-                whole.append(_translate_stem_set(ab, ab.inv(support[k]), head))
+            owners += zip(own.tolist(), tab.indices(gs[:, :depth]).tolist())
+            whole += [_translate_stem_set(ab, ab.inv(support[k]), support[k][:depth])
+                      for k in own.tolist()]
     flat = [piece for pieces in whole for piece in pieces]
     lengths = np.array([len(piece) for piece in flat], dtype=np.int64)
     dots = np.empty(len(flat))

@@ -275,6 +275,70 @@ def sh_distance(g1: GeodesicSpec, g2: GeodesicSpec) -> float:
 
 
 # --------------------------------------------------------------------------
+# stems, potentials, gibbs: the stem index, a window's value, the weighted
+# length of a segment and the mass of an origin cylinder, one letter at a
+# time (the library reads each as one row of its array path).
+
+
+def stem_code(tab: StemTable, w: Word):
+    """Index of the reduced word w among the stems of its own length."""
+    lo = w[0]
+    for a, b in zip(w, w[1:]):
+        j = tab.branch_index[a, b]
+        if j < 0:
+            raise ValueError("word is not reduced")
+        lo = lo * tab.branching + j
+    return lo
+
+
+def stem_of(tab: StemTable, idx: int) -> Word:
+    """The stem of index idx, decoded digit by digit."""
+    digits = []
+    for _ in range(tab.depth - 1):
+        idx, j = divmod(idx, tab.branching)
+        digits.append(j)
+    out = [idx]
+    for j in reversed(digits):
+        out.append(int(tab.child_letters[out[-1], j]))
+    return tuple(out)
+
+
+def window(P: Potential, w: Word) -> float:
+    """Value of a (possibly short, nonempty) window; short ones by the suffix rule."""
+    w = tuple(w)
+    if len(w) >= P.depth:
+        return P.table[w[: P.depth]]
+    return float(P._window_values[len(w)][stem_code(StemTable(P.ab, len(w)), w)])
+
+
+def d_phi_loop(P: Potential, p: Word, q: Word) -> float:
+    """Weighted length of the geodesic segment from p to q, window by window."""
+    word = P.ab.mul(P.ab.inv(tuple(p)), tuple(q))
+    total = 0.0
+    for i in range(len(word)):  # left to right, as window_sums adds its columns
+        total += window(P, word[i : i + P.depth])
+    return total
+
+
+def cylinder_mass_loop(S: GibbsStream, stem: Word) -> float:
+    """Mass of one origin cylinder: e^{-sum phi} h[last window] / Z along its windows."""
+    stem = tuple(stem)
+    m = S.depth_m
+    if len(stem) < m:
+        return float(S.mass_array(len(stem))[stem_code(StemTable(S.ab, len(stem)), stem)])
+    nxt, wts = S.potential._next_state, window_graph(S.potential).weights
+    st = stem_code(StemTable(S.ab, m), stem[:m])
+    ws = wts[st]
+    B = S.ab.n_letters
+    for t in stem[m:]:  # summed letter by letter, as in _layers
+        st = nxt[st * B + t] if 0 <= t < B else -1
+        if st < 0:
+            raise ValueError("stem is not a reduced word")
+        ws = ws + wts[st]
+    return float(np.exp(-ws) * S.h_right[st] / S._Z)
+
+
+# --------------------------------------------------------------------------
 # potentials: weighted lengths along rays, the weighted Busemann cocycle,
 # Holder certificates, comparison bounds and geodesic averages.
 

@@ -21,13 +21,15 @@ from gibbswalk.gibbs import (
     shell_sums_log,
     transfer_matrix,
 )
-from gibbswalk.potentials import Potential, d_phi, flip_potential, sym_potential, window_graph
+from gibbswalk.potentials import Potential, flip_potential, sym_potential, window_graph
 from gibbswalk.stems import DenseArrayError, StemTable, check_dense, word_rows
 from gibbswalk.words import Alphabet, inverse_letter, ray_word
 from oracles import (
     Cylinder,
     RandomReducedWord,
     cylinder_mass,
+    cylinder_mass_loop,
+    d_phi_loop,
     measure_from,
     normalize,
     poincare_series,
@@ -199,7 +201,7 @@ class TestCylinderMasses:
             for n in range(1, 8):
                 arr = S.mass_array(n)
                 for i, stem in enumerate(StemTable(AB, n).stems()):
-                    assert S.cylinder_mass_of_stem(stem) == arr[i], (n, stem)
+                    assert cylinder_mass_loop(S, stem) == arr[i], (n, stem)
             with pytest.raises(ValueError):
                 S.cylinder_mass_of_stem((0, 2, 3))
 
@@ -214,7 +216,7 @@ class TestCylinderMasses:
                 rows = tab.letters[np.random.default_rng(n).permutation(tab.size)[:400]]
                 got = S.stem_masses(rows)
                 assert got.tolist() == S.mass_array(n)[tab.indices(rows)].tolist(), n
-                assert got.tolist() == [S.cylinder_mass_of_stem(tuple(r)) for r in rows.tolist()]
+                assert got.tolist() == [cylinder_mass_loop(S, tuple(r)) for r in rows.tolist()]
             with pytest.raises(ValueError):
                 S.stem_masses(np.array([[0, 2, 3]]))
 
@@ -332,7 +334,7 @@ def _rho_loop(S, q, depth):
     tab = StemTable(S.ab, depth)
     out = np.empty(tab.size)
     for i, stem in enumerate(tab.stems()):
-        out[i] = d_phi(S.potential, q, stem) - d_phi(S.potential, (), stem)
+        out[i] = d_phi_loop(S.potential, q, stem) - d_phi_loop(S.potential, (), stem)
     return out
 
 
@@ -393,6 +395,8 @@ class TestDenseSizeCheck:
                 tracemalloc.stop()
             assert rows.shape == (12, StemTable(AB, d + 2).size)
             assert peak < 3.5 * rows.nbytes, (d, peak)
+            if d == 8:  # L = 0: the block is returned as the rows, not copied
+                assert peak <= 2 * rows.nbytes, (d, peak)
         monkeypatch.setattr(stems, "DENSE_BYTES", 8 * 4 * tab.size)
         assert S.rho_phi_rows(words[:4], 8).shape == (4, tab.size)
         assert translate_rows(f.refine(6), words[:4]).shape == (4, tab.size)
@@ -487,7 +491,8 @@ class TestRadonNikodymArrays:
     def test_shallow_dphi_equals_per_stem_loop(self, deep_streams, name):
         S = deep_streams[name]
         for depth in range(1, S.depth_m):
-            ref = np.array([d_phi(S.potential, (), s) for s in StemTable(S.ab, depth).stems()])
+            ref = np.array([d_phi_loop(S.potential, (), s)
+                            for s in StemTable(S.ab, depth).stems()])
             assert S.dphi_array(depth).tobytes() == ref.tobytes()
 
     def test_no_per_stem_d_phi(self, stream_m2, monkeypatch):
@@ -509,7 +514,7 @@ class TestRadonNikodymArrays:
         m = S.depth_m
         for n in range(1, m):
             assert list(S.ab.reduced_words(n)) == list(StemTable(S.ab, n).stems())
-        refs = [[math.log(sum(math.exp(-d_phi(P, (), g)) for g in P.ab.reduced_words(n)))
+        refs = [[math.log(sum(math.exp(-d_phi_loop(P, (), g)) for g in P.ab.reduced_words(n)))
                  for n in range(1, m)] for P in potentials_]
 
         def refuse(*args):
@@ -553,12 +558,13 @@ class TestSuffixRule:
     def test_deep_dphi_equals_per_stem_d_phi(self, m, rule):
         S = _deep_stream(2, m, rule)
         for depth in range(m, m + 3):
-            ref = np.array([d_phi(S.potential, (), s) for s in StemTable(S.ab, depth).stems()])
+            ref = np.array([d_phi_loop(S.potential, (), s)
+                            for s in StemTable(S.ab, depth).stems()])
             assert np.abs(S.dphi_array(depth) - ref).max() <= 1e-12, depth
 
     def test_shell_sums_equal_enumeration(self, m, rule):
         P = _deep_potential(2, m, rule)
-        ref = [math.log(sum(math.exp(-d_phi(P, (), g)) for g in P.ab.reduced_words(n)))
+        ref = [math.log(sum(math.exp(-d_phi_loop(P, (), g)) for g in P.ab.reduced_words(n)))
                for n in range(1, 7)]
         assert np.abs(shell_sums_log(P, 6) - ref).max() <= 1e-12
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,9 @@ from oracles import (
     holder_certificate,
     rho_phi,
     sh_distance,
+    stem_code,
+    stem_of,
+    window,
 )
 
 AB = Alphabet(2)
@@ -65,8 +69,8 @@ class TestDPhi:
         average, extend = (Potential(ab, m, table, rule) for rule in ("average", "extend"))
         for length in range(1, m):
             for w in ab.reduced_words(length):
-                assert average.window(w) == mean[w]
-                assert extend.window(w) == table[w + (w[-1],) * (m - length)]
+                assert window(average, w) == mean[w]
+                assert window(extend, w) == table[w + (w[-1],) * (m - length)]
 
     def test_flip_identity_depth1_exact(self):
         P = rand_potential(1)
@@ -371,7 +375,7 @@ class TestHolderCalculus:
         from oracles import translate_boundary
 
         for idx in range(0, tabd.size, 37):
-            stem = tabd.stem_of(idx)
+            stem = stem_of(tabd, idx)
             hx = translate_boundary(AB, g, ray_word(AB, stem))
             target = d_F[F.table.index_of(hx.prefix(F.depth))] * lip ** a
             assert d_FH[idx] <= target + 1e-10
@@ -471,7 +475,7 @@ def _translate_reference(f, g):
     tab = StemTable(ab, len(g) + f.depth)
     vals = np.empty(tab.size)
     for i, stem in enumerate(tab.stems()):
-        vals[i] = f.values[f.table.index_of(ab.mul(ginv, stem)[: f.depth])]
+        vals[i] = f.values[stem_code(f.table, ab.mul(ginv, stem)[: f.depth])]
     return vals
 
 
@@ -490,10 +494,10 @@ class TestTranslateFunction:
 
     def test_no_per_stem_decoding(self, monkeypatch):
         # the translate is one gather over the stem-letter array
-        def refuse(self, idx):
-            raise AssertionError("stem_of called")
+        def refuse(self, stem):
+            raise AssertionError("index_of called")
 
-        monkeypatch.setattr(StemTable, "stem_of", refuse)
+        monkeypatch.setattr(StemTable, "index_of", refuse)
         f = CylinderFunction(AB, 2, np.arange(1.0, 13.0))
         out = translate_function(f, (0, 2, 1, 3, 3))
         assert out.values.size == StemTable(AB, 7).size
@@ -516,7 +520,8 @@ class TestTranslateFunction:
 
 @pytest.mark.parametrize("rank", [2, 3])
 class TestStemLayout:
-    """Block views and suffix indices against prefix_range slices and index_of."""
+    """Block views and suffix indices against prefix_range slices and the
+    digit-by-digit stem code."""
 
     def test_blocks_are_prefix_ranges(self, rank):
         ab = Alphabet(rank)
@@ -543,6 +548,22 @@ class TestStemLayout:
             for length in range(1, d + 1):
                 got = tab.suffix_index(np.arange(tab.size), tab.letters[:, d - length], length)
                 short = StemTable(ab, length)
-                assert got.tolist() == [short.index_of(s[d - length:]) for s in stems]
+                assert got.tolist() == [stem_code(short, s[d - length:]) for s in stems]
         with pytest.raises(ValueError):
             tab.suffix_index(0, 0, d + 1)
+
+
+@pytest.mark.parametrize("read", [
+    lambda S, w: StemTable(S.ab, len(w)).index_of(w),
+    lambda S, w: StemTable(S.ab, len(w) + 1).prefix_range(w),
+    lambda S, w: S.cylinder_mass_of_stem(w),
+    lambda S, w: d_phi(S.potential, (), w),
+], ids=["index_of", "prefix_range", "cylinder_mass_of_stem", "d_phi"])
+def test_letters_outside_the_alphabet_refused(read, stream_m2):
+    # rank 2 has the letters 0..3
+    for stem in ((0, -1), (-1,), (0, 2, 4), (0, 2, -2)):
+        with pytest.raises(ValueError, match=re.escape(f"stem {stem} has a letter outside 0..3")):
+            read(stream_m2, stem)
+    # letters given as numpy integers are letters
+    for stem in ((0,), (0, 2), (3, 0, 2)):
+        assert read(stream_m2, tuple(np.int64(s) for s in stem)) == read(stream_m2, stem)

@@ -4,6 +4,7 @@ a run (`run_path_trace.py`), or is listed below with the reason it stays.
 A function that only tests read belongs in `tests/oracles.py`; one that
 nothing reads is deleted."""
 
+import importlib
 import inspect
 import json
 import os
@@ -83,3 +84,56 @@ def test_every_function_is_on_the_run_path_or_listed(tmp_path):
                          "test reads it, delete it if none does, or list it with its reason")
     stale = sorted(NOT_ON_THE_RUN_PATH.keys() - never)
     assert not stale, f"listed, but entered by a run or gone: {stale}"
+
+
+def _scalar_entry_points():
+    """Each scalar entry point: the module and qualname of the array function
+    it is one row of, and one call of it on a small input."""
+    from gibbswalk.cylfun import CylinderFunction, translate_function
+    from gibbswalk.gibbs import GibbsStream
+    from gibbswalk.potentials import Potential, d_phi
+    from gibbswalk.spikes import SpikeLab
+    from gibbswalk.stems import StemTable
+    from gibbswalk.words import Alphabet, ray_word
+
+    ab = Alphabet(2)
+    S = GibbsStream(Potential(ab, 2, {w: 0.1 * i for i, w in enumerate(ab.reduced_words(2))}))
+    lab, tab, f = SpikeLab(S), StemTable(ab, 3), CylinderFunction.constant(ab, 1.0, 2)
+    rec = lab.unit_spike((0, 2))
+    return {
+        "index_of": ("stems", "StemTable.indices", lambda: tab.index_of((0, 2, 2))),
+        "prefix_range": ("stems", "StemTable.indices", lambda: tab.prefix_range((0, 2))),
+        "d_phi": ("potentials", "window_sums", lambda: d_phi(S.potential, (0,), (2, 2))),
+        "cylinder_mass_of_stem": ("gibbs", "GibbsStream.stem_masses",
+                                  lambda: S.cylinder_mass_of_stem((0, 2, 2))),
+        "rho_phi_array": ("gibbs", "GibbsStream.rho_phi_rows", lambda: S.rho_phi_array((0,), 3)),
+        "CylinderFunction.holder_at": ("cylfun", "holder_rows", lambda: f.holder_at(1.0, 0.5)),
+        "unit_spike": ("spikes", "SpikeLab._spike_rows", lambda: lab.unit_spike((0, 2))),
+        "spike_audit": ("spikes", "SpikeLab._audit_rows", lambda: lab.spike_audit(rec)),
+        "tail_integral": ("spikes", "SpikeLab._tail_grid",
+                          lambda: lab.tail_integral(ray_word(ab, (0, 2)), 0.5, 1.0)),
+        "translate_function": ("cylfun", "translate_rows", lambda: translate_function(f, (0, 2))),
+    }
+
+
+def test_scalar_entry_points_are_rows(monkeypatch):
+    """A scalar entry point is one row of its array path, not a second
+    implementation: with the array function wrapped, one call enters it."""
+    missed = []
+    for name, (module, qualname, call) in _scalar_entry_points().items():
+        owner = importlib.import_module(f"gibbswalk.{module}")
+        *path, attr = qualname.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        entered = []
+
+        def wrapped(*args, _real=getattr(owner, attr), **kwargs):
+            entered.append(qualname)
+            return _real(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, attr, wrapped)
+            call()
+        if not entered:
+            missed.append(f"{name} (not {module}.{qualname})")
+    assert not missed, f"scalar entry points that are not rows of their array path: {missed}"

@@ -24,7 +24,7 @@ from gibbswalk.spikes import (
 )
 from gibbswalk.stems import DenseArrayError, StemTable, window_state_count, window_states
 from gibbswalk.words import Alphabet, EventuallyPeriodicWord, inverse_letter, ray_word
-from oracles import d_phi_ray, g_kernel, gromov_product
+from oracles import cylinder_mass_loop, d_phi_ray, g_kernel, gromov_product, stem_code, stem_of
 
 AB = Alphabet(2)
 
@@ -87,7 +87,7 @@ class TestKernelIntegrals:
             mass = random_stream.mass_array(depth)
             brute = 0.0
             for i in range(lo, hi):
-                ray = ray_word(AB, tab.stem_of(i))
+                ray = ray_word(AB, stem_of(tab, i))
                 brute += math.exp(-2.0 * d_phi_ray(K, ray, c, s)) * mass[i] if s > c else mass[i]
             assert _loop_integral(integ, prefix, c, s) == pytest.approx(brute, rel=1e-12)
             rows = np.array([prefix])
@@ -105,7 +105,7 @@ class TestKernelIntegrals:
             mass = stream_m2.mass_array(depth)
             brute = 0.0
             for i in range(lo, hi):
-                ray = ray_word(AB, tab.stem_of(i))
+                ray = ray_word(AB, stem_of(tab, i))
                 brute += math.exp(-2.0 * d_phi_ray(K, ray, c, s)) * mass[i] if s > c else mass[i]
             assert _loop_integral(integ, prefix, c, s) == pytest.approx(brute, rel=1e-11)
             rows = np.array([prefix])
@@ -191,9 +191,9 @@ def _scalar_tail(lab, x, r, s):
             if t not in banned:
                 total += _loop_integral(lab._integrator, px[:c] + (t,), c, s)
     if j is None or j > top:
-        total += lab.nu.cylinder_mass_of_stem(x.prefix(top))
+        total += cylinder_mass_loop(lab.nu, x.prefix(top))
         if j is not None:
-            total -= lab.nu.cylinder_mass_of_stem(x.prefix(j))
+            total -= cylinder_mass_loop(lab.nu, x.prefix(j))
     return total
 
 
@@ -511,7 +511,7 @@ def _loop_integral(integ, prefix, c, s):
     if c > n:
         raise ValueError("kernel start beyond the prefix")
     if s <= c:
-        return integ.nu.cylinder_mass_of_stem(prefix)
+        return cylinder_mass_loop(integ.nu, prefix)
     mK = integ.K.depth
     if n < mK:
         return sum(_loop_integral(integ, prefix + (t,), c, s)
@@ -521,10 +521,10 @@ def _loop_integral(integ, prefix, c, s):
     fixed = 0.0
     for p in range(c, min(last_edge, n - mK) + 1):
         fixed += (min(s, p + 1.0) - p) * integ.K.table[prefix[p : p + mK]]
-    out = math.exp(-2.0 * fixed) * integ.nu.cylinder_mass_of_stem(prefix)
+    out = math.exp(-2.0 * fixed) * cylinder_mass_loop(integ.nu, prefix)
     if last_edge + mK <= n:  # no edge reaches past the prefix
         return out
-    return out * integ._continuation(n, c, s)[integ._tab.index_of(prefix[-mK:])]
+    return out * integ._continuation(n, c, s)[stem_code(integ._tab, prefix[-mK:])]
 
 
 def _loop_holder(h, r, q):
