@@ -25,6 +25,7 @@ from .decompose import (
 from .walk import (
     WalkMeasure,
     assemble_walk,
+    harmonic_measure,
     simulate_hitting,
     stationarity_error,
     walk_statistics,

@@ -35,8 +35,9 @@ from .spikes import SpikeLab
 from .stems import StemTable
 from .walk import (
     assemble_walk,
-    chi2_compatibility,
+    chi2_fit,
     density_masses,
+    harmonic_measure,
     simulate_hitting,
     stationarity_error,
     walk_statistics,
@@ -300,26 +301,29 @@ def run_walk(cfg, ab, P, S, F, dec, rep: Reporter) -> dict:
     depth, n_paths = _size(cfg, "walk", "depth"), _size(cfg, "walk", "n_paths")
     limits = _size(cfg, "walk", "stabilize"), _size(cfg, "walk", "step_cap")
     seed = cfg.get("seed", 0)
-    rep1 = simulate_hitting(mu, n_paths, depth, seed, *limits)
-    rep2 = simulate_hitting(mu, n_paths, depth, seed + 1, *limits)
-    p_chi2 = chi2_compatibility(rep1, rep2)
+    run = simulate_hitting(mu, n_paths, depth, seed, *limits)
+    # after the run, so that the solve's arrays reuse the run's freed pages
+    hm = harmonic_measure(mu, depth)
+    p_chi2 = chi2_fit(run, hm)
     tab = StemTable(ab, depth)
     target = density_masses(F, S, depth)
     target = target / target.sum()
     rows = []
     sim_ok = True
     for i, stem in enumerate(tab.stems()):
-        emp = rep1.empirical.get(stem, 0.0)
-        se = rep1.stderr.get(stem, math.sqrt(max(target[i] * (1 - target[i]), 1e-12) / rep1.n_paths))
+        emp = run.empirical.get(stem, 0.0)
+        se = run.stderr.get(stem, math.sqrt(max(target[i] * (1 - target[i]), 1e-12) / run.n_paths))
         z = (emp - target[i]) / se if se > 0 else 0.0
         ok = bool(abs(emp - target[i]) <= 4 * se + err)
         sim_ok = sim_ok and ok
-        rows.append((ab.format_word(stem), emp, float(target[i]), se, z))
-    rep.csv("hitting.csv", ["cylinder", "empirical", "target", "stderr", "z"], rows)
+        rows.append((ab.format_word(stem), emp, float(target[i]), se, z, float(hm.nu[i])))
+    rep.csv("hitting.csv", ["cylinder", "empirical", "target", "stderr", "z", "harmonic"], rows)
     gap = abs(err - dec.final_residual_l1)
     out = {"total_mass": mu.total, "stationarity_error": err,
            "residual_gap": gap, "first_moment": stats.first_moment,
            "log_moment": stats.log_moment, "entropy": stats.entropy,
+           "harmonic_l1": float(np.abs(hm.nu - target).sum()), "harmonic_err": hm.err,
+           "harmonic_iterations": hm.iterations,
            "chi2_p": p_chi2, "sim_within_tolerance": sim_ok,
            "pass": gap <= 1e-8 and sim_ok and p_chi2 > 0.001}
     rep.json("walk_summary.json", out)

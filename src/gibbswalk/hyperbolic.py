@@ -189,8 +189,9 @@ def _gl(n: int):
     return x, w
 
 
-def _gl_panel(a, b, n):
-    """Nodes/weights mapped to [a, b]; a, b may be arrays (per sample)."""
+def _gl_panel(a, b, n, out=None):
+    """Nodes/weights mapped to [a, b]; a, b may be arrays (per sample).
+    Written into the pair of arrays `out` when given."""
     x, w = _gl(n)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -199,8 +200,9 @@ def _gl_panel(a, b, n):
         raise NodeBudgetError(f"{size} bytes of quadrature nodes exceed {H2_NODE_BYTES}")
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    nodes = mid[..., None] + half[..., None] * x
-    weights = half[..., None] * w
+    nodes, weights = (None, None) if out is None else out
+    nodes = np.add(mid[..., None], np.multiply(half[..., None], x, out=nodes), out=nodes)
+    weights = np.multiply(half[..., None], w, out=weights)
     return nodes, weights
 
 
@@ -209,10 +211,12 @@ def _chunked(n: int, fn) -> np.ndarray:
     return np.concatenate([fn(slice(lo, lo + H2_CHUNK)) for lo in range(0, n, H2_CHUNK)])
 
 
-def _sep_common(theta, t):
-    """d(g1(t), g2(t)) for unit geodesics through one point at angle theta."""
+def _sep_common(theta, t, out=None):
+    """d(g1(t), g2(t)) for unit geodesics through one point at angle theta;
+    written into `out`, of the shape of t, when given."""
     ec = np.sin(np.asarray(theta) / 2.0)  # = e^{-c_+}
-    return 2.0 * np.arcsinh(ec * np.sinh(t))
+    out = np.multiply(ec, np.sinh(t, out=out), out=out)
+    return np.multiply(2.0, np.arcsinh(out, out=out), out=out)
 
 
 def _sep_common_st(theta, s, t):
@@ -220,18 +224,23 @@ def _sep_common_st(theta, s, t):
     return np.arccosh(np.maximum(ch, 1.0))
 
 
-def _common_terms(theta, s) -> np.ndarray:
+def _common_terms(theta, s, work=None) -> np.ndarray:
     """The terms e^{-s} int_0^s d e^t, e^s int_s^inf d e^{-t} and
     e^{-s} int_0^inf d e^{-t} (dt; d = `_sep_common`) of 2 dist(g^s g1, g^s g2),
     stacked, at rows of ascending times s, one row per theta.  A row's times
     share one H2_GAP_NODES panel per gap from 0, one H2_NODES panel out to
-    H2_WINDOW past the last time, and the tail bound beyond."""
+    H2_WINDOW past the last time, and the tail bound beyond.  The gap
+    panels' node arrays are the three arrays `work`, of s's shape by
+    H2_GAP_NODES, when given (so that chunks reuse their pages)."""
     theta = theta[:, None]
+    if work is None:
+        work = [np.empty(s.shape + (H2_GAP_NODES,)) for _ in range(3)]
+    a, b, c = work
     nodes, weights = _gl_panel(np.concatenate([np.zeros_like(s[:, :1]), s[:, :-1]], axis=1),
-                               s, H2_GAP_NODES)
-    sep = _sep_common(theta[..., None], nodes) * weights
-    rising = np.cumsum((sep * np.exp(nodes)).sum(axis=-1), axis=1)
-    falling = (sep * np.exp(-nodes)).sum(axis=-1)
+                               s, H2_GAP_NODES, out=(a, b))
+    sep = np.multiply(_sep_common(theta[..., None], nodes, out=c), weights, out=c)
+    rising = np.cumsum(np.multiply(sep, np.exp(nodes, out=b), out=b).sum(axis=-1), axis=1)
+    falling = np.multiply(sep, np.exp(np.negative(nodes, out=a), out=a), out=a).sum(axis=-1)
     W = s[:, -1:] + H2_WINDOW
     nodes, weights = _gl_panel(s[:, -1], W[:, 0], H2_NODES)
     # tail beyond W: d(t) <= 2(t - c) + 2 e^{-t} sinh(c)
@@ -244,10 +253,10 @@ def _common_terms(theta, s) -> np.ndarray:
                      np.exp(-s) * (after[:, :1] + falling[:, :1])])
 
 
-def _dist_flow_common(theta, s) -> np.ndarray:
+def _dist_flow_common(theta, s, work=None) -> np.ndarray:
     """dist(g^s gamma1, g^s gamma2) = (1/2) int_0^inf d(t) (e^{-|t-s|} + e^{-(t+s)}) dt
     for common-point pairs at rows of ascending times s; see `_common_terms`."""
-    return 0.5 * _common_terms(theta, s).sum(axis=0)
+    return 0.5 * _common_terms(theta, s, work).sum(axis=0)
 
 
 def _dist_flow_profile(coeffs, s) -> np.ndarray:
@@ -438,12 +447,15 @@ def _partner_at(p, zeta, dd, rho, sign=1.0):
 
 def _integral_dist_beta(theta, T0, T1, beta):
     """int_{T0}^{T1} dist(g^s g1, g^s g2)^beta ds for common-point pairs,
-    H2_CHUNK samples at a time."""
+    H2_CHUNK samples at a time, each chunk's gap panels in the same three
+    arrays."""
     theta, T0, T1, beta = (np.asarray(v, dtype=float) for v in (theta, T0, T1, beta))
+    work = [np.empty((H2_CHUNK, H2_OUTER_NODES, H2_GAP_NODES)) for _ in range(3)]
 
     def chunk(k):
         nodes, weights = _gl_panel(T0[k], T1[k], H2_OUTER_NODES)
-        return (_dist_flow_common(theta[k], nodes) ** beta[k, None] * weights).sum(axis=1)
+        gaps = [w[:len(nodes)] for w in work]
+        return (_dist_flow_common(theta[k], nodes, gaps) ** beta[k, None] * weights).sum(axis=1)
 
     return _chunked(len(theta), chunk)
 

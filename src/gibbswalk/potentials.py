@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .stems import StemTable, stem_row, word_rows
+from .stems import StemTable, check_letters, stem_row, word_rows
 from .words import Alphabet, Word, inverse_letter
 
 SUFFIX_RULES = ("average", "extend")
@@ -164,6 +164,7 @@ def _full_windows(P: Potential, letters: np.ndarray):
     the chain.  `letters` is a (count, length) array of reduced words,
     length >= m."""
     m, B = P.depth, P.ab.n_letters
+    check_letters(P.ab, letters)
     state = StemTable(P.ab, m).indices(letters[:, :m])
     yield state
     nxt = P._next_state

@@ -110,17 +110,17 @@ class StemTable:
 
     def prefix_codes(self, letters: np.ndarray):
         """Each row's index among the stems of its first i letters, i = 1, 2, ...,
-        yielded one letter column at a time."""
-        branch, k2 = self.branch_index.ravel(), self.ab.n_letters
-        idx = prev = letters[:, 0].astype(np.int64)
+        yielded one letter column at a time; a letter outside 0..2k-1 or a
+        row that is not reduced is refused before the first."""
+        check_letters(self.ab, letters)
+        letters = np.asarray(letters, dtype=np.int64)
+        branch = self.branch_index.ravel()[letters[:, :-1] * self.ab.n_letters + letters[:, 1:]]
+        if branch.size and branch.min() < 0:
+            raise ValueError("stem is not reduced")
+        idx = letters[:, 0]
         yield idx
-        for col in range(1, letters.shape[1]):
-            cur = letters[:, col].astype(np.int64)
-            j = branch[prev * k2 + cur]
-            if j.size and j.min() < 0:
-                raise ValueError("stem is not reduced")
-            idx = idx * self.branching + j
-            prev = cur
+        for col in range(branch.shape[1]):
+            idx = idx * self.branching + branch[:, col]
             yield idx
 
     def blocks(self, values: np.ndarray, j: int) -> np.ndarray:
@@ -224,6 +224,17 @@ def stem_row(ab: Alphabet, stem: Word) -> np.ndarray:
         raise ValueError(f"stem {tuple(map(int, stem))} has a letter outside "
                          f"0..{ab.n_letters - 1}")
     return word_rows([stem])
+
+
+def check_letters(ab: Alphabet, letters: np.ndarray) -> None:
+    """Refuse a (count, n) integer letter array with a letter outside
+    0..2k-1, the first such row named; the letters are read as unsigned,
+    so that a negative one wraps past the top, and not copied."""
+    wrapped = letters.view(letters.dtype.str.replace("i", "u"))
+    if wrapped.size and wrapped.max() >= ab.n_letters:
+        row = letters[(wrapped >= ab.n_letters).any(axis=1)][0]
+        raise ValueError(f"stem {tuple(row.tolist())} has a letter outside "
+                         f"0..{ab.n_letters - 1}")
 
 
 @lru_cache(maxsize=None)

@@ -17,7 +17,8 @@ import numpy as np
 from .cylfun import CylinderFunction
 from .decompose import Decomposition
 from .gibbs import GibbsStream
-from .stems import StemTable
+from .spikes import CertificationError
+from .stems import StemTable, check_dense, word_rows
 from .words import Alphabet, Word, _translate_stem_set
 
 
@@ -585,22 +586,284 @@ def simulate_hitting(mu: WalkMeasure, n_paths: int, depth: int, seed: int,
                          failures=failures)
 
 
-def chi2_compatibility(r1: HittingReport, r2: HittingReport) -> float:
-    """Two-sample chi-square p-value that the two runs share a distribution."""
-    stems = sorted(set(r1.empirical) | set(r2.empirical))
-    n1, n2 = r1.n_paths, r2.n_paths
-    stat = 0.0
-    dof = 0
-    for g in stems:
-        c1 = r1.empirical.get(g, 0.0) * n1
-        c2 = r2.empirical.get(g, 0.0) * n2
-        pooled = (c1 + c2) / (n1 + n2)
-        if pooled == 0:
-            continue
-        stat += (c1 - n1 * pooled) ** 2 / (n1 * pooled)
-        stat += (c2 - n2 * pooled) ** 2 / (n2 * pooled)
-        dof += 1
-    return chi2_sf(max(dof - 1, 1), stat)
+# The harmonic measure of the walk, computed without sampling.
+#
+# A cone C_s holds the reduced words that start with the letter s; its
+# parent is e, and every cone of words starting with a longer word is a
+# left translate of one of these 2k.  A walk of range R enters C_s at some
+# s.u with |u| <= R - 1 and first leaves it, if ever, at some q with
+# |q| <= R - 1 that does not start with s.  Its exit kernel K_s maps each
+# entrance u to that exit's law; 1 minus a row sum is the chance that the
+# walk stays in C_s for good.  K is the least fixed point of the first-
+# passage map (Lalley, Ann. Probab. 1993; Woess 2000, ch. 9): from s the
+# walk takes a step, and from s.t.w it leaves the subcone C_st by K_t's row
+# w, translated by s.
+
+# Sweeps stop once no stored kernel entry moves more than HARMONIC_TOL; a
+# walk whose kernels have not settled after HARMONIC_SWEEPS is refused.
+# The supersolution check forgives the roundoff of a solve over up to a few
+# thousand states, HARMONIC_ROUNDOFF relative (two kernel entries equal by
+# construction can come out of two solves an ulp apart), plus
+# HARMONIC_FLOOR absolute (a walk's rarest exits can underflow to
+# subnormals, which keep no relative precision).
+HARMONIC_TOL = 1e-11
+HARMONIC_SWEEPS = 2000
+HARMONIC_ROUNDOFF = 2.0 ** -40
+HARMONIC_FLOOR = 1e-290
+
+
+@dataclass(frozen=True)
+class HarmonicMeasure:
+    """The harmonic measure nu of mu/|mu| on the depth cylinders, in stem
+    order, with a certified bound `err` on the L1 distance to the true nu;
+    `iterations` counts the Gauss-Seidel sweeps of the exit kernels."""
+    ab: Alphabet
+    depth: int
+    nu: np.ndarray
+    err: float
+    iterations: int
+
+
+class _Cones:
+    """The states of the cone chains of a range-R step law.
+
+    The reduced words shorter than R are numbered by length, then by stem
+    index (one StemTable per length).  The chain of C_s has the states s.u
+    for u not starting with s^-1 (`enter[s]`, u = e first, in that order)
+    and the exits q not starting with s (`leave[s]`), n of each.  Its first
+    `shallow` states have |u| <= R - 2: only the parent of C_s reaches the
+    others, by one step of length R from e, so the parent reads K_s on the
+    shallow rows and on one deep row, the deep rows weighted by those steps
+    (`deep[s]`).  For the i-th child t of s (t != s^-1), `rows[s][i]` and
+    `cols[s][i]` place K_t's shallow rows and its exits in the chain of C_s
+    (a state, or an exit past n); the root chain, on e and every s.w with w
+    a shallow state of C_s, places K_s by `root_rows[s]` and `leave[s]`.
+    """
+
+    def __init__(self, mu: WalkMeasure):
+        self.ab = ab = mu.ab
+        k2, b = ab.n_letters, ab.n_letters - 1
+        support = sorted(mu.masses)
+        reach = max(len(g) for g in support)
+        if reach == 0:
+            raise ValueError("the step law has no step off the identity")
+        self.reach = reach
+        self.n = n = sum(b ** j for j in range(reach))
+        self.shallow = n - b ** (reach - 1)
+        tabs = [StemTable(ab, j) for j in range(1, reach + 1)]
+        # the words shorter than R; the largest arrays: one chain, the scatter
+        # offsets, seven sets of kernel rows and weights, and the root chain
+        words = 1 + k2 * self.shallow
+        check_dense(2 * n * n + k2 * (k2 - 1) * self.shallow * n
+                    + 7 * k2 * (self.shallow + 1) * n + words * words,
+                    f"the cone chains of a range-{reach} walk of rank {ab.rank}")
+        offset = np.cumsum([0, 1] + [t.size for t in tabs[:-1]])  # of each length
+        first = np.full(words, -1, dtype=np.int64)
+        tail = np.zeros(words, dtype=np.int64)  # the number of the word less its first letter
+        for j, tab in enumerate(tabs[:-1], 1):
+            at = slice(offset[j], offset[j] + tab.size)
+            first[at] = tab.letters[:, 0]
+            if j > 1:
+                tail[at] = offset[j - 1] + tab.suffix_index(np.arange(tab.size),
+                                                            tab.letters[:, 1], j - 1)
+        inv = np.arange(k2) ^ 1
+        self.enter = [np.flatnonzero(first != inv[s]) for s in range(k2)]
+        self.leave = [np.flatnonzero(first != s) for s in range(k2)]
+        local_enter = np.full((k2, words), -1, dtype=np.int64)
+        local_leave = np.full((k2, words), -1, dtype=np.int64)
+        for s in range(k2):
+            local_enter[s, self.enter[s]] = np.arange(n)
+            local_leave[s, self.leave[s]] = np.arange(n)
+        branch = StemTable(ab, 1).branch_index
+        length = np.searchsorted(offset, np.arange(words), side="right") - 1
+
+        def prepend(t, ids):
+            """The numbers of the words t.w, for words w not starting with t^-1."""
+            j = length[ids]
+            span = b ** np.maximum(j - 1, 0)
+            code = t * b ** j + branch[t, first[ids]] * span + (ids - offset[j]) % span
+            return offset[j + 1] + np.where(j == 0, t, code)
+
+        self.children = [[t for t in range(k2) if t != inv[s]] for s in range(k2)]
+        # where each child's exits land in the chain of C_s, and its shallow
+        # rows, also as flat offsets into the chain's one-move matrix
+        self.cols = [[np.where(first[self.leave[t]] == inv[s],
+                               n + local_leave[s, tail[self.leave[t]]],
+                               local_enter[s, self.leave[t]]) for t in self.children[s]]
+                     for s in range(k2)]
+        self.rows = [[local_enter[s, prepend(t, self.enter[t][:self.shallow])]
+                      for t in self.children[s]] for s in range(k2)]
+        self.flat = [np.concatenate([(r[:, None] * 2 * n + c).ravel()
+                                     for r, c in zip(self.rows[s], self.cols[s])])
+                     for s in range(k2)]
+        self.root_rows = [prepend(s, self.enter[s][:self.shallow]) for s in range(k2)]
+
+        # the steps: their numbers, and the numbers of their tails
+        weights = np.array([mu.masses[g] for g in support])
+        weights = weights / weights.sum()
+        self.direct = np.zeros((k2, 2 * n))   # the row of s from its steps, but deep ones
+        self.deep = np.zeros((k2, n))         # per cone, its deep entrances' weights
+        self.root_direct = np.zeros(words)
+        for j, tab in enumerate([None] + tabs):
+            at = [i for i, g in enumerate(support) if len(g) == j]
+            if not at:
+                continue
+            p = weights[at]
+            if j == 0:
+                self.direct[:, 0] += p.sum()
+                self.root_direct[0] += p.sum()
+                continue
+            rows = word_rows([support[i] for i in at])
+            idx = tab.indices(rows)
+            lead = rows[:, 0]
+            rest = offset[j - 1] + (tab.suffix_index(idx, rows[:, 1], j - 1) if j > 1 else 0 * idx)
+            for s in range(k2):
+                out = lead == inv[s]
+                np.add.at(self.direct[s], n + local_leave[s, rest[out]], p[out])
+                if j < reach:
+                    np.add.at(self.direct[s], local_enter[s, offset[j] + idx[~out]], p[~out])
+            if j < reach:
+                np.add.at(self.root_direct, offset[j] + idx, p)
+            else:
+                for t in range(k2):
+                    np.add.at(self.deep[t], local_enter[t, rest[lead == t]], p[lead == t])
+        # the rows a solve returns: the shallow states', then the deep weights
+        self.pick = [np.column_stack([np.eye(n, self.shallow), self.deep[s]])
+                     for s in range(k2)]
+
+    def chain(self, s: int, K: list) -> np.ndarray:
+        """The one-move matrix of the chain of C_s, states then exits, under
+        the stored kernel rows K (shallow rows, then the deep aggregate)."""
+        pe = np.zeros((self.n, 2 * self.n))
+        pe.ravel()[self.flat[s]] = np.concatenate([K[t][:self.shallow]
+                                                   for t in self.children[s]]).ravel()
+        pe[0] = self.direct[s]
+        for t, cols in zip(self.children[s], self.cols[s]):
+            pe[0, cols] += K[t][self.shallow]
+        return pe
+
+    def solve(self, s: int, K: list, check: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """Phi_s(K), the stored rows of the chain's absorption in the exits,
+        and their weights Y on the states (Green rows, transposed).  With
+        `check`, the chain is first shown transient, or refused."""
+        pe = self.chain(s, K)
+        a = np.eye(self.n) - pe[:, :self.n]
+        rhs = np.column_stack([self.pick[s], np.ones(self.n)]) if check else self.pick[s]
+        y = np.linalg.solve(a.T, rhs)
+        if check and not _transient(a, y[:, -1]):
+            raise CertificationError(f"the chain of cone {self.ab.letter_name(s)} under the "
+                                     "upper kernels is not transient")
+        y = y[:, :self.shallow + 1]
+        return y.T @ pe[:, self.n:], y
+
+    def escapes(self, K: list, Y: list, depth: int) -> list:
+        """Per cone, the chance from each stored row that the walk stays in
+        it for good, split by the next depth - 1 letters of its limit (stem
+        order); entries below 0 from roundoff are set to 0."""
+        esc = [np.maximum(np.append(1.0 - K[s][:self.shallow].sum(axis=1),
+                                    self.deep[s].sum() - K[s][self.shallow].sum()), 0.0)[:, None]
+               for s in range(len(K))]
+        for _ in range(depth - 1):
+            esc = [np.hstack([Y[s].T[:, rows] @ esc[t][:self.shallow]
+                              + Y[s].T[:, :1] * esc[t][self.shallow]
+                              for t, rows in zip(self.children[s], self.rows[s])])
+                   for s in range(len(K))]
+        return esc
+
+    def root(self, K: list, esc: list, check: bool = False) -> np.ndarray:
+        """nu on the depth cylinders: the chain from e over e and the shallow
+        states of every cone, each escape labelled by its cone's letter and
+        the letters after it."""
+        words = len(self.root_direct)
+        q = np.zeros((words, words))
+        q[0] = self.root_direct
+        for s, k in enumerate(K):
+            q[np.ix_(self.root_rows[s], self.leave[s])] = k[:self.shallow]
+            q[0, self.leave[s]] += k[self.shallow]
+        a = np.eye(words) - q
+        rhs = np.zeros((words, 2))
+        rhs[0, 0], rhs[:, 1] = 1.0, 1.0
+        g = np.linalg.solve(a.T, rhs)
+        if check and not _transient(a, g[:, 1]):
+            raise CertificationError("the root chain under the upper kernels is not transient")
+        g = g[:, 0]
+        return np.concatenate([g[0] * e[self.shallow] + g[self.root_rows[s]] @ e[:self.shallow]
+                               for s, e in enumerate(esc)])
+
+
+def _transient(a: np.ndarray, w: np.ndarray) -> bool:
+    """Whether w > 0 and w^T a > 1/2, w solving a^T w = 1: then the one-move
+    matrix I - a has spectral radius below 1 (Collatz-Wielandt)."""
+    return bool((w > 0).all() and (a.T @ w > 0.5).all())
+
+
+def harmonic_measure(mu: WalkMeasure, depth: int) -> HarmonicMeasure:
+    """The harmonic measure of mu/|mu| on the depth cylinders, from the exit
+    kernels of the cones (see `_Cones`), with a certified L1 error bound.
+
+    Gauss-Seidel sweeps from K = 0 give lower bounds that increase to the
+    least fixed point.  Once they settle, K_up = K_n + 2 (K_n - K_n-1) is
+    checked to be a supersolution, Phi(K_up) <= K_up, under a chain whose
+    transience a positive vector shows; then K <= K_up.  nu is read at the
+    root chain under both bounds: the Green row of e grows with K, the
+    escapes shrink with it, so the two readings enclose nu, and the
+    midpoint is returned with half their L1 distance.
+    """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    cones = _Cones(mu)
+    ab = mu.ab
+    k2 = ab.n_letters
+    K = [np.zeros((cones.shallow + 1, cones.n)) for _ in range(k2)]
+    Y = [None] * k2
+    prev = K
+    for sweep in range(1, HARMONIC_SWEEPS + 1):
+        prev, K, moved = list(K), list(K), 0.0
+        for s in range(k2):
+            K[s], Y[s] = cones.solve(s, K)
+            moved = max(moved, float(np.abs(K[s] - prev[s]).max()))
+        if moved <= HARMONIC_TOL and sweep > 1:
+            break
+    else:
+        raise CertificationError(f"the cone exit kernels moved {moved:.3g} after "
+                                 f"{HARMONIC_SWEEPS} sweeps")
+    up = [k + 2.0 * (k - p) for k, p in zip(K, prev)]
+    Y_up = []
+    for s in range(k2):
+        phi, y = cones.solve(s, up, check=True)
+        over = phi > up[s] * (1.0 + HARMONIC_ROUNDOFF) + HARMONIC_FLOOR
+        if over.any():
+            row, col = (int(i) for i in np.argwhere(over)[0])
+            words = [()] + [word for j in range(1, cones.reach)
+                            for word in StemTable(ab, j).stems()]
+            entrance = ("the deep entrances" if row == cones.shallow else
+                        repr(ab.format_word((s,) + words[cones.enter[s][row]])))
+            raise CertificationError(
+                f"the exit kernel of cone {ab.letter_name(s)} is not a supersolution: "
+                f"from {entrance} to exit {ab.format_word(words[cones.leave[s][col]])!r}, "
+                f"Phi gives {float(phi[row, col])!r} > {float(up[s][row, col])!r}",
+                witness={"letter": ab.letter_name(s), "row": row, "exit": col})
+        Y_up.append(y)
+    lo = cones.root(K, cones.escapes(up, Y, depth))
+    hi = cones.root(up, cones.escapes(K, Y_up, depth), check=True)
+    return HarmonicMeasure(ab=ab, depth=depth, nu=0.5 * (lo + hi),
+                           err=0.5 * float(np.abs(hi - lo).sum()), iterations=sweep)
+
+
+def chi2_fit(rep: HittingReport, hm: HarmonicMeasure) -> float:
+    """One-sample chi-square p-value of a run against the harmonic measure:
+    the counts of the paths that stabilized, on each cylinder, against
+    their number times nu; cylinders minus one degrees of freedom."""
+    tab = StemTable(hm.ab, rep.depth)
+    counts = np.zeros(tab.size)
+    if rep.empirical:
+        stems = np.array(list(rep.empirical), dtype=np.int64)
+        counts[tab.indices(stems)] = np.round(np.array(list(rep.empirical.values()))
+                                              * rep.n_paths)
+    expected = (rep.n_paths - rep.failures) * hm.nu
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(counts == expected, 0.0, (counts - expected) ** 2 / expected)
+    return chi2_sf(tab.size - 1, float(terms.sum()))
 
 
 def chi2_sf(dof: int, x: float) -> float:

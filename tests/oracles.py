@@ -23,7 +23,7 @@ from gibbswalk.hyperbolic import (H2Geodesic, QuadratureError, _cosh_profile, _p
 from gibbswalk.potentials import Potential, d_phi, min_cycle_mean, window_graph
 from gibbswalk.spikes import SpikeLab
 from gibbswalk.stems import StemTable
-from gibbswalk.walk import WalkMeasure
+from gibbswalk.walk import HittingReport, WalkMeasure, chi2_sf
 from gibbswalk.words import (Alphabet, BoundaryError, BoundaryWord, EventuallyPeriodicWord, Word,
                              WordError, _translate_stem_set, inverse_letter)
 
@@ -554,6 +554,55 @@ def entropy_decomposition(mu: WalkMeasure, dphi: dict) -> tuple[float, float, fl
         lamterm += -lam * math.exp(-dphi[g]) * math.log(lam)
     return ent, mom, lamterm
 
+
+def chi2_compatibility(r1: HittingReport, r2: HittingReport) -> float:
+    """Two-sample chi-square p-value that the two runs share a distribution."""
+    stems = sorted(set(r1.empirical) | set(r2.empirical))
+    n1, n2 = r1.n_paths, r2.n_paths
+    stat = 0.0
+    dof = 0
+    for g in stems:
+        c1 = r1.empirical.get(g, 0.0) * n1
+        c2 = r2.empirical.get(g, 0.0) * n2
+        pooled = (c1 + c2) / (n1 + n2)
+        if pooled == 0:
+            continue
+        stat += (c1 - n1 * pooled) ** 2 / (n1 * pooled)
+        stat += (c2 - n2 * pooled) ** 2 / (n2 * pooled)
+        dof += 1
+    return chi2_sf(max(dof - 1, 1), stat)
+
+
+def nearest_neighbour_harmonic(mu: WalkMeasure, depth: int) -> np.ndarray:
+    """Dynkin and Malyutov's (1961) harmonic measure of a nearest-neighbour
+    walk mu/|mu| on the depth cylinders, in stem order.
+
+    F_s, the chance of ever reaching e from the letter s, is the least
+    solution of F_s = mu(s^-1) + mu(e) F_s + sum_{t != s^-1} mu(t) F_t F_s,
+    found by iteration from 0; then nu(C(s)) = F_{s^-1} (1 - F_s) /
+    (1 - F_s F_{s^-1}) and nu(C(w)) = F_{w_1^-1} ... F_{w_(n-1)^-1} nu(C(w_n)).
+    """
+    ab = mu.ab
+    total = sum(mu.masses.values())
+    p = {g: m / total for g, m in mu.masses.items()}
+    step = [p.get((s,), 0.0) for s in ab.letters]
+    stay = p.get((), 0.0)
+    F = [0.0] * ab.n_letters
+    for _ in range(100_000):
+        new = [step[inverse_letter(s)] / (1.0 - stay - sum(
+            step[t] * F[t] for t in ab.letters if t != inverse_letter(s))) for s in ab.letters]
+        if new == F:
+            break
+        F = new
+    top = [F[inverse_letter(s)] * (1.0 - F[s]) / (1.0 - F[s] * F[inverse_letter(s)])
+           for s in ab.letters]
+    out = []
+    for w in StemTable(ab, depth).stems():
+        mass = top[w[-1]]
+        for s in w[:-1]:
+            mass *= F[inverse_letter(s)]
+        out.append(mass)
+    return np.array(out)
 
 # --------------------------------------------------------------------------
 # hyperbolic: the Gromov product of ideal points, the separation profile

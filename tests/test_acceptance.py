@@ -24,7 +24,6 @@ from gibbswalk.stems import StemTable
 from gibbswalk.walk import (
     WalkMeasure,
     assemble_walk,
-    chi2_compatibility,
     simulate_hitting,
     stationarity_error,
     walk_statistics,
@@ -33,6 +32,7 @@ from gibbswalk.words import Alphabet, inverse_letter
 from oracles import (
     Cylinder,
     RandomReducedWord,
+    chi2_compatibility,
     cylinder_mass,
     entropy_decomposition,
     measure_from,

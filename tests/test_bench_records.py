@@ -78,6 +78,16 @@ class TestRecord:
                     assert summary[side] == {"q1": q1, "median": median, "q3": q3}, \
                         (name, metric, side)
             ref = w["summary"]["pipeline_ref"]
+            # the per-pair ratios every gain claim cites, and their quartiles
+            ratios = [p["pipeline_ref_ratio"] for p in w["pairs"] if "pipeline_ref_ratio" in p]
+            assert len(ratios) in (0, len(w["pairs"])), name
+            for pair in w["pairs"][:len(ratios)]:
+                assert pair["pipeline_ref_ratio"] == (
+                    pair["change"]["pipeline_ref"] / pair["parent"]["pipeline_ref"]), \
+                    (name, pair["seed"])
+            if "ratio_change_to_parent" in ref:
+                q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+                assert ref["ratio_change_to_parent"] == {"q1": q1, "median": median, "q3": q3}, name
             parent, change = ref["parent"], ref["change"]
             assert ref["pairs_won_by_change"] == sum(
                 p["change_wins_pipeline_ref"] for p in w["pairs"]), name

@@ -558,7 +558,11 @@ class TestStemLayout:
     lambda S, w: StemTable(S.ab, len(w) + 1).prefix_range(w),
     lambda S, w: S.cylinder_mass_of_stem(w),
     lambda S, w: d_phi(S.potential, (), w),
-], ids=["index_of", "prefix_range", "cylinder_mass_of_stem", "d_phi"])
+    lambda S, w: StemTable(S.ab, len(w)).indices(np.array([w]))[0],
+    lambda S, w: StemTable(S.ab, len(w)).indices(np.array([w], dtype=np.int8))[0],
+    lambda S, w: S.stem_masses(np.array([w]))[0],
+], ids=["index_of", "prefix_range", "cylinder_mass_of_stem", "d_phi", "indices", "indices_int8",
+        "stem_masses"])
 def test_letters_outside_the_alphabet_refused(read, stream_m2):
     # rank 2 has the letters 0..3
     for stem in ((0, -1), (-1,), (0, 2, 4), (0, 2, -2)):

@@ -25,9 +25,10 @@ from gibbswalk.walk import (
     SimulationError,
     WalkMeasure,
     assemble_walk,
-    chi2_compatibility,
+    chi2_fit,
     chi2_sf,
     convolved_density_masses,
+    harmonic_measure,
     nondegenerate_support,
     simulate_hitting,
     stationarity_error,
@@ -35,7 +36,7 @@ from gibbswalk.walk import (
     _uniform_rows,
 )
 from gibbswalk.words import Alphabet, _translate_stem_set
-from oracles import entropy_decomposition
+from oracles import chi2_compatibility, entropy_decomposition, nearest_neighbour_harmonic
 
 AB = Alphabet(2)
 
@@ -324,13 +325,17 @@ class TestChi2:
     def test_no_scipy_stats_import(self):
         code = ("import sys\n"
                 "import gibbswalk.cli\n"
-                "from gibbswalk.walk import HittingReport, chi2_compatibility\n"
+                "from gibbswalk.walk import HittingReport, WalkMeasure, chi2_fit, harmonic_measure\n"
+                "from gibbswalk.words import Alphabet\n"
+                "from oracles import chi2_compatibility\n"
                 "r1 = HittingReport(1, 10, {(0,): 0.6, (1,): 0.4}, {}, 0)\n"
                 "r2 = HittingReport(1, 10, {(0,): 0.3, (2,): 0.7}, {}, 0)\n"
                 "assert 0.0 < chi2_compatibility(r1, r2) < 1.0\n"
+                "hm = harmonic_measure(WalkMeasure(Alphabet(2), {(s,): 1.0 for s in range(4)}), 1)\n"
+                "assert 0.0 < chi2_fit(r1, hm) < 1.0\n"
                 "assert 'scipy.stats' not in sys.modules\n")
         src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=src)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(Path(__file__).parent)]))
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
@@ -758,3 +763,161 @@ class TestBatchedHitting:
         for name, depth in (("long_steps", 2), ("rank3", 1), ("long_step", 3)):
             mu = hitting_walks[name]
             _same_report(simulate_hitting(mu, 301, depth, 7), mu, 301, depth, 7)
+
+
+def _depth2_walk():
+    """The walk of the depth2-hausdorff benchmark workload at seed 601."""
+    import importlib.util
+
+    from gibbswalk import cli
+    from gibbswalk.spikes import SpikeLab
+
+    path = Path(__file__).resolve().parent.parent / "bench" / "worker.py"
+    spec = importlib.util.spec_from_file_location("bench_worker", path)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    cfg = worker.depth2_config(cli, 601)
+    ab, P, S, F = cli.build_objects(cfg)
+    dec = decompose(F, S, DecomposerConfig(**cfg["decomposer"]), lab=SpikeLab(S, "hausdorff"))
+    return assemble_walk(dec, S)
+
+
+@pytest.fixture(scope="module")
+def preset_walks(step_decomposition, uniform_stream):
+    ab3 = Alphabet(3)
+    rng = np.random.default_rng(35)
+    words3 = [w for n in range(1, 4) for w in ab3.reduced_words(n)]
+    picks = sorted(rng.choice(len(words3), size=20, replace=False))
+    return {"step-f2": assemble_walk(step_decomposition, uniform_stream),
+            "depth2-hausdorff": _depth2_walk(),
+            "rank3": WalkMeasure(ab3, {words3[i]: float(rng.uniform(0.01, 0.1)) for i in picks})}
+
+
+def _pushed(mu, nu_deep, deep, depth):
+    """sum_g mu~(g) nu(g^-1 C(w)) on the depth cylinders, from nu on the
+    deep cylinders: g maps a deep stem c onto the cylinder of the first
+    depth letters of g.c, reduced."""
+    ab = mu.ab
+    cyl = StemTable(ab, deep).letters.astype(np.int64)
+    total = sum(mu.masses.values())
+    out = np.zeros(StemTable(ab, depth).size)
+    for g, m in mu.masses.items():
+        n = len(g)
+        inverse = (np.array(g, dtype=np.int64)[::-1] ^ 1) if n else np.zeros(0, np.int64)
+        agree = cyl[:, :n] == inverse[None, :]
+        cancel = np.cumprod(agree, axis=1).sum(axis=1) if n else np.zeros(len(cyl), np.int64)
+        rows = np.empty((len(cyl), depth), dtype=np.int64)
+        for j in np.unique(cancel).tolist():
+            at = cancel == j
+            word = np.concatenate([np.broadcast_to(np.array(g[:n - j], dtype=np.int64),
+                                                   (int(at.sum()), n - j)), cyl[at, j:]], axis=1)
+            rows[at] = word[:, :depth]
+        np.add.at(out, StemTable(ab, depth).indices(rows), m / total * nu_deep)
+    return out
+
+
+class TestHarmonicMeasure:
+    @pytest.mark.parametrize("rank", [2, 3])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_uniform_nearest_neighbour(self, rank, depth):
+        ab = Alphabet(rank)
+        hm = harmonic_measure(WalkMeasure(ab, {(s,): 0.25 for s in ab.letters}), depth)
+        exact = 1.0 / (ab.n_letters * (ab.n_letters - 1) ** (depth - 1))
+        assert hm.nu.shape == (StemTable(ab, depth).size,)
+        assert np.abs(hm.nu - exact).sum() <= hm.err <= 1e-9
+
+    @pytest.mark.parametrize("rank, masses", [
+        (2, {(0,): 0.4, (1,): 0.1, (2,): 0.3, (3,): 0.2}),
+        (3, {(): 0.1, (0,): 0.3, (1,): 0.1, (2,): 0.2, (3,): 0.15, (4,): 0.05, (5,): 0.2}),
+    ])
+    def test_dynkin_malyutov(self, rank, masses):
+        mu = WalkMeasure(Alphabet(rank), masses)
+        for depth in (1, 2, 3):
+            hm = harmonic_measure(mu, depth)
+            assert np.abs(hm.nu - nearest_neighbour_harmonic(mu, depth)).sum() <= hm.err + 1e-14
+            assert hm.err <= 1e-9
+
+    @pytest.mark.parametrize("name", ["step-f2", "depth2-hausdorff", "rank3"])
+    def test_stationary(self, preset_walks, name):
+        # nu of mu~ = mu/|mu| is the unique mu~-stationary measure (Furstenberg):
+        # nu(C(w)) = sum_g mu~(g) nu(g^-1 C(w)), read at depth d + R
+        mu = preset_walks[name]
+        reach = max(len(g) for g in mu.masses)
+        hm = harmonic_measure(mu, 2)
+        deep = harmonic_measure(mu, 2 + reach)
+        gap = np.abs(_pushed(mu, deep.nu, 2 + reach, 2) - hm.nu).sum()
+        assert gap <= 1e-12 + hm.err + deep.err, (gap, hm.err, deep.err)
+        assert hm.err <= 1e-9 and deep.err <= 1e-9
+
+    @pytest.mark.parametrize("name", ["step-f2", "depth2-hausdorff"])
+    def test_monte_carlo_fits(self, preset_walks, name):
+        mu = preset_walks[name]
+        assert chi2_fit(simulate_hitting(mu, 400_000, 2, seed=20261022),
+                        harmonic_measure(mu, 2)) > 1e-3
+
+    def test_one_sample_chi2(self):
+        from scipy.stats import chisquare
+
+        rng = np.random.default_rng(6)
+        ab = Alphabet(2)
+        for _ in range(50):
+            nu = rng.dirichlet(np.ones(12))
+            counts = rng.multinomial(int(rng.integers(50, 5000)), nu)
+            failures = int(rng.integers(0, 3))
+            n_paths = int(counts.sum()) + failures
+            rep = HittingReport(2, n_paths, {stem: c / n_paths for stem, c in
+                                             zip(StemTable(ab, 2).stems(), counts.tolist()) if c},
+                                {}, failures)
+            hm = walk.HarmonicMeasure(ab, 2, nu, 0.0, 0)
+            want = chisquare(counts, counts.sum() * nu).pvalue
+            _assert_chi2_close(chi2_fit(rep, hm), float(want))
+
+    def test_walk_stage_runs_monte_carlo_once(self, tmp_path, monkeypatch):
+        from gibbswalk import cli
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:4])
+            return simulate_hitting(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate_hitting", counted)
+        cfg = cli.load_config(None, "uniform-f2", None)
+        code, summary = cli.run_experiment(cfg, str(tmp_path), stages=("walk",))
+        assert code == 0, summary
+        assert calls == [(20000, 2, cfg["seed"])]
+        assert summary["walk"]["harmonic_err"] <= 1e-9
+        assert summary["walk"]["harmonic_l1"] <= summary["walk"]["harmonic_err"]
+
+    def test_refused_before_allocation(self, preset_walks, monkeypatch):
+        from gibbswalk import stems
+
+        mu = preset_walks["step-f2"]
+        monkeypatch.setattr(stems, "DENSE_BYTES", 1 << 17)
+        tracemalloc.start()
+        try:
+            with pytest.raises(stems.DenseArrayError, match="range-5 walk of rank 2"):
+                harmonic_measure(mu, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one chain of the 121 states and their exits alone takes 234,256 bytes
+        assert peak < 1 << 16, peak
+        monkeypatch.undo()
+        with pytest.raises(stems.DenseArrayError):  # range 7 at rank 2: n = 1,093 states
+            harmonic_measure(WalkMeasure(AB, {(0,) * 7: 0.5, (2,): 0.25, (3,): 0.25}), 1)
+
+    def test_perturbed_upper_kernel_refused(self, preset_walks, monkeypatch):
+        from gibbswalk.spikes import CertificationError
+
+        # sweeps that settle 0.1% short of the fixed point: K_up is below it
+        solve = walk._Cones.solve
+
+        def short(self, s, K, check=False):
+            phi, y = solve(self, s, K, check)
+            return (phi if check else 0.999 * phi), y
+
+        monkeypatch.setattr(walk._Cones, "solve", short)
+        with pytest.raises(CertificationError, match="cone a is not a supersolution") as info:
+            harmonic_measure(preset_walks["step-f2"], 2)
+        assert info.value.witness["letter"] == "a"
